@@ -58,19 +58,15 @@ from .errors import (
 from .mechanisms import (
     MechanismSpec,
     PerturbedColumn,
-    PerturbedOutput,
     TransitionMatrix,
-    decode,
     decode_column,
     estimate_frequencies,
-    perturb,
     perturb_column,
     transition_matrix,
 )
 from .statistical import (
     EstimationConfig,
     StatisticalCplResult,
-    permutation_significance,
     perturb_dataset,
     statistical_cpl,
     statistical_tpl,

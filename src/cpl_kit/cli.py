@@ -4,9 +4,10 @@ Subcommands: ``analyze {matrix,exact,bound}``, ``estimate``, ``benchmark
 {analyzers,utility}``, ``calibrate`` and ``fixtures generate``. Every run
 emits a JSON envelope with a manifest (command line, seed, config digest,
 version, wall time); identical flags and seed reproduce byte-identical
-results apart from the wall-time field. Leakage values are reported in nats
-and declared as such in the ``units`` block; ``--bits`` adds a converted
-display field.
+results apart from the wall-time field. The config digest leaves out flags
+that cannot change a result, such as ``estimate --threads``. Leakage values
+are reported in nats and declared as such in the ``units`` block; ``--bits``
+adds a converted display field.
 
 Exit codes: 0 success, 2 usage or input error (machine-readable JSON on
 stderr), 3 numerical infeasibility.
@@ -66,9 +67,12 @@ def _jsonable(x):
     return x
 
 
+#: Arguments that cannot change a result, left out of the config digest.
+_NON_SEMANTIC_ARGS = ("func", "out", "threads", "_argv")
+
+
 def _config_digest(args: argparse.Namespace) -> str:
-    payload = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("func", "out") and not callable(v)}
+    payload = {k: v for k, v in sorted(vars(args).items()) if k not in _NON_SEMANTIC_ARGS}
     blob = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
@@ -215,8 +219,7 @@ def _cmd_benchmark_analyzers(args) -> dict:
 
 def _cmd_benchmark_utility(args) -> dict:
     d = load_csv(args.data)
-    cfg = EstimationConfig(expansion=args.r, surrogates=1, alpha=0.05,
-                           seed=args.seed, threads=args.threads)
+    cfg = EstimationConfig(expansion=args.r, surrogates=1, alpha=0.05, seed=args.seed)
     rows = utility_benchmark(d, args.mechanisms.split(","), _float_list(args.epsilons), cfg)
     return {"rows": [{
         "mechanism": r.mechanism, "epsilon": r.epsilon,
@@ -255,8 +258,6 @@ def _cmd_fixtures_generate(args) -> dict:
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=_default_seed(),
                    help="root seed for all randomness (env CPL_KIT_SEED)")
-    p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1),
-                   help="worker-parallelism cap; results do not depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogates", type=int, default=1000)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--bits", action="store_true")
+    p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1),
+                   help="surrogate worker-parallelism cap; results do not depend on it")
     p.add_argument("--out")
     _add_seed(p)
     p.set_defaults(func=_cmd_estimate)

@@ -6,11 +6,18 @@ RAPPOR with unary encoding (``rappor``), optimized unary encoding (``oue``),
 binary and optimized local hashing (``blh``/``olh``), histogram encoding with
 Laplace summation (``she``), and subset selection (``ss``).
 
-Each mechanism provides per-record perturbation, inference-attack decoding
-back into the input alphabet, and an unbiased frequency estimator. ``grr``
-and ``exp`` additionally expose their full transition matrix; the others
-have exponential-size or continuous output alphabets, so leakage analysis
-for them goes through the budget-only bound or the statistical estimator.
+Mechanisms work on whole columns: ``perturb_column`` perturbs a column of
+symbol indices, ``decode_column`` maps the reports back into the input
+alphabet (an inference attack), and ``estimate_frequencies`` gives an
+unbiased frequency estimate. ``grr`` and ``exp`` additionally expose their
+full transition matrix; the others have exponential-size or continuous
+output alphabets, so leakage analysis for them goes through the
+budget-only bound or the statistical estimator.
+
+Every report except ``she`` is a symbol or *supports* a set of input
+symbols (the set bits for rappor/oue/ss, the hash preimage for blh/olh).
+Decoding draws uniformly from that set, and frequency estimation debiases
+the per-symbol support counts with the rates from ``_support_rates``.
 
 Perturbation and decoding take an explicit generator so callers own
 determinism; everything here is pure given the stream.
@@ -161,14 +168,6 @@ def transition_matrix(spec: MechanismSpec, labels: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
-class PerturbedOutput:
-    """One record's perturbed report; payload shape depends on the mechanism."""
-
-    kind: str
-    payload: object
-
-
-@dataclass(frozen=True)
 class PerturbedColumn:
     """A whole column of perturbed reports stored as arrays.
 
@@ -185,42 +184,12 @@ class PerturbedColumn:
             return len(self.payload[0])
         return len(self.payload)
 
-    def row(self, i: int) -> PerturbedOutput:
-        kind = self.spec.kind
-        if kind in ("grr", "exp"):
-            return PerturbedOutput(kind, int(self.payload[i]))
-        if kind in ("blh", "olh"):
-            seeds, reports = self.payload
-            return PerturbedOutput(kind, (int(seeds[i]), int(reports[i])))
-        if kind == "ss":
-            return PerturbedOutput(kind, np.flatnonzero(self.payload[i]))
-        return PerturbedOutput(kind, np.array(self.payload[i]))
 
-
-def stack_outputs(spec: MechanismSpec, outputs) -> PerturbedColumn:
-    """Bundle per-record outputs into a column for aggregate estimation."""
-    if isinstance(outputs, PerturbedColumn):
-        return outputs
-    outputs = list(outputs)
-    if not outputs:
-        raise InputError("no outputs to stack")
-    for o in outputs:
-        if o.kind != spec.kind:
-            raise InputError(f"output kind {o.kind!r} does not match spec {spec.kind!r}")
-    kind = spec.kind
-    if kind in ("grr", "exp"):
-        return PerturbedColumn(spec, np.array([o.payload for o in outputs], dtype=np.int64))
-    if kind in ("blh", "olh"):
-        seeds = np.array([o.payload[0] for o in outputs], dtype=np.uint64)
-        reports = np.array([o.payload[1] for o in outputs], dtype=np.int64)
-        return PerturbedColumn(spec, (seeds, reports))
-    if kind == "ss":
-        mask = np.zeros((len(outputs), spec.k), dtype=bool)
-        for i, o in enumerate(outputs):
-            mask[i, np.asarray(o.payload, dtype=np.int64)] = True
-        return PerturbedColumn(spec, mask)
-    dtype = np.float64 if kind == "she" else np.uint8
-    return PerturbedColumn(spec, np.array([o.payload for o in outputs], dtype=dtype))
+def _check_column(spec: MechanismSpec, column) -> None:
+    if not isinstance(column, PerturbedColumn):
+        raise InputError("expected a PerturbedColumn")
+    if column.spec.kind != spec.kind or column.spec.k != spec.k:
+        raise InputError("column was produced by a different mechanism spec")
 
 
 # --------------------------------------------------------------------------
@@ -253,151 +222,20 @@ def _random_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True)
 
 
-# --------------------------------------------------------------------------
-# Perturbation
-# --------------------------------------------------------------------------
-
-def _grr_sample(values: np.ndarray, keep_p: float, k: int, rng: np.random.Generator) -> np.ndarray:
-    keep = rng.random(values.shape) < keep_p
-    alt = rng.integers(0, k - 1, size=values.shape)
-    alt = alt + (alt >= values)  # uniform over the k-1 other symbols
-    return np.where(keep, values, alt).astype(np.int64)
-
-
-def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> PerturbedColumn:
-    """Perturb a full column of symbol indices under ``spec``."""
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and (values.min() < 0 or values.max() >= spec.k):
-        raise InputError("value out of range for the mechanism's domain")
-    n, k = values.shape[0], spec.k
-    kind = spec.kind
-
-    if kind in ("grr", "exp"):
-        return PerturbedColumn(spec, _grr_sample(values, spec.keep_probability(), k, rng))
-
-    if kind == "rappor":
-        bits = np.zeros((n, k), dtype=np.uint8)
-        bits[np.arange(n), values] = 1
-        u = rng.random((n, k))
-        permanent = np.where(u < RAPPOR_F / 2, 1,
-                             np.where(u < RAPPOR_F, 0, bits)).astype(np.uint8)
-        report_p = np.where(permanent == 1, RAPPOR_Q, RAPPOR_P)
-        reported = (rng.random((n, k)) < report_p).astype(np.uint8)
-        return PerturbedColumn(spec, reported)
-
-    if kind == "oue":
-        p_one = 0.5
-        p_zero = 1.0 / (math.exp(spec.epsilon) + 1.0)
-        bits = np.zeros((n, k), dtype=np.uint8)
-        bits[np.arange(n), values] = 1
-        report_p = np.where(bits == 1, p_one, p_zero)
-        return PerturbedColumn(spec, (rng.random((n, k)) < report_p).astype(np.uint8))
-
-    if kind in ("blh", "olh"):
-        g = spec.g
-        seeds = _random_seeds(rng, n)
-        hashed = _hash_bucket(values, seeds, g)
-        keep_p = math.exp(spec.epsilon) / (math.exp(spec.epsilon) + g - 1)
-        reports = _grr_sample(hashed, keep_p, g, rng)
-        return PerturbedColumn(spec, (seeds, reports))
-
-    if kind == "she":
-        if spec.epsilon <= 0:
-            raise InputError("she requires epsilon > 0")
-        onehot = np.zeros((n, k), dtype=np.float64)
-        onehot[np.arange(n), values] = 1.0
-        noise = rng.laplace(0.0, 2.0 / spec.epsilon, size=(n, k))
-        return PerturbedColumn(spec, onehot + noise)
-
-    # ss: report a subset of size omega containing the true value w.p. p_in.
-    omega = spec.subset_size
-    e_eps = math.exp(spec.epsilon)
-    p_in = omega * e_eps / (omega * e_eps + k - omega)
-    include = rng.random(n) < p_in
-    keys = rng.random((n, k))
-    keys[np.arange(n), values] = np.inf  # others ranked first
-    order = np.argsort(keys, axis=1)
-    ranks = np.empty_like(order)
-    ranks[np.arange(n)[:, None], order] = np.arange(k)[None, :]
-    need = np.where(include, omega - 1, omega)
-    members = ranks < need[:, None]
-    members[np.arange(n), values] = include
-    return PerturbedColumn(spec, members)
-
-
-def perturb(spec: MechanismSpec, value: int, rng: np.random.Generator) -> PerturbedOutput:
-    """Perturb a single symbol index."""
-    return perturb_column(spec, np.array([value]), rng).row(0)
-
-
-# --------------------------------------------------------------------------
-# Inference-attack decoding back into the input alphabet
-# --------------------------------------------------------------------------
-
-def _uniform_over_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw over the set bits of each row; uniform over all columns
-    for rows with no set bit."""
-    n, k = mask.shape
-    counts = mask.sum(axis=1)
-    pick = np.floor(rng.random(n) * np.maximum(counts, 1)).astype(np.int64)
-    cs = np.cumsum(mask, axis=1)
-    from_mask = np.argmax(cs > pick[:, None], axis=1)
-    fallback = rng.integers(0, k, size=n)
-    return np.where(counts > 0, from_mask, fallback).astype(np.int64)
-
-
-def decode_column(spec: MechanismSpec, column: PerturbedColumn, rng: np.random.Generator,
-                  prior=None) -> np.ndarray:
-    """Decode a perturbed column into symbol indices."""
-    if column.spec.kind != spec.kind or column.spec.k != spec.k:
-        raise InputError("column was produced by a different mechanism spec")
-    kind, k = spec.kind, spec.k
-
-    if kind in ("grr", "exp"):
-        # Output domain equals input domain: take the report as the value.
-        return np.asarray(column.payload, dtype=np.int64)
-
-    if kind in ("rappor", "oue"):
-        return _uniform_over_mask(np.asarray(column.payload, dtype=bool), rng)
-
-    if kind in ("blh", "olh"):
+def _support_set(column: PerturbedColumn) -> np.ndarray:
+    """(N, k) bool mask of the input symbols each report supports: the set
+    bits for rappor/oue/ss, the hash preimage for blh/olh."""
+    spec = column.spec
+    if spec.kind in ("blh", "olh"):
         seeds, reports = column.payload
-        preimage = _hash_bucket(np.arange(k)[None, :], seeds[:, None], spec.g) == reports[:, None]
-        return _uniform_over_mask(preimage, rng)
+        return _hash_bucket(np.arange(spec.k)[None, :], seeds[:, None], spec.g) == reports[:, None]
+    return np.asarray(column.payload, dtype=bool)
 
-    if kind == "ss":
-        return _uniform_over_mask(np.asarray(column.payload, dtype=bool), rng)
-
-    # she: Bayes-optimal argmax of the posterior under the Laplace likelihood.
-    if spec.epsilon <= 0:
-        raise InputError("she decoding undefined at epsilon = 0 (no likelihood scale)")
-    b = 2.0 / spec.epsilon
-    if prior is None:
-        log_prior = np.zeros(k)
-    else:
-        prior = np.asarray(prior, dtype=np.float64)
-        if prior.shape != (k,) or (prior < 0).any() or abs(prior.sum() - 1.0) > PROB_TOL:
-            raise InputError("prior must be a length-k probability vector")
-        with np.errstate(divide="ignore"):
-            log_prior = np.log(prior)
-    y = np.asarray(column.payload, dtype=np.float64)
-    # ||y - onehot(v)||_1 = sum|y| - |y_v| + |y_v - 1|
-    scores = (np.abs(y) - np.abs(y - 1.0)) / b + log_prior[None, :]
-    return np.argmax(scores, axis=1).astype(np.int64)
-
-
-def decode(spec: MechanismSpec, output: PerturbedOutput, rng: np.random.Generator,
-           prior=None) -> int:
-    """Decode a single perturbed output into a symbol index."""
-    return int(decode_column(spec, stack_outputs(spec, [output]), rng, prior)[0])
-
-
-# --------------------------------------------------------------------------
-# Frequency estimation
-# --------------------------------------------------------------------------
 
 def _support_rates(spec: MechanismSpec) -> tuple[float, float]:
-    """Per-symbol support probabilities (true symbol, other symbol)."""
+    """Probabilities that a report supports its true symbol and that it
+    supports a given other symbol. The first is also the keep/inclusion
+    probability that grr/exp/oue/blh/olh/ss perturbation draws with."""
     kind, k = spec.kind, spec.k
     e_eps = math.exp(spec.epsilon)
     if kind in ("grr", "exp"):
@@ -420,10 +258,133 @@ def _support_rates(spec: MechanismSpec) -> tuple[float, float]:
     raise UnsupportedMechanismError(f"{kind} has no support-count estimator")
 
 
-def estimate_frequencies(spec: MechanismSpec, outputs) -> np.ndarray:
-    """Unbiased frequency estimate from perturbed reports, clipped to [0, 1]
+# --------------------------------------------------------------------------
+# Perturbation
+# --------------------------------------------------------------------------
+
+def _grr_sample(values: np.ndarray, keep_p: float, k: int, rng: np.random.Generator) -> np.ndarray:
+    keep = rng.random(values.shape) < keep_p
+    alt = rng.integers(0, k - 1, size=values.shape)
+    alt = alt + (alt >= values)  # uniform over the k-1 other symbols
+    return np.where(keep, values, alt).astype(np.int64)
+
+
+def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> PerturbedColumn:
+    """Perturb a full column of symbol indices under ``spec``."""
+    if spec.delta != 0:
+        raise InputError("perturbation requires delta = 0; every mechanism is pure LDP")
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and (values.min() < 0 or values.max() >= spec.k):
+        raise InputError("value out of range for the mechanism's domain")
+    n, k = values.shape[0], spec.k
+    kind = spec.kind
+
+    if kind == "rappor":
+        # Two-stage draw (permanent flip, then instantaneous report): no single
+        # keep probability, unlike the kinds below.
+        bits = np.zeros((n, k), dtype=np.uint8)
+        bits[np.arange(n), values] = 1
+        u = rng.random((n, k))
+        permanent = np.where(u < RAPPOR_F / 2, 1,
+                             np.where(u < RAPPOR_F, 0, bits)).astype(np.uint8)
+        report_p = np.where(permanent == 1, RAPPOR_Q, RAPPOR_P)
+        reported = (rng.random((n, k)) < report_p).astype(np.uint8)
+        return PerturbedColumn(spec, reported)
+
+    if kind == "she":
+        if spec.epsilon <= 0:
+            raise InputError("she requires epsilon > 0")
+        onehot = np.zeros((n, k), dtype=np.float64)
+        onehot[np.arange(n), values] = 1.0
+        noise = rng.laplace(0.0, 2.0 / spec.epsilon, size=(n, k))
+        return PerturbedColumn(spec, onehot + noise)
+
+    p, q = _support_rates(spec)
+
+    if kind in ("grr", "exp"):
+        return PerturbedColumn(spec, _grr_sample(values, p, k, rng))
+
+    if kind == "oue":
+        bits = np.zeros((n, k), dtype=np.uint8)
+        bits[np.arange(n), values] = 1
+        report_p = np.where(bits == 1, p, q)
+        return PerturbedColumn(spec, (rng.random((n, k)) < report_p).astype(np.uint8))
+
+    if kind in ("blh", "olh"):
+        g = spec.g
+        seeds = _random_seeds(rng, n)
+        reports = _grr_sample(_hash_bucket(values, seeds, g), p, g, rng)
+        return PerturbedColumn(spec, (seeds, reports))
+
+    # ss: report a subset of size omega containing the true value w.p. p.
+    omega = spec.subset_size
+    include = rng.random(n) < p
+    keys = rng.random((n, k))
+    keys[np.arange(n), values] = np.inf  # others ranked first
+    order = np.argsort(keys, axis=1)
+    ranks = np.empty_like(order)
+    ranks[np.arange(n)[:, None], order] = np.arange(k)[None, :]
+    need = np.where(include, omega - 1, omega)
+    members = ranks < need[:, None]
+    members[np.arange(n), values] = include
+    return PerturbedColumn(spec, members)
+
+
+# --------------------------------------------------------------------------
+# Inference-attack decoding back into the input alphabet
+# --------------------------------------------------------------------------
+
+def _uniform_over_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw over the set bits of each row; uniform over all columns
+    for rows with no set bit."""
+    n, k = mask.shape
+    counts = mask.sum(axis=1)
+    pick = np.floor(rng.random(n) * np.maximum(counts, 1)).astype(np.int64)
+    cs = np.cumsum(mask, axis=1)
+    from_mask = np.argmax(cs > pick[:, None], axis=1)
+    fallback = rng.integers(0, k, size=n)
+    return np.where(counts > 0, from_mask, fallback).astype(np.int64)
+
+
+def decode_column(spec: MechanismSpec, column: PerturbedColumn, rng: np.random.Generator,
+                  prior=None) -> np.ndarray:
+    """Decode a perturbed column into symbol indices."""
+    _check_column(spec, column)
+    kind, k = spec.kind, spec.k
+
+    if kind in ("grr", "exp"):
+        # Output domain equals input domain: take the report as the value.
+        return np.asarray(column.payload, dtype=np.int64)
+
+    if kind != "she":
+        return _uniform_over_mask(_support_set(column), rng)
+
+    # she: Bayes-optimal argmax of the posterior under the Laplace likelihood.
+    if spec.epsilon <= 0:
+        raise InputError("she decoding undefined at epsilon = 0 (no likelihood scale)")
+    b = 2.0 / spec.epsilon
+    if prior is None:
+        log_prior = np.zeros(k)
+    else:
+        prior = np.asarray(prior, dtype=np.float64)
+        if prior.shape != (k,) or (prior < 0).any() or abs(prior.sum() - 1.0) > PROB_TOL:
+            raise InputError("prior must be a length-k probability vector")
+        with np.errstate(divide="ignore"):
+            log_prior = np.log(prior)
+    y = np.asarray(column.payload, dtype=np.float64)
+    # ||y - onehot(v)||_1 = sum|y| - |y_v| + |y_v - 1|
+    scores = (np.abs(y) - np.abs(y - 1.0)) / b + log_prior[None, :]
+    return np.argmax(scores, axis=1).astype(np.int64)
+
+
+# --------------------------------------------------------------------------
+# Frequency estimation
+# --------------------------------------------------------------------------
+
+def estimate_frequencies(spec: MechanismSpec, column: PerturbedColumn) -> np.ndarray:
+    """Unbiased frequency estimate from a perturbed column, clipped to [0, 1]
     and renormalized."""
-    column = stack_outputs(spec, outputs)
+    _check_column(spec, column)
     n = len(column)
     if n == 0:
         raise InputError("no outputs to estimate from")
@@ -433,13 +394,9 @@ def estimate_frequencies(spec: MechanismSpec, outputs) -> np.ndarray:
         est = np.asarray(column.payload, dtype=np.float64).mean(axis=0)
     else:
         if kind in ("grr", "exp"):
-            support = np.bincount(np.asarray(column.payload), minlength=k).astype(np.float64)
-        elif kind in ("rappor", "oue", "ss"):
-            support = np.asarray(column.payload, dtype=np.float64).sum(axis=0)
-        else:  # blh, olh
-            seeds, reports = column.payload
-            preimage = _hash_bucket(np.arange(k)[None, :], seeds[:, None], spec.g) == reports[:, None]
-            support = preimage.sum(axis=0).astype(np.float64)
+            support = np.bincount(np.asarray(column.payload), minlength=k)
+        else:
+            support = _support_set(column).sum(axis=0)
         p, q = _support_rates(spec)
         if p == q:
             est = np.full(k, 1.0 / k)

@@ -201,10 +201,3 @@ def statistical_tpl(perturbed: Dataset, original: Dataset, target: int,
     leakage, excluded, p = _observed_and_null(perturbed, original, target, w_set, cfg)
     return StatisticalCplResult(leakage, p, p < cfg.alpha, excluded)
 
-
-def permutation_significance(perturbed: Dataset, original: Dataset, target: int,
-                             neighbors: list[int], cfg: EstimationConfig) -> float:
-    """P-value of the observed leakage under column-shuffle surrogates."""
-    _check_alignment(perturbed, original)
-    _, _, p = _observed_and_null(perturbed, original, target, list(neighbors), cfg)
-    return p

@@ -173,6 +173,22 @@ class TestDeterminism:
         r2["manifest"].pop("wall_time_s")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_thread_count_not_in_config_digest(self, capsys, workdir):
+        argv = ["estimate", "--data", str(workdir / "fx" / "independent_pair.csv"),
+                "--mechanism", "grr", "--epsilon", "1", "--target", "0", "--neighbors", "1",
+                "--r", "1", "--surrogates", "19", "--seed", "5"]
+        _, out1, _ = run(capsys, [*argv, "--threads", "1"])
+        _, out2, _ = run(capsys, [*argv, "--threads", "2"])
+        r1, r2 = payload(out1), payload(out2)
+        assert r1["manifest"]["config_digest"] == r2["manifest"]["config_digest"]
+        assert r1["result"] == r2["result"]
+
+    def test_threads_only_on_estimate(self, workdir):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--data", str(workdir / "fx" / "independent_pair.csv"),
+                  "--budget", "2", "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_seed_env_fallback(self, capsys, workdir, monkeypatch):
         monkeypatch.setenv("CPL_KIT_SEED", "99")
         _, out, _ = run(capsys, ["estimate", "--data",

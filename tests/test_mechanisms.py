@@ -6,15 +6,14 @@ import pytest
 from cpl_kit import (
     InputError,
     MechanismSpec,
+    PerturbedColumn,
     UnsupportedMechanismError,
-    decode,
     decode_column,
     estimate_frequencies,
-    perturb,
     perturb_column,
     transition_matrix,
 )
-from cpl_kit.mechanisms import KINDS, stack_outputs
+from cpl_kit.mechanisms import KINDS
 from cpl_kit.rng import derive_rng
 
 
@@ -110,41 +109,39 @@ class TestPerturbLaw:
 
     def test_out_of_range_value_rejected(self):
         with pytest.raises(InputError, match="out of range"):
-            perturb(spec_for("grr"), 4, derive_rng(0, 0))
+            perturb_column(spec_for("grr"), np.array([4]), derive_rng(0, 0))
+
+    def test_nonzero_delta_rejected(self):
+        spec = MechanismSpec("grr", 1.0, 4, delta=0.3)
+        with pytest.raises(InputError, match="delta"):
+            perturb_column(spec, np.array([0, 1]), derive_rng(0, 1))
 
 
 class TestDecode:
     def test_grr_decode_is_identity_on_payload(self):
         spec = spec_for("grr")
-        rng = derive_rng(7, 0)
-        for v in range(4):
-            out = perturb(spec, v, rng)
-            assert decode(spec, out, derive_rng(7, 1)) == out.payload
+        col = perturb_column(spec, np.arange(4), derive_rng(7, 0))
+        assert (decode_column(spec, col, derive_rng(7, 1)) == col.payload).all()
 
     def test_oue_single_set_bit(self):
         spec = spec_for("oue", k=5)
-        from cpl_kit.mechanisms import PerturbedOutput
-        bits = np.zeros(5, dtype=np.uint8)
-        bits[3] = 1
-        assert decode(spec, PerturbedOutput("oue", bits), derive_rng(8, 0)) == 3
+        bits = np.zeros((1, 5), dtype=np.uint8)
+        bits[0, 3] = 1
+        assert decode_column(spec, PerturbedColumn(spec, bits), derive_rng(8, 0))[0] == 3
 
     def test_oue_all_zero_uniform(self):
         spec = spec_for("oue", k=5)
-        from cpl_kit.mechanisms import PerturbedOutput
-        zeros = np.zeros(5, dtype=np.uint8)
-        outs = [PerturbedOutput("oue", zeros)] * 20_000
-        decoded = decode_column(spec, stack_outputs(spec, outs), derive_rng(8, 1))
+        zeros = np.zeros((20_000, 5), dtype=np.uint8)
+        decoded = decode_column(spec, PerturbedColumn(spec, zeros), derive_rng(8, 1))
         freq = np.bincount(decoded, minlength=5) / len(decoded)
         assert np.abs(freq - 0.2).max() < 0.02
 
     def test_she_near_onehot_decodes_argmax(self):
         spec = spec_for("she", epsilon=1.0, k=4)
-        from cpl_kit.mechanisms import PerturbedOutput
-        y = np.array([0.01, -0.02, 0.97, 0.03])
-        assert decode(spec, PerturbedOutput("she", y), derive_rng(9, 0)) == 2
+        y = np.array([[0.01, -0.02, 0.97, 0.03]])
+        assert decode_column(spec, PerturbedColumn(spec, y), derive_rng(9, 0))[0] == 2
 
     def test_she_zero_budget_rejected(self):
-        from cpl_kit.mechanisms import PerturbedColumn
         spec = MechanismSpec("she", 0.0, 4)
         col = PerturbedColumn(spec, np.zeros((1, 4)))
         with pytest.raises(InputError, match="epsilon"):
@@ -181,8 +178,8 @@ class TestFrequencyEstimation:
 
     def test_single_output_normalized(self):
         spec = spec_for("grr", epsilon=1.0, k=3)
-        out = perturb(spec, 1, derive_rng(13, 0))
-        est = estimate_frequencies(spec, [out])
+        col = perturb_column(spec, np.array([1]), derive_rng(13, 0))
+        est = estimate_frequencies(spec, col)
         assert est.sum() == pytest.approx(1.0)
         assert (est >= 0).all()
 
@@ -220,16 +217,20 @@ class TestFrequencyEstimation:
         assert 0.35 <= ratio <= 0.65
 
 
-class TestColumnRoundTrip:
+
+class TestColumnSpecCheck:
     @pytest.mark.parametrize("kind", KINDS)
-    def test_row_and_stack_are_inverse(self, kind):
-        spec = spec_for(kind, epsilon=1.0, k=5)
-        values = derive_rng(17, 0).integers(0, 5, 50)
-        col = perturb_column(spec, values, derive_rng(17, 1))
-        rows = [col.row(i) for i in range(len(col))]
-        restacked = stack_outputs(spec, rows)
-        if kind in ("blh", "olh"):
-            assert (restacked.payload[0] == col.payload[0]).all()
-            assert (restacked.payload[1] == col.payload[1]).all()
-        else:
-            assert (np.asarray(restacked.payload) == np.asarray(col.payload)).all()
+    def test_mismatched_spec_rejected(self, kind):
+        spec = spec_for(kind, epsilon=1.0, k=4)
+        col = perturb_column(spec, np.arange(4), derive_rng(17, 0))
+        other_kind = spec_for("oue" if kind == "grr" else "grr", epsilon=1.0, k=4)
+        other_k = spec_for(kind, epsilon=1.0, k=5)
+        for wrong in (other_kind, other_k):
+            with pytest.raises(InputError, match="different mechanism spec"):
+                decode_column(wrong, col, derive_rng(17, 1))
+            with pytest.raises(InputError, match="different mechanism spec"):
+                estimate_frequencies(wrong, col)
+
+    def test_non_column_rejected(self):
+        with pytest.raises(InputError, match="PerturbedColumn"):
+            estimate_frequencies(spec_for("grr"), [0, 1, 2])

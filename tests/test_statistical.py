@@ -13,7 +13,6 @@ from cpl_kit import (
     cpl_bound,
     cpl_exact,
     expand_dataset,
-    permutation_significance,
     perturb_dataset,
     statistical_cpl,
     statistical_tpl,
@@ -159,7 +158,7 @@ class TestPermutationSignificance:
         d = maxleak_pair(n=20_000, seed=2)
         cfg = EstimationConfig(expansion=1, surrogates=199, seed=3)
         pert, orig = pipeline(d, 1.0, cfg)
-        assert permutation_significance(pert, orig, 0, [1], cfg) < 0.05
+        assert statistical_cpl(pert, orig, 0, [1], cfg).p_value < 0.05
 
     def test_null_calibration_reject_rate(self):
         # correlation destroyed up front: rejections should track alpha
