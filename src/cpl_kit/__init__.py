@@ -30,7 +30,6 @@ from .cpl_bound import (
     BoundedCplResult,
     BudgetParams,
     cpl_bound,
-    cpl_bound_bruteforce,
     cpl_limit,
     is_max_attainable,
 )

@@ -6,16 +6,23 @@ the correlation leakage caused by every neighbor at that same budget) stays
 within the ceiling. Naive equal splitting uses ceiling/n; weak correlations
 leave most of that slack unused, and stepping the shared budget upward while
 the constraint holds recovers it. Worst-attribute leakage is monotone in the
-shared budget, so the first infeasible step is final.
+shared budget, so the first infeasible step is final. The budget-independent
+part of every leakage computation is built once per calibration and shared
+by all probes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .cpl_bound import BudgetParams, cpl_bound
-from .cpl_exact import cpl_exact
+import numpy as np
+
+# Calibration evaluates the bound through ``_BoundTable``; ``cpl_bound`` stays
+# importable from here because perfbench's tracer tests rebind it in this module.
+from .cpl_bound import BudgetParams, _BoundTable, cpl_bound  # noqa: F401
+from .cpl_exact import _output_ratios
 from .data_model import ConditionalDistribution, JointDistribution, conditional_from_joint
-from .errors import InfeasibleBudgetError, InputError
+from .errors import InfeasibleBudgetError, InputError, InsufficientDataError
 from .mechanisms import MechanismSpec, transition_matrix
 
 _FEAS_TOL = 1e-9
@@ -57,13 +64,61 @@ def _as_conditionals(joints: dict) -> tuple[int, dict]:
     return n, conds
 
 
-def _pair_leakage(cond: ConditionalDistribution, eps: float, engine: str) -> float:
+def _leakage_table(conds: list[ConditionalDistribution], engine: str):
+    """Leakage of every conditional as a function of the shared budget.
+
+    Everything that does not depend on the budget is computed here, once:
+    the bound's greedy orders and prefix masses, or for ``exact-grr`` the
+    usable rows stacked by (row count, domain size), so that a probe builds
+    one transition matrix per domain size and does one matmul per stack.
+    """
     if engine == "bound":
-        return cpl_bound(cond, BudgetParams(eps, 0.0)).leakage
-    if engine == "exact-grr":
-        spec = MechanismSpec("grr", eps, cond.n_cols)
-        return cpl_exact(cond, transition_matrix(spec)).leakage
-    raise InputError(f"unknown leakage engine {engine!r}")
+        table = _BoundTable.build(conds)
+        return lambda eps: table.leakages(BudgetParams(eps, 0.0))
+    if engine != "exact-grr":
+        raise InputError(f"unknown leakage engine {engine!r}")
+    groups: dict[tuple[int, int], list[int]] = {}
+    for c, cond in enumerate(conds):
+        rows = cond.valid_rows()
+        if rows.size < 2:
+            raise InsufficientDataError("need at least 2 usable conditioning symbols")
+        groups.setdefault((rows.size, cond.n_cols), []).append(c)
+    stacks = [(k, members, np.stack([conds[c].matrix[conds[c].valid_rows()] for c in members]))
+              for (_, k), members in groups.items()]
+
+    def leakages(eps: float) -> list[float]:
+        out = [0.0] * len(conds)
+        trans: dict[int, np.ndarray] = {}
+        for k, members, stack in stacks:
+            if k not in trans:
+                trans[k] = transition_matrix(MechanismSpec("grr", eps, k)).matrix
+            best = _output_ratios(stack @ trans[k])[0].max(axis=1)
+            for c, ratio in zip(members, best.tolist()):
+                out[c] = math.log(ratio)
+        return out
+
+    return leakages
+
+
+def _worst(leaks: list[float], n: int, eps_tilde: float) -> tuple[float, int]:
+    """Largest total of own budget plus the n - 1 neighbor leakages of an
+    attribute, summed in neighbor order, with the first attribute attaining it.
+
+    The sums run in sequence on purpose: numpy's unrolled summation can
+    change the last bit.
+    """
+    worst, worst_idx = -1.0, 0
+    for i in range(n):
+        total = eps_tilde
+        for leak in leaks[i * (n - 1):(i + 1) * (n - 1)]:
+            total += leak
+        if total > worst:
+            worst, worst_idx = total, i
+    return worst, worst_idx
+
+
+def _ordered(conds: dict, n: int) -> list[ConditionalDistribution]:
+    return [conds[(i, j)] for i in range(n) for j in range(n) if j != i]
 
 
 def worst_tpl(conds: dict, n: int, eps_tilde: float, engine: str = "bound") -> tuple[float, int]:
@@ -71,15 +126,7 @@ def worst_tpl(conds: dict, n: int, eps_tilde: float, engine: str = "bound") -> t
 
     An attribute's own leakage toward itself is zero and skipped.
     """
-    worst, worst_idx = -1.0, 0
-    for i in range(n):
-        total = eps_tilde
-        for j in range(n):
-            if j != i:
-                total += _pair_leakage(conds[(i, j)], eps_tilde, engine)
-        if total > worst:
-            worst, worst_idx = total, i
-    return worst, worst_idx
+    return _worst(_leakage_table(_ordered(conds, n), engine)(eps_tilde), n, eps_tilde)
 
 
 def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
@@ -93,13 +140,14 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
     The equal split is feasible by construction (each neighbor leaks at most
     the shared budget); a numerical violation of that is an error.
     """
-    if epsilon_bar <= 0:
-        raise InputError("total budget must be positive")
-    if step <= 0:
-        raise InputError("step must be positive")
+    if not 0 < epsilon_bar < math.inf:
+        raise InputError("total budget must be finite and positive")
+    if not 0 < step < math.inf:
+        raise InputError("step must be finite and positive")
     n, conds = _as_conditionals(joints)
+    leakages = _leakage_table(_ordered(conds, n), engine)
     start = epsilon_bar / n
-    worst, idx = worst_tpl(conds, n, start, engine)
+    worst, idx = _worst(leakages(start), n, start)
     if worst > epsilon_bar + _FEAS_TOL:
         raise InfeasibleBudgetError(
             f"equal split should satisfy the ceiling but worst TPL {worst} > {epsilon_bar}"
@@ -109,7 +157,7 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
     i = 0
     while True:
         candidate = start + (i + 1) * step
-        worst, idx = worst_tpl(conds, n, candidate, engine)
+        worst, idx = _worst(leakages(candidate), n, candidate)
         trace.append((candidate, worst))
         if worst > epsilon_bar + _FEAS_TOL:
             break

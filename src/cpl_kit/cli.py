@@ -7,7 +7,8 @@ version, wall time); identical flags and seed reproduce byte-identical
 results apart from the wall-time field. The config digest leaves out flags
 that cannot change a result, such as ``estimate --threads``. Leakage values
 are reported in nats and declared as such in the ``units`` block; ``--bits``
-adds a converted display field.
+adds a converted display field. Output is strict JSON: an infinite value is
+written as the string ``"inf"``.
 
 Exit codes: 0 success, 2 usage or input error (machine-readable JSON on
 stderr), 3 numerical infeasibility.
@@ -89,7 +90,7 @@ def _emit(args: argparse.Namespace, result: dict, started: float) -> None:
         "units": {"leakage": "nats", "entropy": "nats"},
         "result": _jsonable(result),
     }
-    text = json.dumps(envelope, indent=2, sort_keys=True)
+    text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:

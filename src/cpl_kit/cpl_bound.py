@@ -10,6 +10,9 @@ conditional rows (g, g'), to choosing the index subset S that maximizes
 A greedy pass over indices in descending ratio order g_i/g'_i admits index i
 exactly when g_i/g'_i >= current H; an exchange argument shows this is
 optimal, and a brute-force subset enumeration is provided as the test oracle.
+The admission order and its prefix sums do not depend on the budget, so they
+are computed once for all row pairs of a set of conditionals and reused for
+every budget (``_BoundTable``).
 For delta > 0 the same leakage expression holds and the slack rides alongside
 as a relaxation component delta*A, so results are reported as the pair
 (leakage, relaxation).
@@ -25,6 +28,7 @@ import numpy as np
 
 from .data_model import ConditionalDistribution
 from .errors import InputError, InsufficientDataError
+from .mechanisms import _check_budget
 
 _ZERO = 1e-15  # below this a probability entry is treated as exactly zero
 
@@ -41,10 +45,7 @@ class BudgetParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise InputError("epsilon must be nonnegative")
-        if not 0 <= self.delta < 1:
-            raise InputError("delta must be in [0, 1)")
+        _check_budget(self.epsilon, self.delta)
 
 
 @dataclass(frozen=True)
@@ -69,38 +70,6 @@ class BoundedCplResult:
         return LeakagePair(self.leakage, self.relaxation)
 
 
-def _pair_optimum(g: np.ndarray, gp: np.ndarray, lam: float) -> tuple[float, tuple[int, ...], float, float]:
-    """Greedy-optimal H for one ordered row pair.
-
-    Indices with g' = 0 < g carry infinite ratio: they are processed first
-    and always admitted, which realizes the supremum without floating-point
-    infinities entering H. Indices with g = g' = 0 change nothing and are
-    skipped. Ties are broken by ascending index; the objective depends on the
-    subset only through (A, B), so tie order cannot change the optimum.
-    """
-    g_zero = g <= _ZERO
-    gp_zero = gp <= _ZERO
-    infinite = ~g_zero & gp_zero
-    finite = ~gp_zero
-    order: list[int] = sorted(np.flatnonzero(infinite).tolist())
-    finite_idx = np.flatnonzero(finite)
-    ratios = g[finite_idx] / gp[finite_idx]
-    finite_order = finite_idx[np.lexsort((finite_idx, -ratios))]
-    order.extend(int(i) for i in finite_order)
-
-    a = b = 0.0
-    chosen: list[int] = []
-    for i in order:
-        threshold = (1.0 + a * lam) / (1.0 + b * lam)
-        q = math.inf if infinite[i] else g[i] / gp[i]
-        if q >= threshold:
-            a += g[i]
-            b += gp[i]
-            chosen.append(int(i))
-    h = (1.0 + a * lam) / (1.0 + b * lam)
-    return h, tuple(chosen), a, b
-
-
 def _iter_pairs(cond: ConditionalDistribution):
     rows = cond.valid_rows()
     if rows.size < 2:
@@ -111,25 +80,95 @@ def _iter_pairs(cond: ConditionalDistribution):
                 yield int(x), int(xp)
 
 
+@dataclass(frozen=True)
+class _BoundTable:
+    """The greedy's budget-independent data for every ordered usable row pair
+    of a list of conditionals, stacked in list order and ``_iter_pairs``
+    order within each conditional.
+
+    For pair p (rows g, g'), ``order[p]`` is the admission order: indices
+    with g' = 0 < g (infinite ratio) ascending, then those with g' > 0 by
+    descending ratio g/g', ties by ascending index (the optimum depends on
+    the subset only through its masses, so tie order cannot change it), then
+    the skipped g = g' = 0 indices. ``q[p, k]`` is the ratio of the k-th index (``inf``
+    for infinite, ``-inf`` from the first skipped index on, with one extra
+    ``-inf`` column), and ``a[p, k]``/``b[p, k]`` are the masses of the
+    first k indices under g and g'. ``slices`` maps each conditional to its
+    pairs.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    slices: tuple[slice, ...]
+    order: np.ndarray  # (P, t)
+    q: np.ndarray  # (P, t + 1)
+    a: np.ndarray  # (P, t + 1)
+    b: np.ndarray  # (P, t + 1)
+    disjoint: tuple[bool, ...]
+
+    @classmethod
+    def build(cls, conds: list[ConditionalDistribution]) -> "_BoundTable":
+        pairs: list[tuple[int, int]] = []
+        slices = []
+        for cond in conds:
+            start = len(pairs)
+            pairs.extend(_iter_pairs(cond))
+            slices.append(slice(start, len(pairs)))
+        t = max((cond.n_cols for cond in conds), default=0)
+        g = np.zeros((len(pairs), t))
+        gp = np.zeros((len(pairs), t))
+        for cond, sl in zip(conds, slices):
+            x, xp = np.array(pairs[sl]).T
+            g[sl, :cond.n_cols] = cond.matrix[x]
+            gp[sl, :cond.n_cols] = cond.matrix[xp]
+        positive, positive_p = g > _ZERO, gp > _ZERO
+        ratio = np.where(positive, np.inf, -np.inf)
+        np.divide(g, gp, out=ratio, where=positive_p)
+        # A stable sort keeps ascending index order among equal ratios.
+        order = np.argsort(-ratio, axis=1, kind="stable")
+        sorted_at = (np.arange(len(pairs))[:, None], order)
+        q = np.full((len(pairs), t + 1), -np.inf)
+        q[:, :t] = ratio[sorted_at]
+        # cumsum adds in sequence, exactly as the greedy accumulates its masses.
+        a = np.zeros((len(pairs), t + 1))
+        b = np.zeros((len(pairs), t + 1))
+        np.cumsum(g[sorted_at], axis=1, out=a[:, 1:])
+        np.cumsum(gp[sorted_at], axis=1, out=b[:, 1:])
+        disjoint = tuple(bool(d) for d in ~(positive & positive_p).any(axis=1))
+        return cls(tuple(pairs), tuple(slices), order, q, a, b, disjoint)
+
+    def evaluate(self, budget: BudgetParams) -> tuple[np.ndarray, list[float]]:
+        """Greedy stop and leakage of every pair.
+
+        The greedy admits index k exactly when q[k] >= H of the first k
+        indices; since q descends, the first rejection ends the admitted
+        prefix. Disjoint pairs attain H = e^eps analytically, so they report
+        the exact budget rather than round-tripping through exp/log.
+        """
+        lam = math.expm1(budget.epsilon)
+        h = (1.0 + self.a * lam) / (1.0 + self.b * lam)
+        stop = np.argmin(self.q >= h, axis=1)
+        h_stop = h[np.arange(len(stop)), stop].tolist()
+        return stop, [budget.epsilon if d else math.log(v) for v, d in zip(h_stop, self.disjoint)]
+
+    def leakages(self, budget: BudgetParams) -> list[float]:
+        """Bound of each conditional."""
+        leaks = self.evaluate(budget)[1]
+        return [max(leaks[sl]) for sl in self.slices]
+
+
 def cpl_bound(cond: ConditionalDistribution, budget: BudgetParams) -> BoundedCplResult:
     """Upper bound on the leakage of the conditional's row attribute caused by
-    any (epsilon, delta)-LDP release of the column attribute."""
-    lam = math.expm1(budget.epsilon)
-    best: BoundedCplResult | None = None
-    for x, xp in _iter_pairs(cond):
-        g = cond.matrix[x]
-        gp = cond.matrix[xp]
-        h, subset, a, b = _pair_optimum(g, gp, lam)
-        if _disjoint(g, gp):
-            # The admitted subset carries all of g's mass and none of g''s,
-            # so H = e^eps analytically; record the exact budget rather than
-            # round-tripping through exp/log.
-            leak = budget.epsilon
-        else:
-            leak = math.log(h)
-        if best is None or leak > best.leakage:
-            best = BoundedCplResult(leak, budget.delta * a, subset, a, b, (x, xp))
-    return best
+    any (epsilon, delta)-LDP release of the column attribute.
+
+    The witness is the first row pair with the largest leakage.
+    """
+    table = _BoundTable.build([cond])
+    stop, leaks = table.evaluate(budget)
+    p = max(range(len(leaks)), key=leaks.__getitem__)
+    k = int(stop[p])
+    a, b = float(table.a[p, k]), float(table.b[p, k])
+    subset = tuple(table.order[p, :k].tolist())
+    return BoundedCplResult(leaks[p], budget.delta * a, subset, a, b, table.pairs[p])
 
 
 def cpl_bound_bruteforce(cond: ConditionalDistribution, budget: BudgetParams) -> BoundedCplResult:

@@ -63,30 +63,30 @@ def cpl_exact(cond: ConditionalDistribution, trans: TransitionMatrix) -> ExactCp
 
     # chan[x, y] = P(output y | target x) for every usable conditioning row.
     chan = cond.matrix[rows] @ trans.matrix
-
-    best = 1.0
-    witness = (0, int(rows[0]), int(rows[1]))
+    ratio, imax, imin = _output_ratios(chan)
+    y = int(np.argmax(ratio))
+    if ratio[y] > 1.0:
+        best, witness = ratio[y], (y, int(rows[imax[y]]), int(rows[imin[y]]))
+    else:
+        best, witness = 1.0, (0, int(rows[0]), int(rows[1]))
+    positive = chan > 0
+    partial = positive.any(axis=0) & ~positive.all(axis=0)
     infinite = None
-    for y in range(chan.shape[1]):
-        col = chan[:, y]
-        imax = int(np.argmax(col))
-        if col[imax] <= 0:
-            continue
-        positive = col > 0
-        if not positive.all():
-            if infinite is None:
-                izero = int(np.argmax(~positive))
-                infinite = (y, int(rows[imax]), int(rows[izero]))
-            if positive.sum() < 2:
-                continue
-        imin = int(np.argmin(np.where(positive, col, np.inf)))
-        if imin == imax:
-            continue
-        ratio = col[imax] / col[imin]
-        if ratio > best:
-            best = ratio
-            witness = (y, int(rows[imax]), int(rows[imin]))
+    if partial.any():
+        y = int(np.argmax(partial))
+        infinite = (y, int(rows[imax[y]]), int(rows[np.argmax(~positive[:, y])]))
     return ExactCplResult(math.log(best), witness, infinite)
+
+
+def _output_ratios(chan: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Largest over smallest positive entry of every output column of
+    (stacks of) channels ``chan[..., x, y]``, with the first rows attaining
+    them. An output that is zero under every row has ratio 1.
+    """
+    top = np.max(chan, axis=-2)
+    low = np.where(chan > 0, chan, np.inf)
+    ratio = np.divide(top, np.min(low, axis=-2), out=np.ones_like(top), where=top > 0)
+    return ratio, np.argmax(chan, axis=-2), np.argmin(low, axis=-2)
 
 
 def evaluate_witness(cond: ConditionalDistribution, trans: TransitionMatrix,

@@ -25,6 +25,7 @@ determinism; everything here is pure given the stream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,17 @@ KINDS = ("grr", "exp", "rappor", "oue", "blh", "olh", "she", "ss")
 RAPPOR_F = 0.5
 RAPPOR_P = 0.5
 RAPPOR_Q = 0.75
+
+# Largest budget whose e^eps is a finite double.
+_EPSILON_MAX = math.log(sys.float_info.max)
+
+
+def _check_budget(epsilon: float, delta: float) -> None:
+    if not 0 <= epsilon <= _EPSILON_MAX:
+        raise InputError(f"epsilon must be a finite number in [0, {_EPSILON_MAX:.2f}], "
+                         f"got {epsilon!r}")
+    if not 0 <= delta < 1:
+        raise InputError("delta must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -57,10 +69,7 @@ class MechanismSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown mechanism kind {self.kind!r}, expected one of {KINDS}")
-        if self.epsilon < 0:
-            raise InputError("epsilon must be nonnegative")
-        if not 0 <= self.delta < 1:
-            raise InputError("delta must be in [0, 1)")
+        _check_budget(self.epsilon, self.delta)
         if self.k < 2 and self.kind in ("grr", "exp", "ss"):
             raise InputError(f"{self.kind} requires domain size k >= 2")
         if self.k < 1:

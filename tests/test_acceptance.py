@@ -16,7 +16,6 @@ from cpl_kit import (
     JointDistribution,
     MechanismSpec,
     cpl_bound,
-    cpl_bound_bruteforce,
     cpl_exact,
     cpl_limit,
     calibrate,
@@ -34,6 +33,7 @@ from cpl_kit import (
 )
 from cpl_kit.benchmarks import analyzer_benchmark, ordered_pairs, pairwise_conditionals
 from cpl_kit.calibration import _as_conditionals
+from cpl_kit.cpl_bound import cpl_bound_bruteforce
 from cpl_kit.cli import main
 from cpl_kit.fixtures import MAXLEAK_JOINT, chain_five, latent_five, maxleak_pair, mixed_five, weak_ten
 from cpl_kit.rng import derive_rng

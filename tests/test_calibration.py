@@ -1,17 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 
 from cpl_kit import (
+    BudgetParams,
+    ConditionalDistribution,
     InfeasibleBudgetError,
     InputError,
     JointDistribution,
+    MechanismSpec,
     calibrate,
+    conditional_from_joint,
+    cpl_bound,
+    cpl_exact,
+    transition_matrix,
     worst_tpl,
 )
-from cpl_kit.calibration import _as_conditionals
+from cpl_kit.calibration import _as_conditionals, _leakage_table
 from cpl_kit.fixtures import weak_ten
 from cpl_kit.benchmarks import ordered_pairs
 from cpl_kit.data_model import empirical_joint
+from cpl_kit.rng import derive_rng
+from conftest import random_conditional
 
 
 def pair_labels(k):
@@ -140,3 +151,57 @@ class TestContracts:
             calibrate(independent_joints(2), 1.0, step=-0.1)
         with pytest.raises(InputError):
             calibrate({}, 1.0)
+
+
+class TestLeakageTable:
+    EPSILONS = (0.0, 0.05, 0.5, 1.0, 2.5, 7.0, 30.0)
+
+    @staticmethod
+    def mixed_conditionals():
+        """Random conditionals of several shapes, with zeros and flagged rows,
+        and the binary tables of an empirical weak_ten sample."""
+        rng = derive_rng(300, 0)
+        conds = [random_conditional(rng) for _ in range(30)]
+        conds.append(ConditionalDistribution(
+            ("a", "b", "c"), ("u", "v", "w"),
+            np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.2, 0.0, 0.8]]),
+            valid=np.array([True, False, True])))
+        d = weak_ten(n=2_000, seed=3)
+        return conds + [conditional_from_joint(empirical_joint(d, i, j), given="rows")
+                        for i, j in ordered_pairs(4)]
+
+    def test_bound_table_equals_public_kernel(self):
+        conds = self.mixed_conditionals()
+        table = _leakage_table(conds, "bound")
+        for eps in self.EPSILONS:
+            want = [cpl_bound(c, BudgetParams(eps, 0.0)).leakage for c in conds]
+            assert table(eps) == want
+
+    def test_exact_grr_table_equals_public_kernel(self):
+        conds = self.mixed_conditionals()
+        table = _leakage_table(conds, "exact-grr")
+        for eps in self.EPSILONS:
+            want = [cpl_exact(c, transition_matrix(MechanismSpec("grr", eps, c.n_cols))).leakage
+                    for c in conds]
+            assert table(eps) == want
+
+    def test_unknown_engine(self):
+        with pytest.raises(InputError, match="engine"):
+            _leakage_table(self.mixed_conditionals(), "exact-oue")
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_budget_rejected(self, budget):
+        with pytest.raises(InputError, match="budget"):
+            calibrate(independent_joints(2), budget)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0])
+    def test_step_rejected(self, step):
+        with pytest.raises(InputError, match="step"):
+            calibrate(independent_joints(2), 1.0, step=step)
+
+    @pytest.mark.parametrize("engine", ["bound", "exact-grr"])
+    def test_overflowing_probe_is_an_input_error(self, engine):
+        with pytest.raises(InputError, match="epsilon"):
+            calibrate(independent_joints(2), 8000.0, step=1000.0, engine=engine)

@@ -198,7 +198,56 @@ class TestDeterminism:
         assert payload(out)["manifest"]["seed"] == 99
 
 
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+class TestStrictJson:
+    # the subcommands of acceptance test 10
+    SUBCOMMANDS = [
+        ["analyze", "matrix", "--data", "fx/maxleak_pair.csv", "--epsilon", "1"],
+        ["analyze", "exact", "--cond", "cond.json", "--mechanism", "grr", "--epsilon", "1"],
+        ["analyze", "bound", "--cond", "cond.json", "--epsilon", "1"],
+        ["estimate", "--data", "fx/maxleak_pair.csv", "--mechanism", "grr",
+         "--epsilon", "1", "--target", "0", "--neighbors", "1", "--r", "1",
+         "--surrogates", "49", "--seed", "11"],
+        ["benchmark", "analyzers", "--data", "fx/mixed_five.csv", "--epsilons", "1"],
+        ["benchmark", "utility", "--data", "fx/noisy_copy.csv",
+         "--mechanisms", "grr,oue,ss", "--epsilons", "1", "--seed", "2"],
+        ["calibrate", "--data", "fx/independent_pair.csv", "--budget", "2",
+         "--step", "0.05"],
+    ]
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: "-".join(a[:2]))
+    def test_output_has_no_nan_or_infinity(self, capsys, workdir, argv):
+        argv = [str(workdir / a) if a.startswith(("fx/", "cond.")) else a for a in argv]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "result" in json.loads(out, parse_constant=reject_constant)
+
+
 class TestErrors:
+    @pytest.mark.parametrize("flags", [
+        ["--budget", "nan"], ["--budget", "inf"], ["--budget", "2", "--step", "nan"],
+        ["--budget", "2", "--step", "inf"],
+        ["--budget", "8000", "--step", "1000", "--engine", "exact-grr"],
+        ["--budget", "8000", "--step", "1000", "--engine", "bound"],
+    ])
+    def test_calibrate_bad_budget_exits_two(self, capsys, workdir, flags):
+        code, out, err = run(capsys, ["calibrate", "--data",
+                                      str(workdir / "fx" / "independent_pair.csv"), *flags])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "800"])
+    @pytest.mark.parametrize("engine", [[], ["--mechanism", "grr"]])
+    def test_matrix_bad_epsilon_exits_two(self, capsys, workdir, epsilon, engine):
+        code, out, err = run(capsys, ["analyze", "matrix", "--data",
+                                      str(workdir / "fx" / "maxleak_pair.csv"),
+                                      "--epsilon", epsilon, *engine])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "InputError"
+
     def test_missing_file_exits_two_with_json(self, capsys):
         code, out, err = run(capsys, ["analyze", "matrix", "--data", "/nope.csv",
                                       "--epsilon", "1"])

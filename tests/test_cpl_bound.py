@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from cpl_kit import (
     InputError,
     InsufficientDataError,
     cpl_bound,
-    cpl_bound_bruteforce,
     cpl_limit,
     is_max_attainable,
 )
+from cpl_kit.cpl_bound import cpl_bound_bruteforce
 from cpl_kit.rng import derive_rng
 from conftest import random_conditional
 
@@ -29,6 +30,53 @@ def pure_python_pair_max(g, gp, epsilon):
             b = math.fsum(gp[i] for i in subset)
             best = max(best, (1 + a * lam) / (1 + b * lam))
     return math.log(best)
+
+
+def loop_greedy(cond, budget):
+    """Reference greedy, one row pair and one index at a time: infinite-ratio
+    indices ascending, then finite ones by (-ratio, index); index i is
+    admitted when its ratio is at least the current H. Returns the result
+    fields of the first row pair with the largest leakage."""
+    lam = math.expm1(budget.epsilon)
+    best = None
+    rows = cond.valid_rows()
+    for x, xp in itertools.permutations(rows.tolist(), 2):
+        g, gp = cond.matrix[x], cond.matrix[xp]
+        infinite = [i for i in range(len(g)) if g[i] > 1e-15 >= gp[i]]
+        finite = sorted((i for i in range(len(g)) if gp[i] > 1e-15),
+                        key=lambda i: (-(g[i] / gp[i]), i))
+        a = b = 0.0
+        chosen = []
+        for i in infinite + finite:
+            q = math.inf if i in infinite else g[i] / gp[i]
+            if q >= (1.0 + a * lam) / (1.0 + b * lam):
+                a += g[i]
+                b += gp[i]
+                chosen.append(i)
+        if not any(g[i] > 1e-15 and gp[i] > 1e-15 for i in range(len(g))):
+            leak = budget.epsilon
+        else:
+            leak = math.log((1.0 + a * lam) / (1.0 + b * lam))
+        if best is None or leak > best[0]:
+            best = (leak, budget.delta * a, tuple(chosen), a, b, (x, xp))
+    return best
+
+
+def quantized_conditional(rng, m, t):
+    """Rows drawn from a few integer levels, so exact zeros, disjoint and
+    duplicate rows and tied ratios are common; sometimes one row is flagged
+    unusable."""
+    mat = rng.integers(0, 3, (m, t)).astype(float)
+    if rng.random() < 0.3:
+        mat[1] = mat[0]
+    mat[mat.sum(axis=1) == 0, int(rng.integers(0, t))] = 1.0
+    valid = np.ones(m, dtype=bool)
+    if m > 2 and rng.random() < 0.3:
+        valid[int(rng.integers(0, m))] = False
+        mat[~valid] = 0.0
+    mat[valid] /= mat[valid].sum(axis=1, keepdims=True)
+    return ConditionalDistribution(tuple(f"x{i}" for i in range(m)),
+                                   tuple(f"c{i}" for i in range(t)), mat, valid)
 
 
 def two_row_cond(g, gp):
@@ -119,6 +167,47 @@ class TestGreedyEqualsBruteForce:
                 brute = cpl_bound_bruteforce(cond, BudgetParams(eps)).leakage
                 assert greedy == pytest.approx(brute, abs=1e-12)
 
+    def test_tie_heavy_and_random_instances(self):
+        rng = derive_rng(209, 0)
+        seen = {"disjoint": 0, "duplicate": 0, "flagged": 0, "zeros": 0}
+        for n in range(160):
+            m, t = int(rng.integers(2, 5)), int(rng.integers(1, 9))
+            cond = quantized_conditional(rng, m, t) if n % 2 else random_conditional(rng, m=m, t=t)
+            rows = cond.matrix[cond.valid_rows()]
+            seen["disjoint"] += is_max_attainable(cond)[0]
+            seen["duplicate"] += len({tuple(r) for r in rows}) < len(rows)
+            seen["flagged"] += not cond.valid.all()
+            seen["zeros"] += bool((rows == 0).any())
+            for eps in (0.0, 0.3, 1.0, 4.0, 20.0):
+                greedy = cpl_bound(cond, BudgetParams(eps))
+                brute = cpl_bound_bruteforce(cond, BudgetParams(eps))
+                assert abs(greedy.leakage - brute.leakage) <= 1e-12
+        assert min(seen.values()) >= 10
+
+    def test_bit_identical_to_loop_greedy(self):
+        rng = derive_rng(211, 0)
+        for n in range(120):
+            m, t = int(rng.integers(2, 5)), int(rng.integers(1, 9))
+            cond = quantized_conditional(rng, m, t) if n % 2 else random_conditional(rng, m=m, t=t)
+            for eps in (0.0, 0.01, 0.7, 3.0, 40.0):
+                res = cpl_bound(cond, BudgetParams(eps, 0.2))
+                assert (res.leakage, res.relaxation, res.subset, res.a_mass, res.b_mass,
+                        res.witness_pair) == loop_greedy(cond, BudgetParams(eps, 0.2))
+
+    def test_witness_certifies_leakage(self):
+        rng = derive_rng(210, 0)
+        for n in range(60):
+            cond = quantized_conditional(rng, 3, 5) if n % 2 else random_conditional(rng)
+            for eps in (0.5, 2.0):
+                res = cpl_bound(cond, BudgetParams(eps, 0.1))
+                x, xp = res.witness_pair
+                assert res.a_mass == pytest.approx(cond.matrix[x, list(res.subset)].sum())
+                assert res.b_mass == pytest.approx(cond.matrix[xp, list(res.subset)].sum())
+                lam = math.expm1(eps)
+                h = (1 + res.a_mass * lam) / (1 + res.b_mass * lam)
+                assert res.leakage == pytest.approx(math.log(h), abs=1e-12)
+                assert res.relaxation == 0.1 * res.a_mass
+
     def test_brute_force_refuses_large_alphabets(self):
         cond = random_conditional(derive_rng(203, 0), m=2, t=5)
         big = ConditionalDistribution(
@@ -126,6 +215,23 @@ class TestGreedyEqualsBruteForce:
             np.hstack([cond.matrix, np.zeros((2, 20))]))
         with pytest.raises(InputError, match="too large"):
             cpl_bound_bruteforce(big, BudgetParams(1.0))
+
+
+class TestBudgetRange:
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -0.1, 710.0])
+    def test_rejects_non_finite_and_overflowing(self, epsilon):
+        with pytest.raises(InputError, match="epsilon"):
+            BudgetParams(epsilon)
+
+    def test_rejects_nan_delta(self):
+        with pytest.raises(InputError, match="delta"):
+            BudgetParams(1.0, math.nan)
+
+    def test_largest_budget_accepted(self, maxleak_cond_fwd):
+        eps = math.log(sys.float_info.max)
+        assert cpl_bound(maxleak_cond_fwd, BudgetParams(eps)).leakage == eps
+        assert math.isfinite(cpl_bound(two_row_cond([0.5, 0.5], [0.25, 0.75]),
+                                       BudgetParams(eps)).leakage)
 
 
 class TestSaturation:

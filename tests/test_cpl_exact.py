@@ -153,3 +153,106 @@ class TestInvariants:
         cond = ConditionalDistribution(("x",), ("a", "b"), np.array([[0.5, 0.5]]))
         with pytest.raises(InsufficientDataError):
             cpl_exact(cond, transition_matrix(MechanismSpec("grr", 1.0, 2)))
+
+
+def per_output_exact(cond: ConditionalDistribution, trans: TransitionMatrix):
+    """Reference scan of the outputs in order: the largest max/min-positive
+    ratio with the first output and first rows attaining it, and the first
+    output positive under some row and zero under another."""
+    rows = cond.valid_rows()
+    chan = cond.matrix[rows] @ trans.matrix
+    best, witness, infinite = 1.0, (0, int(rows[0]), int(rows[1])), None
+    for y in range(chan.shape[1]):
+        col = [float(v) for v in chan[:, y]]
+        top = max(col)
+        if top <= 0:
+            continue
+        imax = col.index(top)
+        if infinite is None and min(col) <= 0:
+            infinite = (y, int(rows[imax]), int(rows[next(i for i, v in enumerate(col) if v <= 0)]))
+        positive = [v for v in col if v > 0]
+        low = min(positive)
+        imin = col.index(low)
+        if len(positive) >= 2 and imin != imax and top / low > best:
+            best, witness = top / low, (y, int(rows[imax]), int(rows[imin]))
+    return math.log(best), witness, infinite
+
+
+def custom_trans(matrix):
+    mat = np.asarray(matrix, dtype=float)
+    return TransitionMatrix(tuple(f"i{u}" for u in range(mat.shape[0])),
+                            tuple(f"o{y}" for y in range(mat.shape[1])), mat, math.inf)
+
+
+def identity_cond(m):
+    return ConditionalDistribution(tuple(f"x{i}" for i in range(m)),
+                                   tuple(f"c{i}" for i in range(m)), np.eye(m))
+
+
+class TestWitnesses:
+    def test_output_zero_under_one_row(self):
+        # chan = trans; output 0 is impossible under row 2, output 2 under row 0
+        trans = custom_trans([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]])
+        res = cpl_exact(identity_cond(3), trans)
+        assert res.leakage == math.log(2.0)
+        assert res.witness == (0, 0, 1)  # output 1 ties the ratio 2 later
+        assert res.infinite_witness == (0, 0, 2)
+        assert (res.leakage, res.witness, res.infinite_witness) == per_output_exact(
+            identity_cond(3), trans)
+
+    def test_all_zero_output_is_skipped(self):
+        trans = custom_trans([[0.6, 0.0, 0.4], [0.3, 0.0, 0.7], [0.5, 0.0, 0.5]])
+        res = cpl_exact(identity_cond(3), trans)
+        assert not res.is_infinite
+        assert res.witness == (0, 0, 1)
+        assert res.leakage == math.log(0.6 / 0.3)
+        assert (res.leakage, res.witness, res.infinite_witness) == per_output_exact(
+            identity_cond(3), trans)
+
+    def test_tied_maxima_take_the_first_row_and_output(self):
+        # rows 0 and 2 tie at the top of every output, rows 1 and 3 at the bottom
+        cond = ConditionalDistribution(("a", "b", "c", "d"), ("u", "v"),
+                                       np.array([[0.8, 0.2], [0.2, 0.8]] * 2))
+        trans = custom_trans([[0.5, 0.5], [0.5, 0.5]])
+        assert cpl_exact(cond, trans).leakage == 0.0  # every output is uninformative
+        trans = custom_trans([[1.0, 0.0], [0.0, 1.0]])
+        res = cpl_exact(cond, trans)
+        assert res.leakage == math.log(4.0)
+        assert res.witness == (0, 0, 1)  # output 1 attains the same ratio 4
+        assert res.infinite_witness is None
+        assert (res.leakage, res.witness, res.infinite_witness) == per_output_exact(cond, trans)
+
+    def test_no_informative_output_keeps_default_witness(self):
+        cond = ConditionalDistribution(("a", "b", "c"), ("u", "v"),
+                                       np.array([[1.0, 0.0], [0.4, 0.6], [0.0, 1.0]]),
+                                       valid=np.array([False, True, True]))
+        cond_equal = ConditionalDistribution(cond.row_labels, cond.col_labels,
+                                             np.array([[0.0, 0.0], [0.4, 0.6], [0.4, 0.6]]),
+                                             valid=cond.valid)
+        res = cpl_exact(cond_equal, transition_matrix(MechanismSpec("grr", 1.0, 2)))
+        assert (res.leakage, res.witness, res.infinite_witness) == (0.0, (0, 1, 2), None)
+        res = cpl_exact(cond, custom_trans([[1.0, 0.0], [0.0, 1.0]]))
+        # output 0 is positive under row 1 only: infinite, but no finite ratio
+        assert res.infinite_witness == (0, 1, 2)
+        assert res.witness == (1, 2, 1) and res.leakage == math.log(1.0 / 0.6)
+
+    def test_random_and_quantized_against_reference_scan(self):
+        rng = derive_rng(106, 0)
+        for n in range(120):
+            if n % 2:
+                cond = random_conditional(rng)
+            else:  # integer-quantized rows: ties, zeros and duplicate rows
+                m, t = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+                mat = rng.integers(0, 3, (m, t)).astype(float)
+                mat[mat.sum(axis=1) == 0, 0] = 1.0
+                cond = ConditionalDistribution(tuple(f"x{i}" for i in range(m)),
+                                               tuple(f"c{i}" for i in range(t)),
+                                               mat / mat.sum(axis=1, keepdims=True))
+            t = cond.n_cols
+            sparse = rng.integers(0, 2, (t, t)).astype(float)
+            sparse[sparse.sum(axis=1) == 0, 0] = 1.0
+            for trans in (transition_matrix(MechanismSpec("grr", 1.0, t)),
+                          custom_trans(sparse / sparse.sum(axis=1, keepdims=True))):
+                res = cpl_exact(cond, trans)
+                assert (res.leakage, res.witness, res.infinite_witness) == per_output_exact(
+                    cond, trans)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ class TestSpec:
             MechanismSpec("grr", 1.0, 1)
         with pytest.raises(InputError):
             MechanismSpec("nope", 1.0, 4)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 709.8, 800.0])
+    def test_epsilon_must_be_finite_and_exponentiable(self, epsilon):
+        with pytest.raises(InputError, match="epsilon"):
+            MechanismSpec("grr", epsilon, 4)
+
+    def test_largest_epsilon_accepted(self):
+        s = MechanismSpec("grr", math.log(sys.float_info.max), 4)
+        assert s.keep_probability() == 1.0
 
     def test_json_round_trip(self):
         s = MechanismSpec("olh", 2.0, 8)
