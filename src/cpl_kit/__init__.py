@@ -66,6 +66,7 @@ from .mechanisms import (
 from .statistical import (
     EstimationConfig,
     StatisticalCplResult,
+    count_table,
     perturb_dataset,
     statistical_cpl,
     statistical_tpl,

@@ -24,7 +24,7 @@ from .data_model import ConditionalDistribution, Dataset, conditional_from_joint
 from .errors import DimensionMismatchError, InputError
 from .mechanisms import MechanismSpec, decode_column, estimate_frequencies, perturb_column, transition_matrix
 from .rng import STAGE_DECODE, STAGE_PERTURB, derive_rng
-from .statistical import EstimationConfig, sup_ratio_leakage
+from .statistical import EstimationConfig, count_table, sup_ratio_leakage
 
 _TOL = 1e-9
 
@@ -226,9 +226,9 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
             if kind in ("grr", "exp"):
                 tcpl_prime += cpl_exact(conds[(i, j)], transition_matrix(specs[j])).leakage
             else:
-                leak, _ = sup_ratio_leakage(
+                leak, _ = sup_ratio_leakage(count_table(
                     expanded.column(i), decoded[:, j],
-                    d.alphabet(i).size, d.alphabet(j).size)
+                    d.alphabet(i).size, d.alphabet(j).size))
                 tcpl_prime += leak
         norm_tcpl = tcpl_prime / tcpl_star if tcpl_star > 0 else 0.0
         rows.append(UtilityRow(kind, eps, UtilityReport(freq_nmse, zero_one, norm_tcpl)))

@@ -26,6 +26,7 @@ from .errors import InfeasibleBudgetError, InputError, InsufficientDataError
 from .mechanisms import MechanismSpec, transition_matrix
 
 _FEAS_TOL = 1e-9
+_MAX_PROBES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,12 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
     if not 0 < step < math.inf:
         raise InputError("step must be finite and positive")
     n, conds = _as_conditionals(joints)
-    leakages = _leakage_table(_ordered(conds, n), engine)
     start = epsilon_bar / n
+    # A probe's worst TPL is at least its budget, so the walk ends past the
+    # ceiling. n >= 2, so a step lost in rounding (start + step == start) fails too.
+    if (epsilon_bar + _FEAS_TOL - start) / step > _MAX_PROBES:
+        raise InputError(f"step {step} is too small: over {_MAX_PROBES} probes to the ceiling")
+    leakages = _leakage_table(_ordered(conds, n), engine)
     worst, idx = _worst(leakages(start), n, start)
     if worst > epsilon_bar + _FEAS_TOL:
         raise InfeasibleBudgetError(

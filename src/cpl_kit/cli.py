@@ -4,8 +4,8 @@ Subcommands: ``analyze {matrix,exact,bound}``, ``estimate``, ``benchmark
 {analyzers,utility}``, ``calibrate`` and ``fixtures generate``. Every run
 emits a JSON envelope with a manifest (command line, seed, config digest,
 version, wall time); identical flags and seed reproduce byte-identical
-results apart from the wall-time field. The config digest leaves out flags
-that cannot change a result, such as ``estimate --threads``. Leakage values
+results apart from the wall-time field. The config digest leaves out
+arguments that cannot change a result, such as ``--out``. Leakage values
 are reported in nats and declared as such in the ``units`` block; ``--bits``
 adds a converted display field. Output is strict JSON: an infinite value is
 written as the string ``"inf"``.
@@ -69,7 +69,7 @@ def _jsonable(x):
 
 
 #: Arguments that cannot change a result, left out of the config digest.
-_NON_SEMANTIC_ARGS = ("func", "out", "threads", "_argv")
+_NON_SEMANTIC_ARGS = ("func", "out", "_argv")
 
 
 def _config_digest(args: argparse.Namespace) -> str:
@@ -185,7 +185,7 @@ def _cmd_analyze_bound(args) -> dict:
 def _cmd_estimate(args) -> dict:
     d = load_csv(args.data)
     cfg = EstimationConfig(expansion=args.r, surrogates=args.surrogates,
-                           alpha=args.alpha, seed=args.seed, threads=args.threads)
+                           alpha=args.alpha, seed=args.seed)
     specs = [MechanismSpec(args.mechanism, args.epsilon, d.alphabet(j).size)
              for j in range(d.n_attributes)]
     perturbed = perturb_dataset(d, specs, cfg)
@@ -309,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogates", type=int, default=1000)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--bits", action="store_true")
-    p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1),
-                   help="surrogate worker-parallelism cap; results do not depend on it")
     p.add_argument("--out")
     _add_seed(p)
     p.set_defaults(func=_cmd_estimate)

@@ -4,7 +4,7 @@ All randomness in the package flows from a single 64-bit seed. Independent
 units of work (per-attribute perturbation, per-attribute decoding, each
 permutation surrogate, fixture generation) derive their own generator from
 ``(seed, stage, index...)`` so results are reproducible and independent of
-evaluation order or worker count.
+evaluation order.
 """
 from __future__ import annotations
 

@@ -8,13 +8,13 @@ decoded neighbor tuples, restricted to cells witnessed under both
 conditioning symbols.
 
 Significance comes from permutation surrogates: shuffling each neighbor
-column independently preserves every marginal while destroying the
-cross-attribute correlation, so the surrogate leakage distribution is the
-null against which the observed value is scored.
+column independently keeps every one-way margin and destroys the
+cross-attribute correlation. That null depends on the margins alone, so each
+surrogate is drawn directly as a count table with those margins.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +33,13 @@ class EstimationConfig:
     """Knobs for the statistical pipeline.
 
     ``expansion`` is the record replication factor; ``surrogates`` the number
-    of permutation surrogates behind each p-value; ``threads`` bounds worker
-    parallelism for surrogate evaluation (results do not depend on it).
+    of permutation surrogates behind each p-value.
     """
 
     expansion: int = 50
     surrogates: int = 1000
     alpha: float = 0.05
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.expansion < 1:
@@ -50,8 +48,6 @@ class EstimationConfig:
             raise InputError("surrogate count must be >= 1")
         if not 0 < self.alpha < 1:
             raise InputError("alpha must be in (0, 1)")
-        if self.threads < 1:
-            raise InputError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -92,26 +88,28 @@ def perturb_dataset(d: Dataset, specs: list[MechanismSpec], cfg: EstimationConfi
 
 
 def _tuple_codes(columns: list[np.ndarray], sizes: list[int]) -> tuple[np.ndarray, int]:
-    cells = 1
-    for s in sizes:
-        cells *= s
+    cells = math.prod(sizes)
     if cells > MAX_TUPLE_CELLS:
         raise InputError(
             f"joint neighbor alphabet has {cells} cells (cap {MAX_TUPLE_CELLS}); "
             "reduce the neighbor set"
         )
-    codes = np.ravel_multi_index(tuple(columns), dims=tuple(sizes))
-    return codes.astype(np.int64), cells
+    return np.ravel_multi_index(tuple(columns), dims=tuple(sizes)), cells
 
 
-def sup_ratio_leakage(target: np.ndarray, w_codes: np.ndarray, m: int, n_w: int) -> tuple[float, int]:
-    """Supremum log-ratio of empirical conditionals P(w | target).
+def count_table(target: np.ndarray, w_codes: np.ndarray, m: int, n_w: int) -> np.ndarray:
+    """(m, n_w) counts of the (target symbol, neighbor code) pairs of aligned rows."""
+    return np.bincount(target * n_w + w_codes, minlength=m * n_w).reshape(m, n_w)
+
+
+def sup_ratio_leakage(counts: np.ndarray) -> tuple[float, int]:
+    """Supremum log-ratio of empirical conditionals P(w | target) from an
+    (m, n_w) count table such as :func:`count_table` returns.
 
     Only cells observed under both conditioning symbols enter the supremum;
     the return also counts the dropped zero cells.
     """
-    counts = np.bincount(target * n_w + w_codes, minlength=m * n_w).astype(np.float64)
-    counts = counts.reshape(m, n_w)
+    counts = np.asarray(counts, dtype=np.float64)
     row_tot = counts.sum(axis=1)
     rows = row_tot > 0
     if rows.sum() < 2:
@@ -132,60 +130,59 @@ def sup_ratio_leakage(target: np.ndarray, w_codes: np.ndarray, m: int, n_w: int)
     return float(np.log((col_max / col_min).max())), excluded
 
 
-def _neighbor_columns(perturbed: Dataset, neighbors: list[int]) -> tuple[list[np.ndarray], list[int]]:
-    cols = [perturbed.column(z) for z in neighbors]
-    sizes = [perturbed.alphabet(z).size for z in neighbors]
-    return cols, sizes
+def _surrogate_table(target_counts: np.ndarray, neighbor_counts: list[np.ndarray],
+                     rng: np.random.Generator) -> np.ndarray:
+    """(m, n_w) counts of one permutation surrogate: each permuted neighbor
+    column cross-tabulates with the tuple so far, ((target, w1), w2), ..., as a
+    random table with fixed margins, sampled exactly by one multivariate
+    hypergeometric draw per neighbor symbol (Patefield, AS 159, 1981)."""
+    table = target_counts
+    for col_counts in neighbor_counts:
+        remaining = table.ravel()
+        drawn = []
+        for count in col_counts:
+            drawn.append(rng.multivariate_hypergeometric(remaining, count))
+            remaining = remaining - drawn[-1]
+        table = np.stack(drawn, axis=1)
+    return table.reshape(target_counts.size, -1)
 
 
-def _check_alignment(perturbed: Dataset, original: Dataset) -> None:
+def _observed_and_null(perturbed: Dataset, original: Dataset, target: int,
+                       neighbors: list[int], cfg: EstimationConfig) -> StatisticalCplResult:
     if perturbed.n_records != original.n_records:
         raise InputError("perturbed and original datasets are not row-aligned")
     if perturbed.n_attributes != original.n_attributes:
         raise InputError("perturbed and original datasets have different schemas")
-
-
-def _observed_and_null(perturbed: Dataset, original: Dataset, target: int,
-                       neighbors: list[int], cfg: EstimationConfig) -> tuple[float, int, float]:
-    cols, sizes = _neighbor_columns(perturbed, neighbors)
+    cols = [perturbed.column(z) for z in neighbors]
+    sizes = [perturbed.alphabet(z).size for z in neighbors]
     w_codes, n_w = _tuple_codes(cols, sizes)
     x = original.column(target)
     m = original.alphabet(target).size
-    leakage, excluded = sup_ratio_leakage(x, w_codes, m, n_w)
+    leakage, excluded = sup_ratio_leakage(count_table(x, w_codes, m, n_w))
 
-    n = perturbed.n_records
-
-    def surrogate_hits(s: int) -> bool:
-        rng = derive_rng(cfg.seed, STAGE_SURROGATE, s)
-        shuffled = [col[rng.permutation(n)] for col in cols]
-        codes, _ = _tuple_codes(shuffled, sizes)
+    x_counts = np.bincount(x, minlength=m)
+    w_counts = [np.bincount(col, minlength=size) for col, size in zip(cols, sizes)]
+    hits = 0
+    for s in range(cfg.surrogates):
+        table = _surrogate_table(x_counts, w_counts, derive_rng(cfg.seed, STAGE_SURROGATE, s))
         try:
-            surrogate, _ = sup_ratio_leakage(x, codes, m, n_w)
+            surrogate, _ = sup_ratio_leakage(table)
         except InsufficientDataError:
-            return False
-        return surrogate >= leakage
-
-    indices = range(cfg.surrogates)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            hits = sum(pool.map(surrogate_hits, indices))
-    else:
-        hits = sum(surrogate_hits(s) for s in indices)
+            continue
+        hits += surrogate >= leakage
     p_value = (1 + hits) / (1 + cfg.surrogates)
-    return leakage, excluded, p_value
+    return StatisticalCplResult(leakage, p_value, p_value < cfg.alpha, excluded)
 
 
 def statistical_cpl(perturbed: Dataset, original: Dataset, target: int,
                     neighbors: list[int], cfg: EstimationConfig) -> StatisticalCplResult:
     """Leakage of ``target`` caused by the decoded ``neighbors`` tuple."""
-    _check_alignment(perturbed, original)
     neighbors = list(neighbors)
     if not neighbors:
         raise InputError("neighbor set must be nonempty")
     if target in neighbors:
         raise InputError("target attribute cannot be its own neighbor")
-    leakage, excluded, p = _observed_and_null(perturbed, original, target, neighbors, cfg)
-    return StatisticalCplResult(leakage, p, p < cfg.alpha, excluded)
+    return _observed_and_null(perturbed, original, target, neighbors, cfg)
 
 
 def statistical_tpl(perturbed: Dataset, original: Dataset, target: int,
@@ -194,10 +191,8 @@ def statistical_tpl(perturbed: Dataset, original: Dataset, target: int,
 
     ``neighbors`` defaults to every other attribute.
     """
-    _check_alignment(perturbed, original)
     if neighbors is None:
         neighbors = [j for j in range(original.n_attributes) if j != target]
     w_set = sorted(set(neighbors) | {target})
-    leakage, excluded, p = _observed_and_null(perturbed, original, target, w_set, cfg)
-    return StatisticalCplResult(leakage, p, p < cfg.alpha, excluded)
+    return _observed_and_null(perturbed, original, target, w_set, cfg)
 

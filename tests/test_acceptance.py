@@ -37,7 +37,7 @@ from cpl_kit.cpl_bound import cpl_bound_bruteforce
 from cpl_kit.cli import main
 from cpl_kit.fixtures import MAXLEAK_JOINT, chain_five, latent_five, maxleak_pair, mixed_five, weak_ten
 from cpl_kit.rng import derive_rng
-from cpl_kit.statistical import sup_ratio_leakage
+from cpl_kit.statistical import count_table, sup_ratio_leakage
 from conftest import random_conditional
 
 REFERENCE_JOINT = JointDistribution(tuple("abcd"), tuple("wxyz"), MAXLEAK_JOINT)
@@ -137,8 +137,8 @@ def test_05_statistical_vs_exact_error_at_desk_scale():
             refs, ests = [], []
             for i, j in pairs:
                 refs.append(cpl_exact(conds[(i, j)], transition_matrix(specs[j])).leakage)
-                leak, _ = sup_ratio_leakage(orig.column(i), pert.column(j),
-                                            d.alphabet(i).size, d.alphabet(j).size)
+                leak, _ = sup_ratio_leakage(count_table(orig.column(i), pert.column(j),
+                                                        d.alphabet(i).size, d.alphabet(j).size))
                 ests.append(leak)
             err = nmse_cpl(ests, refs)
             ok &= err < 1e-2

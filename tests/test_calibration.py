@@ -201,6 +201,13 @@ class TestNonFiniteInputs:
         with pytest.raises(InputError, match="step"):
             calibrate(independent_joints(2), 1.0, step=step)
 
+    # the walk ends once the budget passes the ceiling plus the feasibility
+    # tolerance: over 10^6 probes in every case, the last one through the tolerance
+    @pytest.mark.parametrize("budget,step", [(2.0, 1e-300), (2.0, 1e-12), (1e-12, 1e-18)])
+    def test_step_too_small_for_the_walk_rejected(self, budget, step):
+        with pytest.raises(InputError, match="step"):
+            calibrate(independent_joints(2), budget, step=step)
+
     @pytest.mark.parametrize("engine", ["bound", "exact-grr"])
     def test_overflowing_probe_is_an_input_error(self, engine):
         with pytest.raises(InputError, match="epsilon"):

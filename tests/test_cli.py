@@ -173,17 +173,24 @@ class TestDeterminism:
         r2["manifest"].pop("wall_time_s")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
-    def test_thread_count_not_in_config_digest(self, capsys, workdir):
+    def test_thread_count_not_in_config_digest(self, capsys, workdir, tmp_path):
+        # no thread count reaches the digest: estimate has no --threads flag,
+        # and an argument that cannot change the result (--out) is left out
         argv = ["estimate", "--data", str(workdir / "fx" / "independent_pair.csv"),
                 "--mechanism", "grr", "--epsilon", "1", "--target", "0", "--neighbors", "1",
                 "--r", "1", "--surrogates", "19", "--seed", "5"]
-        _, out1, _ = run(capsys, [*argv, "--threads", "1"])
-        _, out2, _ = run(capsys, [*argv, "--threads", "2"])
-        r1, r2 = payload(out1), payload(out2)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", "2"])
+        assert exc.value.code == 2
+        _, out1, _ = run(capsys, argv)
+        out_file = tmp_path / "estimate.json"
+        assert main([*argv, "--out", str(out_file)]) == 0
+        r1, r2 = payload(out1), json.loads(out_file.read_text(encoding="utf-8"))
         assert r1["manifest"]["config_digest"] == r2["manifest"]["config_digest"]
         assert r1["result"] == r2["result"]
 
     def test_threads_only_on_estimate(self, workdir):
+        # estimate lost its --threads flag; calibrate never had one
         with pytest.raises(SystemExit) as exc:
             main(["calibrate", "--data", str(workdir / "fx" / "independent_pair.csv"),
                   "--budget", "2", "--threads", "2"])
@@ -232,6 +239,7 @@ class TestErrors:
         ["--budget", "2", "--step", "inf"],
         ["--budget", "8000", "--step", "1000", "--engine", "exact-grr"],
         ["--budget", "8000", "--step", "1000", "--engine", "bound"],
+        ["--budget", "2", "--step", "1e-300"],
     ])
     def test_calibrate_bad_budget_exits_two(self, capsys, workdir, flags):
         code, out, err = run(capsys, ["calibrate", "--data",

@@ -21,6 +21,7 @@ from cpl_kit import (
 from cpl_kit.data_model import Alphabet, conditional_from_joint, empirical_joint
 from cpl_kit.fixtures import independent_pair, maxleak_pair, perfect_copy
 from cpl_kit.rng import STAGE_SURROGATE, derive_rng
+from cpl_kit.statistical import _surrogate_table, count_table, sup_ratio_leakage
 
 
 def grr_specs(d, epsilon):
@@ -104,13 +105,6 @@ class TestStatisticalCpl:
         b = statistical_cpl(pert, orig, 0, [1], cfg)
         assert a == b
 
-    def test_thread_count_does_not_change_result(self):
-        d = maxleak_pair(n=5000, seed=1)
-        cfg1 = EstimationConfig(expansion=1, surrogates=60, seed=5, threads=1)
-        cfg4 = EstimationConfig(expansion=1, surrogates=60, seed=5, threads=4)
-        pert, orig = pipeline(d, 1.0, cfg1)
-        assert statistical_cpl(pert, orig, 0, [1], cfg1) == statistical_cpl(pert, orig, 0, [1], cfg4)
-
     def test_input_validation(self):
         d = independent_pair(n=100, seed=6)
         cfg = EstimationConfig(expansion=1, surrogates=1, seed=0)
@@ -178,18 +172,58 @@ class TestPermutationSignificance:
         assert rejects <= 12
         assert np.median(p_values) > 0.2  # p-values spread out, not piled at 0
 
-    def test_surrogates_preserve_column_marginals(self):
-        # reconstruct the derived surrogate stream and check multiset equality
-        d = maxleak_pair(n=4000, seed=4)
-        cfg = EstimationConfig(expansion=1, surrogates=5, seed=21)
-        pert, _ = pipeline(d, 1.0, cfg)
-        col = pert.column(1)
-        for s in range(cfg.surrogates):
-            rng = derive_rng(cfg.seed, STAGE_SURROGATE, s)
-            shuffled = col[rng.permutation(len(col))]
-            assert (np.bincount(shuffled, minlength=4)
-                    == np.bincount(col, minlength=4)).all()
-            assert (shuffled != col).any()
+
+def shuffled_table(x, cols, sizes, m, rng):
+    """Reference surrogate: the count table after permuting every neighbor
+    column independently, row by row."""
+    shuffled = [col[rng.permutation(len(col))] for col in cols]
+    codes = np.ravel_multi_index(tuple(shuffled), dims=tuple(sizes))
+    return count_table(x, codes, m, math.prod(sizes))
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic (ties handled by the pooled grid)."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    return np.abs(np.searchsorted(a, grid, side="right") / a.size
+                  - np.searchsorted(b, grid, side="right") / b.size).max()
+
+
+class TestSurrogateTables:
+    @pytest.mark.parametrize("neighbor_counts", [
+        [[7, 0, 33]],
+        [[20, 20], [0, 15, 25], [10, 10, 0, 20]],
+    ], ids=["one-neighbor", "three-neighbors"])
+    def test_every_margin_kept(self, neighbor_counts):
+        target_counts = np.array([12, 0, 28])
+        neighbor_counts = [np.array(c) for c in neighbor_counts]
+        shape = (target_counts.size, *(c.size for c in neighbor_counts))
+        tables = [_surrogate_table(target_counts, neighbor_counts,
+                                   derive_rng(21, STAGE_SURROGATE, s)) for s in range(20)]
+        for table in tables:
+            assert table.shape == (shape[0], math.prod(shape[1:]))
+            assert (table >= 0).all()
+            cube = table.reshape(shape)
+            for axis, counts in enumerate([target_counts, *neighbor_counts]):
+                others = tuple(a for a in range(len(shape)) if a != axis)
+                assert (cube.sum(axis=others) == counts).all()
+        assert len({t.tobytes() for t in tables}) > 1
+
+    def test_null_matches_row_shuffle(self):
+        # two-neighbor tuple; the leakage of sampled tables and of shuffled
+        # rows must have the same distribution (two-sample KS at the 1% level)
+        rng = derive_rng(5, 0)
+        n, m, sizes = 300, 3, [2, 3]
+        x = rng.integers(0, m, n)
+        cols = [(x + rng.integers(0, 2, n)) % k for k in sizes]
+        x_counts = np.bincount(x, minlength=m)
+        w_counts = [np.bincount(c, minlength=k) for c, k in zip(cols, sizes)]
+        draws = 3000
+        sampled = [sup_ratio_leakage(_surrogate_table(
+            x_counts, w_counts, derive_rng(6, STAGE_SURROGATE, s)))[0] for s in range(draws)]
+        shuffled = [sup_ratio_leakage(shuffled_table(
+            x, cols, sizes, m, derive_rng(7, STAGE_SURROGATE, s)))[0] for s in range(draws)]
+        assert ks_distance(sampled, shuffled) < 1.628 * math.sqrt(2 / draws)
 
 
 class TestStatisticalTpl:
