@@ -216,6 +216,7 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
             decoded[:, j] = decode_column(spec, col,
                                           derive_rng(cfg.seed, STAGE_DECODE, cell, j))
             est = estimate_frequencies(spec, col)
+            del col  # frees the payload and support set before the next column
             freq_err += float(((est - true_freqs[j]) ** 2).sum())
         freq_nmse = freq_err / freq_denom
         zero_one = float((decoded != expanded.records).mean())

@@ -47,6 +47,14 @@ class Alphabet:
         except KeyError:
             raise InputError(f"symbol {symbol!r} not in alphabet") from None
 
+    def indices(self, symbols) -> np.ndarray:
+        """int64 index of every symbol in a sequence of labels."""
+        try:
+            return np.fromiter(map(self._index.__getitem__, symbols), dtype=np.int64,
+                               count=len(symbols))
+        except KeyError as exc:
+            raise InputError(f"symbol {exc.args[0]!r} not in alphabet") from None
+
 
 def _locked(a: np.ndarray) -> np.ndarray:
     out = np.array(a, copy=True)
@@ -269,16 +277,9 @@ def load_csv(path, schema_hints: dict | None = None) -> Dataset:
                 raise InputError(f"column {name!r} declared numeric: {exc}") from None
             idx, alphabet = bin_numeric(numeric, hint)
         else:
-            if hint is not None:
-                alphabet = Alphabet(tuple(hint))
-            else:
-                seen: dict[str, int] = {}
-                for c in cells:
-                    if c not in seen:
-                        seen[c] = len(seen)
-                alphabet = Alphabet(tuple(seen))
-            idx = np.fromiter((alphabet.index(c) for c in cells), dtype=np.int64,
-                              count=len(cells))
+            # Without a declared alphabet, symbols take first-appearance order.
+            alphabet = Alphabet(tuple(dict.fromkeys(cells) if hint is None else hint))
+            idx = alphabet.indices(cells)
         columns.append(idx)
         schema.append((name, alphabet))
     return Dataset(tuple(schema), np.column_stack(columns))

@@ -17,7 +17,10 @@ budget-only bound or the statistical estimator.
 Every report except ``she`` is a symbol or *supports* a set of input
 symbols (the set bits for rappor/oue/ss, the hash preimage for blh/olh).
 Decoding draws uniformly from that set, and frequency estimation debiases
-the per-symbol support counts with the rates from ``_support_rates``.
+the per-symbol support counts with the rates from ``_support_rates``. The
+support set is held symbol-major, as a (k, N) mask, so every per-report
+reduction runs as k vector passes over the N reports instead of N short
+rows; it is computed once per column and shared by decode and estimate.
 
 Perturbation and decoding take an explicit generator so callers own
 determinism; everything here is pure given the stream.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +47,10 @@ RAPPOR_Q = 0.75
 
 # Largest budget whose e^eps is a finite double.
 _EPSILON_MAX = math.log(sys.float_info.max)
+
+# Largest olh hash range: reports are int64 symbols below g, and the report
+# sampler draws its alternatives from the int64 range [0, g - 1).
+_OLH_G_MAX = 2 ** 63
 
 
 def _check_budget(epsilon: float, delta: float) -> None:
@@ -74,6 +82,10 @@ class MechanismSpec:
             raise InputError(f"{self.kind} requires domain size k >= 2")
         if self.k < 1:
             raise InputError("domain size k must be positive")
+        if self.kind == "olh" and self.g > _OLH_G_MAX:
+            raise InputError(f"olh hash range g = round(e^eps) + 1 must be at most 2^63, "
+                             f"which needs epsilon below about {math.log(_OLH_G_MAX):.3f}; "
+                             f"got epsilon {self.epsilon!r}")
 
     @property
     def g(self) -> int:
@@ -182,7 +194,9 @@ class PerturbedColumn:
 
     Payload layout by kind: grr/exp -> (N,) symbol indices; rappor/oue ->
     (N, k) bit matrix; blh/olh -> (seeds, reports) arrays; she -> (N, k)
-    reals; ss -> (N, k) subset membership mask.
+    reals; ss -> (N, k) subset membership mask. Treat the payload as
+    read-only: the first decode or estimate caches the support set built
+    from it.
     """
 
     spec: MechanismSpec
@@ -192,6 +206,11 @@ class PerturbedColumn:
         if self.spec.kind in ("blh", "olh"):
             return len(self.payload[0])
         return len(self.payload)
+
+    @cached_property
+    def _support(self) -> np.ndarray:
+        """The (k, N) support set, built on first use by decode or estimate."""
+        return _support_set(self)
 
 
 def _check_column(spec: MechanismSpec, column) -> None:
@@ -209,22 +228,38 @@ def _check_column(spec: MechanismSpec, column) -> None:
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_HASH_BLOCK = 1 << 15  # 256 KiB per uint64 temporary
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    x = (x + _GOLDEN).astype(np.uint64)
-    x ^= x >> np.uint64(30)
+    """Mix a uint64 array in place and return it."""
+    x += _GOLDEN
+    t = np.right_shift(x, np.uint64(30))
+    x ^= t
     x *= _M1
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
     x *= _M2
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
     return x
 
 
 def _hash_bucket(values, seeds, g: int) -> np.ndarray:
-    v = np.asarray(values, dtype=np.uint64)
+    """Bucket in [0, g) of each value under its report's seed; broadcasts.
+    Works through the last axis in blocks of about ``_HASH_BLOCK`` elements,
+    so the mixing passes run on temporaries that stay in cache."""
+    v = _mix64(np.asarray(values, dtype=np.uint64) + np.uint64(1))
     s = np.asarray(seeds, dtype=np.uint64)
-    return (_mix64(_mix64(v + np.uint64(1)) ^ s) % np.uint64(g)).astype(np.int64)
+    shape = np.broadcast_shapes(v.shape, s.shape)
+    v, s = np.broadcast_to(v, shape), np.broadcast_to(s, shape)
+    x = np.empty(shape, dtype=np.uint64)
+    step = max(1, _HASH_BLOCK // max(1, math.prod(shape[:-1])))
+    for lo in range(0, shape[-1], step):
+        block = np.s_[..., lo:lo + step]
+        _mix64(np.bitwise_xor(v[block], s[block], out=x[block]))
+        x[block] %= np.uint64(g)
+    return x.view(np.int64)  # buckets are below g <= 2^63
 
 
 def _random_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -232,13 +267,14 @@ def _random_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _support_set(column: PerturbedColumn) -> np.ndarray:
-    """(N, k) bool mask of the input symbols each report supports: the set
-    bits for rappor/oue/ss, the hash preimage for blh/olh."""
+    """(k, N) bool mask of the input symbols each report supports: the set
+    bits for rappor/oue/ss, the hash preimage for blh/olh. Read it through
+    ``column._support``, which builds it once per column."""
     spec = column.spec
     if spec.kind in ("blh", "olh"):
         seeds, reports = column.payload
-        return _hash_bucket(np.arange(spec.k)[None, :], seeds[:, None], spec.g) == reports[:, None]
-    return np.asarray(column.payload, dtype=bool)
+        return _hash_bucket(np.arange(spec.k)[:, None], seeds[None, :], spec.g) == reports[None, :]
+    return np.asarray(column.payload).T.astype(bool, order="C")
 
 
 def _support_rates(spec: MechanismSpec) -> tuple[float, float]:
@@ -274,8 +310,9 @@ def _support_rates(spec: MechanismSpec) -> tuple[float, float]:
 def _grr_sample(values: np.ndarray, keep_p: float, k: int, rng: np.random.Generator) -> np.ndarray:
     keep = rng.random(values.shape) < keep_p
     alt = rng.integers(0, k - 1, size=values.shape)
-    alt = alt + (alt >= values)  # uniform over the k-1 other symbols
-    return np.where(keep, values, alt).astype(np.int64)
+    alt += alt >= values  # uniform over the k-1 other symbols
+    np.copyto(alt, values, where=keep)
+    return alt
 
 
 def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> PerturbedColumn:
@@ -287,26 +324,27 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
         raise InputError("value out of range for the mechanism's domain")
     n, k = values.shape[0], spec.k
     kind = spec.kind
+    rows = np.arange(n)
 
     if kind == "rappor":
         # Two-stage draw (permanent flip, then instantaneous report): no single
-        # keep probability, unlike the kinds below.
-        bits = np.zeros((n, k), dtype=np.uint8)
-        bits[np.arange(n), values] = 1
+        # keep probability, unlike the kinds below. The permanent bit is 1
+        # w.p. f/2, 0 w.p. f/2, and otherwise the one-hot bit of the value.
         u = rng.random((n, k))
-        permanent = np.where(u < RAPPOR_F / 2, 1,
-                             np.where(u < RAPPOR_F, 0, bits)).astype(np.uint8)
-        report_p = np.where(permanent == 1, RAPPOR_Q, RAPPOR_P)
-        reported = (rng.random((n, k)) < report_p).astype(np.uint8)
-        return PerturbedColumn(spec, reported)
+        permanent = u < RAPPOR_F / 2
+        permanent[rows, values] |= u[rows, values] >= RAPPOR_F
+        rng.random(out=u)
+        reported = (u < RAPPOR_Q) & permanent
+        reported |= (u < RAPPOR_P) & ~permanent
+        return PerturbedColumn(spec, reported.view(np.uint8))
 
     if kind == "she":
         if spec.epsilon <= 0:
             raise InputError("she requires epsilon > 0")
-        onehot = np.zeros((n, k), dtype=np.float64)
-        onehot[np.arange(n), values] = 1.0
-        noise = rng.laplace(0.0, 2.0 / spec.epsilon, size=(n, k))
-        return PerturbedColumn(spec, onehot + noise)
+        y = rng.laplace(0.0, 2.0 / spec.epsilon, size=(n, k))
+        # Adding the one-hot in place is exact: laplace(0, b) is never -0.0.
+        y[rows, values] += 1.0
+        return PerturbedColumn(spec, y)
 
     p, q = _support_rates(spec)
 
@@ -314,10 +352,10 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
         return PerturbedColumn(spec, _grr_sample(values, p, k, rng))
 
     if kind == "oue":
-        bits = np.zeros((n, k), dtype=np.uint8)
-        bits[np.arange(n), values] = 1
-        report_p = np.where(bits == 1, p, q)
-        return PerturbedColumn(spec, (rng.random((n, k)) < report_p).astype(np.uint8))
+        u = rng.random((n, k))
+        reported = u < q
+        reported[rows, values] = u[rows, values] < p
+        return PerturbedColumn(spec, reported.view(np.uint8))
 
     if kind in ("blh", "olh"):
         g = spec.g
@@ -329,13 +367,15 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
     omega = spec.subset_size
     include = rng.random(n) < p
     keys = rng.random((n, k))
-    keys[np.arange(n), values] = np.inf  # others ranked first
+    keys[rows, values] = np.inf  # others ranked first
     order = np.argsort(keys, axis=1)
-    ranks = np.empty_like(order)
-    ranks[np.arange(n)[:, None], order] = np.arange(k)[None, :]
+    # Members are the `need` lowest-ranked symbols; need <= omega, so only
+    # the first omega ranks can be members.
     need = np.where(include, omega - 1, omega)
-    members = ranks < need[:, None]
-    members[np.arange(n), values] = include
+    members = np.zeros((n, k), dtype=bool)
+    for rank in range(omega):
+        members[rows, order[:, rank]] = rank < need
+    members[rows, values] = include
     return PerturbedColumn(spec, members)
 
 
@@ -344,15 +384,23 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
 # --------------------------------------------------------------------------
 
 def _uniform_over_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw over the set bits of each row; uniform over all columns
-    for rows with no set bit."""
-    n, k = mask.shape
-    counts = mask.sum(axis=1)
-    pick = np.floor(rng.random(n) * np.maximum(counts, 1)).astype(np.int64)
-    cs = np.cumsum(mask, axis=1)
-    from_mask = np.argmax(cs > pick[:, None], axis=1)
+    """Uniform draw over the set entries of each column of a (k, N) mask;
+    uniform over all k symbols for columns with no set entry."""
+    k, n = mask.shape
+    small = np.min_scalar_type(k)  # holds every count, pick and index
+    counts = mask.sum(axis=0, dtype=small)
+    pick = np.floor(rng.random(n) * np.maximum(counts, 1)).astype(small)
+    # The pick-th set entry (from 0) sits at the number of prefixes whose
+    # count is at most pick.
+    chosen = np.zeros(n, dtype=small)
+    running = np.zeros(n, dtype=small)
+    below = np.empty(n, dtype=bool)
+    for row in mask:
+        running += row
+        np.less_equal(running, pick, out=below)
+        chosen += below
     fallback = rng.integers(0, k, size=n)
-    return np.where(counts > 0, from_mask, fallback).astype(np.int64)
+    return np.where(counts > 0, chosen, fallback)
 
 
 def decode_column(spec: MechanismSpec, column: PerturbedColumn, rng: np.random.Generator,
@@ -366,7 +414,7 @@ def decode_column(spec: MechanismSpec, column: PerturbedColumn, rng: np.random.G
         return np.asarray(column.payload, dtype=np.int64)
 
     if kind != "she":
-        return _uniform_over_mask(_support_set(column), rng)
+        return _uniform_over_mask(column._support, rng)
 
     # she: Bayes-optimal argmax of the posterior under the Laplace likelihood.
     if spec.epsilon <= 0:
@@ -376,14 +424,19 @@ def decode_column(spec: MechanismSpec, column: PerturbedColumn, rng: np.random.G
         log_prior = np.zeros(k)
     else:
         prior = np.asarray(prior, dtype=np.float64)
-        if prior.shape != (k,) or (prior < 0).any() or abs(prior.sum() - 1.0) > PROB_TOL:
+        if (prior.shape != (k,) or not np.isfinite(prior).all() or (prior < 0).any()
+                or abs(prior.sum() - 1.0) > PROB_TOL):
             raise InputError("prior must be a length-k probability vector")
         with np.errstate(divide="ignore"):
             log_prior = np.log(prior)
     y = np.asarray(column.payload, dtype=np.float64)
     # ||y - onehot(v)||_1 = sum|y| - |y_v| + |y_v - 1|
-    scores = (np.abs(y) - np.abs(y - 1.0)) / b + log_prior[None, :]
-    return np.argmax(scores, axis=1).astype(np.int64)
+    scores = np.abs(y)
+    far = np.subtract(y, 1.0)
+    scores -= np.abs(far, out=far)
+    scores /= b
+    scores += log_prior
+    return np.argmax(scores, axis=1).astype(np.int64, copy=False)
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +458,7 @@ def estimate_frequencies(spec: MechanismSpec, column: PerturbedColumn) -> np.nda
         if kind in ("grr", "exp"):
             support = np.bincount(np.asarray(column.payload), minlength=k)
         else:
-            support = _support_set(column).sum(axis=0)
+            support = np.count_nonzero(column._support, axis=1)
         p, q = _support_rates(spec)
         if p == q:
             est = np.full(k, 1.0 / k)

@@ -256,6 +256,19 @@ class TestErrors:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "InputError"
 
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "utility", "--data", "fx/noisy_copy.csv", "--mechanisms", "olh",
+         "--epsilons", "50"],
+        ["estimate", "--data", "fx/noisy_copy.csv", "--mechanism", "olh", "--epsilon", "50",
+         "--target", "0", "--neighbors", "1"],
+    ])
+    def test_olh_budget_beyond_hash_range_exits_two(self, capsys, workdir, argv):
+        argv = [str(workdir / a) if a.startswith("fx/") else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and "olh hash range" in error["message"]
+
     def test_missing_file_exits_two_with_json(self, capsys):
         code, out, err = run(capsys, ["analyze", "matrix", "--data", "/nope.csv",
                                       "--epsilon", "1"])

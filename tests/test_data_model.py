@@ -44,6 +44,31 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="expected 2 fields"):
             load_csv(p)
 
+    def test_unknown_declared_symbol_named(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_lines(p, ["u", "b", "zz", "a", "qq"])
+        with pytest.raises(InputError, match="^symbol 'zz' not in alphabet$"):
+            load_csv(p, schema_hints={"u": ["a", "b"]})
+
+    def test_bad_numeric_cell_named(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_lines(p, ["u,v", "1,a", "x,b"])
+        with pytest.raises(InputError, match="^column 'u' declared numeric: .*'x'$"):
+            load_csv(p, schema_hints={"u": 2})
+
+    def test_codes_match_row_by_row_coding(self, tmp_path):
+        from cpl_kit.fixtures import latent_five
+        p = tmp_path / "d.csv"
+        write_csv(latent_five(n=3000, seed=4), p)
+        d = load_csv(p)
+        lines = p.read_text(encoding="utf-8").splitlines()
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        for j, name in enumerate(header):
+            alphabet: dict[str, int] = {}
+            codes = [alphabet.setdefault(row[j], len(alphabet)) for row in rows]
+            assert d.schema[j] == (name, Alphabet(tuple(alphabet)))
+            assert d.column(j).tolist() == codes
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="no such file"):
             load_csv(tmp_path / "nope.csv")

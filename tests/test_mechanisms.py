@@ -14,7 +14,15 @@ from cpl_kit import (
     perturb_column,
     transition_matrix,
 )
-from cpl_kit.mechanisms import KINDS
+from cpl_kit import mechanisms
+from cpl_kit.mechanisms import (
+    KINDS,
+    RAPPOR_F,
+    RAPPOR_P,
+    RAPPOR_Q,
+    _random_seeds,
+    _support_rates,
+)
 from cpl_kit.rng import derive_rng
 
 
@@ -55,6 +63,20 @@ class TestSpec:
     def test_json_round_trip(self):
         s = MechanismSpec("olh", 2.0, 8)
         assert MechanismSpec.from_json(s.to_json()) == s
+
+    @pytest.mark.parametrize("epsilon", [43.67, 50.0, 700.0])
+    def test_olh_hash_range_must_fit_int64(self, epsilon):
+        with pytest.raises(InputError, match="olh hash range"):
+            MechanismSpec("olh", epsilon, 4)
+
+    def test_largest_olh_budget_runs(self):
+        s = MechanismSpec("olh", math.log(2 ** 63), 4)
+        assert s.g <= 2 ** 63
+        assert MechanismSpec("blh", 700.0, 4).g == 2
+        col = perturb_column(s, np.arange(4).repeat(50), derive_rng(18, 0))
+        decoded = decode_column(s, col, derive_rng(18, 1))
+        assert ((decoded >= 0) & (decoded < 4)).all()
+        assert estimate_frequencies(s, col).sum() == pytest.approx(1.0)
 
 
 class TestTransitionMatrix:
@@ -151,6 +173,14 @@ class TestDecode:
         y = np.array([[0.01, -0.02, 0.97, 0.03]])
         assert decode_column(spec, PerturbedColumn(spec, y), derive_rng(9, 0))[0] == 2
 
+    @pytest.mark.parametrize("prior", [[math.nan, 0.5, 0.5], [math.inf, 0.5, 0.5],
+                                       [0.5, 0.6, -0.1], [0.5, 0.5]])
+    def test_she_bad_prior_rejected(self, prior):
+        spec = spec_for("she", epsilon=1.0, k=3)
+        col = perturb_column(spec, np.arange(3), derive_rng(9, 2))
+        with pytest.raises(InputError, match="prior"):
+            decode_column(spec, col, derive_rng(9, 3), prior=prior)
+
     def test_she_zero_budget_rejected(self):
         spec = MechanismSpec("she", 0.0, 4)
         col = PerturbedColumn(spec, np.zeros((1, 4)))
@@ -244,3 +274,206 @@ class TestColumnSpecCheck:
     def test_non_column_rejected(self):
         with pytest.raises(InputError, match="PerturbedColumn"):
             estimate_frequencies(spec_for("grr"), [0, 1, 2])
+
+
+# --------------------------------------------------------------------------
+# Row-major reference kernels: the (N, k) implementation that the symbol-major
+# kernels replaced, kept as the oracle they must match bit for bit.
+# --------------------------------------------------------------------------
+
+def ref_mix64(x):
+    x = (x + mechanisms._GOLDEN).astype(np.uint64)
+    x ^= x >> np.uint64(30)
+    x *= mechanisms._M1
+    x ^= x >> np.uint64(27)
+    x *= mechanisms._M2
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def ref_hash_bucket(values, seeds, g):
+    v = np.asarray(values, dtype=np.uint64)
+    s = np.asarray(seeds, dtype=np.uint64)
+    return (ref_mix64(ref_mix64(v + np.uint64(1)) ^ s) % np.uint64(g)).astype(np.int64)
+
+
+def ref_grr_sample(values, keep_p, k, rng):
+    keep = rng.random(values.shape) < keep_p
+    alt = rng.integers(0, k - 1, size=values.shape)
+    alt = alt + (alt >= values)
+    return np.where(keep, values, alt).astype(np.int64)
+
+
+def ref_perturb(spec, values, rng):
+    values = np.asarray(values, dtype=np.int64)
+    n, k, kind = values.shape[0], spec.k, spec.kind
+    if kind == "rappor":
+        bits = np.zeros((n, k), dtype=np.uint8)
+        bits[np.arange(n), values] = 1
+        u = rng.random((n, k))
+        permanent = np.where(u < RAPPOR_F / 2, 1,
+                             np.where(u < RAPPOR_F, 0, bits)).astype(np.uint8)
+        report_p = np.where(permanent == 1, RAPPOR_Q, RAPPOR_P)
+        return (rng.random((n, k)) < report_p).astype(np.uint8)
+    if kind == "she":
+        onehot = np.zeros((n, k), dtype=np.float64)
+        onehot[np.arange(n), values] = 1.0
+        return onehot + rng.laplace(0.0, 2.0 / spec.epsilon, size=(n, k))
+    p, q = _support_rates(spec)
+    if kind in ("grr", "exp"):
+        return ref_grr_sample(values, p, k, rng)
+    if kind == "oue":
+        bits = np.zeros((n, k), dtype=np.uint8)
+        bits[np.arange(n), values] = 1
+        return (rng.random((n, k)) < np.where(bits == 1, p, q)).astype(np.uint8)
+    if kind in ("blh", "olh"):
+        seeds = _random_seeds(rng, n)
+        return seeds, ref_grr_sample(ref_hash_bucket(values, seeds, spec.g), p, spec.g, rng)
+    omega = spec.subset_size
+    include = rng.random(n) < p
+    keys = rng.random((n, k))
+    keys[np.arange(n), values] = np.inf
+    order = np.argsort(keys, axis=1)
+    ranks = np.empty_like(order)
+    ranks[np.arange(n)[:, None], order] = np.arange(k)[None, :]
+    members = ranks < np.where(include, omega - 1, omega)[:, None]
+    members[np.arange(n), values] = include
+    return members
+
+
+def ref_support_set(spec, payload):
+    if spec.kind in ("blh", "olh"):
+        seeds, reports = payload
+        return ref_hash_bucket(np.arange(spec.k)[None, :], seeds[:, None], spec.g) == reports[:, None]
+    return np.asarray(payload, dtype=bool)
+
+
+def ref_uniform_over_mask(mask, rng):
+    n, k = mask.shape
+    counts = mask.sum(axis=1)
+    pick = np.floor(rng.random(n) * np.maximum(counts, 1)).astype(np.int64)
+    from_mask = np.argmax(np.cumsum(mask, axis=1) > pick[:, None], axis=1)
+    fallback = rng.integers(0, k, size=n)
+    return np.where(counts > 0, from_mask, fallback).astype(np.int64)
+
+
+def ref_decode(spec, payload, rng, prior=None):
+    if spec.kind in ("grr", "exp"):
+        return np.asarray(payload, dtype=np.int64)
+    if spec.kind != "she":
+        return ref_uniform_over_mask(ref_support_set(spec, payload), rng)
+    with np.errstate(divide="ignore"):
+        log_prior = np.zeros(spec.k) if prior is None else np.log(np.asarray(prior, dtype=np.float64))
+    y = np.asarray(payload, dtype=np.float64)
+    scores = (np.abs(y) - np.abs(y - 1.0)) / (2.0 / spec.epsilon) + log_prior[None, :]
+    return np.argmax(scores, axis=1).astype(np.int64)
+
+
+def ref_estimate(spec, payload):
+    k = spec.k
+    if spec.kind == "she":
+        est = np.asarray(payload, dtype=np.float64).mean(axis=0)
+    else:
+        if spec.kind in ("grr", "exp"):
+            support = np.bincount(np.asarray(payload), minlength=k)
+        else:
+            support = ref_support_set(spec, payload).sum(axis=0)
+        n = len(payload[0]) if spec.kind in ("blh", "olh") else len(payload)
+        p, q = _support_rates(spec)
+        est = np.full(k, 1.0 / k) if p == q else (support / n - q) / (p - q)
+    est = np.clip(est, 0.0, 1.0)
+    total = est.sum()
+    return np.full(k, 1.0 / k) if total <= 0 else est / total
+
+
+def assert_bitwise(got, want):
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def grid_specs(kind):
+    for epsilon in (0.0, 0.5, 1.0, 3.0, 5.0):
+        for k in (1, 2, 4, 7, 33):
+            if (kind == "she" and epsilon == 0) or (kind in ("grr", "exp", "ss") and k < 2):
+                continue
+            yield MechanismSpec(kind, epsilon, k)
+
+
+SUPPORT_KINDS = ("rappor", "oue", "blh", "olh", "ss")
+
+
+class TestBitIdenticalToRowMajorKernels:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_grid(self, kind):
+        for spec in grid_specs(kind):
+            seed = (KINDS.index(kind), spec.k, int(spec.epsilon * 10))
+            values = derive_rng(*seed, 0).integers(0, spec.k, 3000)
+            col = perturb_column(spec, values, derive_rng(*seed, 1))
+            want = ref_perturb(spec, values, derive_rng(*seed, 1))
+            assert_bitwise(col.payload, want)
+            assert_bitwise(decode_column(spec, col, derive_rng(*seed, 2)),
+                           ref_decode(spec, want, derive_rng(*seed, 2)))
+            assert_bitwise(estimate_frequencies(spec, col), ref_estimate(spec, want))
+
+    @pytest.mark.parametrize("kind", SUPPORT_KINDS)
+    def test_decode_and_estimate_in_either_order(self, kind):
+        spec = spec_for(kind, epsilon=1.0, k=5)
+        values = derive_rng(19, 0).integers(0, 5, 4000)
+        payload = perturb_column(spec, values, derive_rng(19, 1)).payload
+        want_decoded = ref_decode(spec, payload, derive_rng(19, 2))
+        want_est = ref_estimate(spec, payload)
+        first = PerturbedColumn(spec, payload)
+        assert_bitwise(decode_column(spec, first, derive_rng(19, 2)), want_decoded)
+        assert_bitwise(estimate_frequencies(spec, first), want_est)
+        second = PerturbedColumn(spec, payload)
+        assert_bitwise(estimate_frequencies(spec, second), want_est)
+        assert_bitwise(decode_column(spec, second, derive_rng(19, 2)), want_decoded)
+
+    @pytest.mark.parametrize("kind", SUPPORT_KINDS)
+    def test_support_set_built_once_per_column(self, kind, monkeypatch):
+        built = []
+        real = mechanisms._support_set
+        monkeypatch.setattr(mechanisms, "_support_set",
+                            lambda column: built.append(column) or real(column))
+        spec = spec_for(kind, epsilon=1.0, k=4)
+        col = perturb_column(spec, np.arange(4).repeat(10), derive_rng(20, 0))
+        decode_column(spec, col, derive_rng(20, 1))
+        estimate_frequencies(spec, col)
+        decode_column(spec, col, derive_rng(20, 2))
+        assert built == [col]
+        assert col._support.shape == (4, 40)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 33])
+    def test_all_zero_rows_take_the_fallback(self, k):
+        spec = spec_for("oue", epsilon=1.0, k=k)
+        bits = (derive_rng(21, k).random((3000, k)) < 0.3).astype(np.uint8)
+        bits[::3] = 0
+        for payload in (bits, np.zeros_like(bits)):
+            assert_bitwise(decode_column(spec, PerturbedColumn(spec, payload), derive_rng(21, 1)),
+                           ref_decode(spec, payload, derive_rng(21, 1)))
+
+    @pytest.mark.parametrize("prior", [[0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0],
+                                       [0.1, 0.2, 0.3, 0.4]])
+    def test_she_prior_with_zero_entries(self, prior):
+        spec = spec_for("she", epsilon=1.0, k=4)
+        values = derive_rng(22, 0).integers(0, 4, 3000)
+        col = perturb_column(spec, values, derive_rng(22, 1))
+        assert_bitwise(decode_column(spec, col, derive_rng(22, 2), prior=prior),
+                       ref_decode(spec, col.payload, derive_rng(22, 2), prior=prior))
+
+    def test_hash_bucket_matches_on_every_block_layout(self):
+        seeds = _random_seeds(derive_rng(23, 0), 40_000)  # 2 to 49 blocks
+        for k in (1, 3, 40):
+            values = np.arange(k)[:, None]
+            assert_bitwise(mechanisms._hash_bucket(values, seeds[None, :], 7),
+                           ref_hash_bucket(values, seeds[None, :], 7))
+        values = derive_rng(23, 1).integers(0, 9, 40_000)
+        assert_bitwise(mechanisms._hash_bucket(values, seeds, 2 ** 63),
+                       ref_hash_bucket(values, seeds, 2 ** 63))
+
