@@ -2,9 +2,12 @@
 
 Eight mechanisms over a discrete domain of size k: generalized randomized
 response (``grr``), the exponential mechanism with 0/1 utility (``exp``),
-RAPPOR with unary encoding (``rappor``), optimized unary encoding (``oue``),
-binary and optimized local hashing (``blh``/``olh``), histogram encoding with
-Laplace summation (``she``), and subset selection (``ss``).
+one-time RAPPOR (``rappor``), optimized unary encoding (``oue``), binary and
+optimized local hashing (``blh``/``olh``), histogram encoding with Laplace
+summation (``she``), and subset selection (``ss``). rappor and oue are both
+unary encodings and differ only in their bit rates: rappor is symmetric
+unary encoding (Wang et al.'s basic RAPPOR, Erlingsson et al.'s permanent
+response), keeping each bit with probability e^(eps/2) / (1 + e^(eps/2)).
 
 Mechanisms work on whole columns: ``perturb_column`` perturbs a column of
 symbol indices, ``decode_column`` maps the reports back into the input
@@ -21,6 +24,8 @@ the per-symbol support counts with the rates from ``_support_rates``. The
 support set is held symbol-major, as a (k, N) mask, so every per-report
 reduction runs as k vector passes over the N reports instead of N short
 rows; it is computed once per column and shared by decode and estimate.
+``she`` decodes to its posterior argmax and breaks ties with the same
+uniform draw over a (k, N) mask of the top-scoring symbols.
 
 Perturbation and decoding take an explicit generator so callers own
 determinism; everything here is pure given the stream.
@@ -38,12 +43,6 @@ from .data_model import PROB_TOL, _locked
 from .errors import DimensionMismatchError, InputError, UnsupportedMechanismError
 
 KINDS = ("grr", "exp", "rappor", "oue", "blh", "olh", "she", "ss")
-
-# RAPPOR unary-encoding configuration: permanent flip parameter and the
-# instantaneous report probabilities. Applied once per report.
-RAPPOR_F = 0.5
-RAPPOR_P = 0.5
-RAPPOR_Q = 0.75
 
 # Largest budget whose e^eps is a finite double.
 _EPSILON_MAX = math.log(sys.float_info.max)
@@ -118,9 +117,7 @@ class MechanismSpec:
 
     def params(self) -> dict:
         p: dict = {}
-        if self.kind == "rappor":
-            p = {"f": RAPPOR_F, "p": RAPPOR_P, "q": RAPPOR_Q}
-        elif self.kind in ("blh", "olh"):
+        if self.kind in ("blh", "olh"):
             p = {"g": self.g}
         elif self.kind == "ss":
             p = {"omega": self.subset_size}
@@ -218,6 +215,8 @@ def _check_column(spec: MechanismSpec, column) -> None:
         raise InputError("expected a PerturbedColumn")
     if column.spec.kind != spec.kind or column.spec.k != spec.k:
         raise InputError("column was produced by a different mechanism spec")
+    if spec.kind in ("rappor", "oue", "she", "ss") and np.shape(column.payload)[1:] != (spec.k,):
+        raise InputError(f"{spec.kind} payload must have one column per symbol, k = {spec.k}")
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +279,7 @@ def _support_set(column: PerturbedColumn) -> np.ndarray:
 def _support_rates(spec: MechanismSpec) -> tuple[float, float]:
     """Probabilities that a report supports its true symbol and that it
     supports a given other symbol. The first is also the keep/inclusion
-    probability that grr/exp/oue/blh/olh/ss perturbation draws with."""
+    probability that perturbation draws with, for every kind but she."""
     kind, k = spec.kind, spec.k
     e_eps = math.exp(spec.epsilon)
     if kind in ("grr", "exp"):
@@ -289,9 +288,10 @@ def _support_rates(spec: MechanismSpec) -> tuple[float, float]:
     if kind == "oue":
         return 0.5, 1.0 / (e_eps + 1.0)
     if kind == "rappor":
-        p_hi = (1 - RAPPOR_F / 2) * RAPPOR_Q + (RAPPOR_F / 2) * RAPPOR_P
-        p_lo = (RAPPOR_F / 2) * RAPPOR_Q + (1 - RAPPOR_F / 2) * RAPPOR_P
-        return p_hi, p_lo
+        # Symmetric unary encoding: each bit kept w.p. e^(eps/2)/(1+e^(eps/2)),
+        # so a report's likelihood ratio is (p/q)(1-q)/(1-p) = e^eps.
+        half = math.exp(spec.epsilon / 2.0)
+        return half / (half + 1.0), 1.0 / (half + 1.0)
     if kind in ("blh", "olh"):
         g = spec.g
         return e_eps / (e_eps + g - 1), 1.0 / g
@@ -326,18 +326,6 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
     kind = spec.kind
     rows = np.arange(n)
 
-    if kind == "rappor":
-        # Two-stage draw (permanent flip, then instantaneous report): no single
-        # keep probability, unlike the kinds below. The permanent bit is 1
-        # w.p. f/2, 0 w.p. f/2, and otherwise the one-hot bit of the value.
-        u = rng.random((n, k))
-        permanent = u < RAPPOR_F / 2
-        permanent[rows, values] |= u[rows, values] >= RAPPOR_F
-        rng.random(out=u)
-        reported = (u < RAPPOR_Q) & permanent
-        reported |= (u < RAPPOR_P) & ~permanent
-        return PerturbedColumn(spec, reported.view(np.uint8))
-
     if kind == "she":
         if spec.epsilon <= 0:
             raise InputError("she requires epsilon > 0")
@@ -351,7 +339,7 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
     if kind in ("grr", "exp"):
         return PerturbedColumn(spec, _grr_sample(values, p, k, rng))
 
-    if kind == "oue":
+    if kind in ("rappor", "oue"):
         u = rng.random((n, k))
         reported = u < q
         reported[rows, values] = u[rows, values] < p
@@ -403,6 +391,13 @@ def _uniform_over_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return np.where(counts > 0, chosen, fallback)
 
 
+def _she_payload(column: PerturbedColumn) -> np.ndarray:
+    y = np.asarray(column.payload, dtype=np.float64)
+    if not np.isfinite(y).all():
+        raise InputError("she payload must be finite")
+    return y
+
+
 def decode_column(spec: MechanismSpec, column: PerturbedColumn, rng: np.random.Generator,
                   prior=None) -> np.ndarray:
     """Decode a perturbed column into symbol indices."""
@@ -416,27 +411,25 @@ def decode_column(spec: MechanismSpec, column: PerturbedColumn, rng: np.random.G
     if kind != "she":
         return _uniform_over_mask(column._support, rng)
 
-    # she: Bayes-optimal argmax of the posterior under the Laplace likelihood.
+    # she: Bayes-optimal argmax of the posterior under the Laplace likelihood,
+    # ties broken uniformly by the same draw as the support sets.
     if spec.epsilon <= 0:
         raise InputError("she decoding undefined at epsilon = 0 (no likelihood scale)")
-    b = 2.0 / spec.epsilon
-    if prior is None:
-        log_prior = np.zeros(k)
-    else:
+    # With b = 2/eps, log p(y | v) = -||y - onehot(v)||_1 / b + const and
+    # ||y - onehot(v)||_1 = sum|y| + 1 - 2 clip(y_v, 0, 1), so the posterior
+    # ranks symbols by eps clip(y_v, 0, 1) + log prior(v). clip is exact, so
+    # without a prior the ties are exactly those of exact arithmetic. Scores
+    # are symbol-major, (k, N), so the max and the draw run as k passes over N.
+    scores = np.clip(_she_payload(column).T, 0.0, 1.0, order="C")
+    if prior is not None:
         prior = np.asarray(prior, dtype=np.float64)
         if (prior.shape != (k,) or not np.isfinite(prior).all() or (prior < 0).any()
                 or abs(prior.sum() - 1.0) > PROB_TOL):
             raise InputError("prior must be a length-k probability vector")
+        scores *= spec.epsilon
         with np.errstate(divide="ignore"):
-            log_prior = np.log(prior)
-    y = np.asarray(column.payload, dtype=np.float64)
-    # ||y - onehot(v)||_1 = sum|y| - |y_v| + |y_v - 1|
-    scores = np.abs(y)
-    far = np.subtract(y, 1.0)
-    scores -= np.abs(far, out=far)
-    scores /= b
-    scores += log_prior
-    return np.argmax(scores, axis=1).astype(np.int64, copy=False)
+            scores += np.log(prior)[:, None]
+    return _uniform_over_mask(scores == scores.max(axis=0), rng)
 
 
 # --------------------------------------------------------------------------
@@ -453,7 +446,7 @@ def estimate_frequencies(spec: MechanismSpec, column: PerturbedColumn) -> np.nda
     kind, k = spec.kind, spec.k
 
     if kind == "she":
-        est = np.asarray(column.payload, dtype=np.float64).mean(axis=0)
+        est = _she_payload(column).mean(axis=0)
     else:
         if kind in ("grr", "exp"):
             support = np.bincount(np.asarray(column.payload), minlength=k)

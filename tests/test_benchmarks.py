@@ -167,7 +167,13 @@ class TestUtilityBenchmark:
         assert rows["grr"] == pytest.approx(1.0, abs=0.05)
         assert rows["ss"] == pytest.approx(1.0, abs=0.05)
         assert rows["blh"] < 0.8
-        assert rows["rappor"] < 0.8
+        # rappor at eps 1 is symmetric unary encoding, p = e^0.5/(1+e^0.5)
+        # = 0.6225 and q = 1 - p. Decoded, it keeps the true symbol w.p.
+        # a = p E[1/(1+B)] + (1-p)(1-q)^3/4 = 0.3731, B ~ Bin(3, q): a grr
+        # channel at eps_eff = ln(3a/(1-a)) = 0.580. Its exact tcpl' on this
+        # data is 0.953 against tcpl* 1.649, so norm_tcpl = 0.578; the
+        # statistical sup over sampled cells reads a few SE above that.
+        assert 0.5 < rows["rappor"] < 0.8
 
     def test_deterministic(self):
         d = noisy_copy(n=5_000, seed=3, k=4)

@@ -17,9 +17,6 @@ from cpl_kit import (
 from cpl_kit import mechanisms
 from cpl_kit.mechanisms import (
     KINDS,
-    RAPPOR_F,
-    RAPPOR_P,
-    RAPPOR_Q,
     _random_seeds,
     _support_rates,
 )
@@ -139,6 +136,17 @@ class TestPerturbLaw:
         rate = members[np.arange(n), values].mean()
         assert rate == pytest.approx(p_in, abs=4 * math.sqrt(p_in * (1 - p_in) / n))
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5, 1.0, 3.0, 5.0])
+    def test_rappor_report_ratio_is_its_budget(self, epsilon):
+        p, q = _support_rates(MechanismSpec("rappor", epsilon, 4))
+        assert math.log(p * (1 - q) / (q * (1 - p))) == pytest.approx(epsilon, abs=1e-12)
+
+    def test_rappor_payload_depends_on_budget(self):
+        values = derive_rng(24, 0).integers(0, 4, 2000)
+        low, high = (perturb_column(MechanismSpec("rappor", eps, 4), values,
+                                    derive_rng(24, 1)).payload for eps in (0.1, 5.0))
+        assert low.tobytes() != high.tobytes()
+
     def test_out_of_range_value_rejected(self):
         with pytest.raises(InputError, match="out of range"):
             perturb_column(spec_for("grr"), np.array([4]), derive_rng(0, 0))
@@ -180,6 +188,29 @@ class TestDecode:
         col = perturb_column(spec, np.arange(3), derive_rng(9, 2))
         with pytest.raises(InputError, match="prior"):
             decode_column(spec, col, derive_rng(9, 3), prior=prior)
+
+    def test_she_ties_broken_uniformly(self):
+        spec = spec_for("she", epsilon=1.0, k=4)
+        saturated = np.full((20_000, 4), 2.0)  # every symbol scores the clip ceiling
+        decoded = decode_column(spec, PerturbedColumn(spec, saturated), derive_rng(9, 5))
+        freq = np.bincount(decoded, minlength=4) / len(decoded)
+        assert np.abs(freq - 0.25).max() < 0.02
+
+    def test_she_tiny_score_gap_is_not_a_tie(self):
+        spec = spec_for("she", epsilon=1.0, k=4)
+        y = np.tile([0.0, 0.0, 0.0, 1e-17], (1000, 1))  # 1e-17 - 1 rounds to -1
+        assert (decode_column(spec, PerturbedColumn(spec, y), derive_rng(9, 6)) == 3).all()
+
+    @pytest.mark.parametrize("payload", [[[math.nan, 0, 0, 5], [0, math.inf, 0, 5]],
+                                         [[0, 0, 0, 5], [0, 0, -math.inf, 5]],
+                                         [[0, 0, math.nan, 5]]])
+    def test_she_non_finite_payload_rejected(self, payload):
+        spec = spec_for("she", epsilon=1.0, k=4)
+        col = PerturbedColumn(spec, np.array(payload))
+        with pytest.raises(InputError, match="finite"):
+            decode_column(spec, col, derive_rng(9, 4))
+        with pytest.raises(InputError, match="finite"):
+            estimate_frequencies(spec, col)
 
     def test_she_zero_budget_rejected(self):
         spec = MechanismSpec("she", 0.0, 4)
@@ -258,6 +289,34 @@ class TestFrequencyEstimation:
 
 
 
+class TestDecodedChannel:
+    """Monte-Carlo check of the decoded channel P(decoded | true). Decoding
+    post-processes an eps-LDP report, so the channel obeys e^eps; and every
+    mechanism treats the symbols alike, so the channel is symmetric: one
+    value on the diagonal and one off it."""
+
+    N = 400_000  # reports per true symbol
+    Z = 5.0  # standard errors allowed; each channel makes about 50 comparisons
+
+    @pytest.mark.parametrize("kind, epsilon", [(kind, 0.5) for kind in KINDS] + [("rappor", 0.1)])
+    def test_channel_obeys_budget_and_is_symmetric(self, kind, epsilon):
+        spec = MechanismSpec(kind, epsilon, 4)
+        n, k = self.N, spec.k
+        values = np.repeat(np.arange(k), n)
+        seed = (25, KINDS.index(kind), int(epsilon * 10))
+        col = perturb_column(spec, values, derive_rng(*seed, 1))
+        decoded = decode_column(spec, col, derive_rng(*seed, 2))
+        channel = np.bincount(values * k + decoded, minlength=k * k).reshape(k, k) / n
+        for column in channel.T:
+            hi, lo = column.max(), column.min()
+            se = math.sqrt((1 - hi) / (n * hi) + (1 - lo) / (n * lo))  # delta method
+            assert math.log(hi / lo) <= epsilon + self.Z * se
+        for cells in (np.diag(channel), channel[~np.eye(k, dtype=bool)]):
+            # Var(a - b) <= (a + b) / n for two cells, in one row or in two
+            hi, lo = cells.max(), cells.min()
+            assert hi - lo <= self.Z * math.sqrt((hi + lo) / n)
+
+
 class TestColumnSpecCheck:
     @pytest.mark.parametrize("kind", KINDS)
     def test_mismatched_spec_rejected(self, kind):
@@ -271,6 +330,16 @@ class TestColumnSpecCheck:
             with pytest.raises(InputError, match="different mechanism spec"):
                 estimate_frequencies(wrong, col)
 
+    @pytest.mark.parametrize("kind", ["rappor", "oue", "she", "ss"])
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_payload_width_must_match_k(self, kind, width):
+        spec = spec_for(kind, epsilon=1.0, k=4)
+        col = PerturbedColumn(spec, np.ones((5, width), dtype=bool if kind == "ss" else np.uint8))
+        with pytest.raises(InputError, match="one column per symbol"):
+            decode_column(spec, col, derive_rng(17, 2))
+        with pytest.raises(InputError, match="one column per symbol"):
+            estimate_frequencies(spec, col)
+
     def test_non_column_rejected(self):
         with pytest.raises(InputError, match="PerturbedColumn"):
             estimate_frequencies(spec_for("grr"), [0, 1, 2])
@@ -278,7 +347,9 @@ class TestColumnSpecCheck:
 
 # --------------------------------------------------------------------------
 # Row-major reference kernels: the (N, k) implementation that the symbol-major
-# kernels replaced, kept as the oracle they must match bit for bit.
+# kernels replaced, kept as the oracle they must match bit for bit. rappor is
+# the oue reference at its own rates, and she breaks its ties through
+# ref_uniform_over_mask.
 # --------------------------------------------------------------------------
 
 def ref_mix64(x):
@@ -307,14 +378,6 @@ def ref_grr_sample(values, keep_p, k, rng):
 def ref_perturb(spec, values, rng):
     values = np.asarray(values, dtype=np.int64)
     n, k, kind = values.shape[0], spec.k, spec.kind
-    if kind == "rappor":
-        bits = np.zeros((n, k), dtype=np.uint8)
-        bits[np.arange(n), values] = 1
-        u = rng.random((n, k))
-        permanent = np.where(u < RAPPOR_F / 2, 1,
-                             np.where(u < RAPPOR_F, 0, bits)).astype(np.uint8)
-        report_p = np.where(permanent == 1, RAPPOR_Q, RAPPOR_P)
-        return (rng.random((n, k)) < report_p).astype(np.uint8)
     if kind == "she":
         onehot = np.zeros((n, k), dtype=np.float64)
         onehot[np.arange(n), values] = 1.0
@@ -322,7 +385,7 @@ def ref_perturb(spec, values, rng):
     p, q = _support_rates(spec)
     if kind in ("grr", "exp"):
         return ref_grr_sample(values, p, k, rng)
-    if kind == "oue":
+    if kind in ("rappor", "oue"):
         bits = np.zeros((n, k), dtype=np.uint8)
         bits[np.arange(n), values] = 1
         return (rng.random((n, k)) < np.where(bits == 1, p, q)).astype(np.uint8)
@@ -362,11 +425,11 @@ def ref_decode(spec, payload, rng, prior=None):
         return np.asarray(payload, dtype=np.int64)
     if spec.kind != "she":
         return ref_uniform_over_mask(ref_support_set(spec, payload), rng)
-    with np.errstate(divide="ignore"):
-        log_prior = np.zeros(spec.k) if prior is None else np.log(np.asarray(prior, dtype=np.float64))
-    y = np.asarray(payload, dtype=np.float64)
-    scores = (np.abs(y) - np.abs(y - 1.0)) / (2.0 / spec.epsilon) + log_prior[None, :]
-    return np.argmax(scores, axis=1).astype(np.int64)
+    scores = np.clip(np.asarray(payload, dtype=np.float64), 0.0, 1.0)
+    if prior is not None:
+        with np.errstate(divide="ignore"):
+            scores = scores * spec.epsilon + np.log(np.asarray(prior, dtype=np.float64))[None, :]
+    return ref_uniform_over_mask(scores == scores.max(axis=1, keepdims=True), rng)
 
 
 def ref_estimate(spec, payload):
