@@ -67,6 +67,7 @@ from .statistical import (
     EstimationConfig,
     StatisticalCplResult,
     count_table,
+    estimate_cpl,
     perturb_dataset,
     statistical_cpl,
     statistical_tpl,

@@ -20,11 +20,10 @@ import numpy as np
 from .cpl_bound import BudgetParams, cpl_bound
 from .cpl_exact import cpl_exact
 from .correlation_metrics import metrics
-from .data_model import ConditionalDistribution, Dataset, conditional_from_joint, empirical_joint, expand_dataset
+from .data_model import ConditionalDistribution, Dataset, conditional_from_joint, empirical_joint
 from .errors import DimensionMismatchError, InputError
-from .mechanisms import MechanismSpec, decode_column, estimate_frequencies, perturb_column, transition_matrix
-from .rng import STAGE_DECODE, STAGE_PERTURB, derive_rng
-from .statistical import EstimationConfig, count_table, sup_ratio_leakage
+from .mechanisms import MechanismSpec, debias_counts, support_counts, transition_matrix
+from .statistical import EstimationConfig, _decoded_blocks, count_table, sup_ratio_leakage
 
 _TOL = 1e-9
 
@@ -196,41 +195,49 @@ def nmse_cpl(estimates, references) -> float:
 def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
                       cfg: EstimationConfig) -> list[UtilityRow]:
     """Perturb the dataset under every (mechanism, budget) cell and report
-    utility errors alongside normalized total pairwise leakage."""
-    expanded = expand_dataset(d, cfg.expansion)
+    utility errors alongside normalized total pairwise leakage.
+
+    The expanded dataset is walked in blocks; per attribute, the support
+    counts and the decoding mismatches add up across blocks, and so do the
+    per-pair count tables of the statistically estimated kinds."""
     n_attr = d.n_attributes
+    sizes = [d.alphabet(j).size for j in range(n_attr)]
+    n_rows = d.n_records * cfg.expansion
     pairs = ordered_pairs(n_attr)
     conds = pairwise_conditionals(d)
-    true_freqs = [np.bincount(d.column(j), minlength=d.alphabet(j).size) / d.n_records
+    true_freqs = [np.bincount(d.column(j), minlength=sizes[j]) / d.n_records
                   for j in range(n_attr)]
     freq_denom = sum(float((f ** 2).sum()) for f in true_freqs)
 
     rows: list[UtilityRow] = []
     for cell, (kind, eps) in enumerate((k, e) for k in kinds for e in epsilons):
-        specs = [MechanismSpec(kind, eps, d.alphabet(j).size) for j in range(n_attr)]
-        decoded = np.empty_like(expanded.records)
+        specs = [MechanismSpec(kind, eps, size) for size in sizes]
+        exact = kind in ("grr", "exp")
+        counts = [0] * n_attr
+        mismatches = 0
+        tables = dict.fromkeys(pairs, 0)
+        for block, reports in _decoded_blocks(d, specs, range(n_attr), cfg.expansion,
+                                              cfg.seed, key=(cell,)):
+            for j, (col, symbols) in enumerate(reports):
+                counts[j] += support_counts(specs[j], col)
+                mismatches += int(np.count_nonzero(symbols != block[:, j]))
+            if not exact:
+                for i, j in pairs:
+                    tables[(i, j)] += count_table(block[:, i], reports[j][1], sizes[i], sizes[j])
         freq_err = 0.0
         for j, spec in enumerate(specs):
-            col = perturb_column(spec, expanded.column(j),
-                                 derive_rng(cfg.seed, STAGE_PERTURB, cell, j))
-            decoded[:, j] = decode_column(spec, col,
-                                          derive_rng(cfg.seed, STAGE_DECODE, cell, j))
-            est = estimate_frequencies(spec, col)
-            del col  # frees the payload and support set before the next column
+            est = debias_counts(spec, counts[j], n_rows)
             freq_err += float(((est - true_freqs[j]) ** 2).sum())
         freq_nmse = freq_err / freq_denom
-        zero_one = float((decoded != expanded.records).mean())
+        zero_one = mismatches / (n_rows * n_attr)
 
         tcpl_star = sum(cpl_bound(conds[p], BudgetParams(eps, 0.0)).leakage for p in pairs)
         tcpl_prime = 0.0
         for i, j in pairs:
-            if kind in ("grr", "exp"):
+            if exact:
                 tcpl_prime += cpl_exact(conds[(i, j)], transition_matrix(specs[j])).leakage
             else:
-                leak, _ = sup_ratio_leakage(count_table(
-                    expanded.column(i), decoded[:, j],
-                    d.alphabet(i).size, d.alphabet(j).size))
-                tcpl_prime += leak
+                tcpl_prime += sup_ratio_leakage(tables[(i, j)])[0]
         norm_tcpl = tcpl_prime / tcpl_star if tcpl_star > 0 else 0.0
         rows.append(UtilityRow(kind, eps, UtilityReport(freq_nmse, zero_one, norm_tcpl)))
     return rows

@@ -32,11 +32,11 @@ from .composition import CplMatrix, tcpl
 from .correlation_metrics import metrics
 from .cpl_bound import BudgetParams, cpl_bound
 from .cpl_exact import cpl_exact
-from .data_model import empirical_joint, expand_dataset, load_conditional_json, load_csv
+from .data_model import empirical_joint, load_conditional_json, load_csv
 from .errors import CplKitError, InfeasibleBudgetError
 from .fixtures import generate_fixtures
 from .mechanisms import KINDS, MechanismSpec, transition_matrix
-from .statistical import EstimationConfig, perturb_dataset, statistical_cpl
+from .statistical import EstimationConfig, estimate_cpl
 
 _LN2 = math.log(2.0)
 
@@ -188,9 +188,7 @@ def _cmd_estimate(args) -> dict:
                            alpha=args.alpha, seed=args.seed)
     specs = [MechanismSpec(args.mechanism, args.epsilon, d.alphabet(j).size)
              for j in range(d.n_attributes)]
-    perturbed = perturb_dataset(d, specs, cfg)
-    original = expand_dataset(d, cfg.expansion)
-    res = statistical_cpl(perturbed, original, args.target, _int_list(args.neighbors), cfg)
+    res = estimate_cpl(d, specs, args.target, _int_list(args.neighbors), cfg)
     return _with_bits({
         "target": args.target,
         "neighbors": _int_list(args.neighbors),

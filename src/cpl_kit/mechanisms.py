@@ -215,8 +215,24 @@ def _check_column(spec: MechanismSpec, column) -> None:
         raise InputError("expected a PerturbedColumn")
     if column.spec.kind != spec.kind or column.spec.k != spec.k:
         raise InputError("column was produced by a different mechanism spec")
-    if spec.kind in ("rappor", "oue", "she", "ss") and np.shape(column.payload)[1:] != (spec.k,):
-        raise InputError(f"{spec.kind} payload must have one column per symbol, k = {spec.k}")
+    kind = spec.kind
+    if kind in ("rappor", "oue", "she", "ss") and np.shape(column.payload)[1:] != (spec.k,):
+        raise InputError(f"{kind} payload must have one column per symbol, k = {spec.k}")
+    if kind in ("grr", "exp"):
+        _check_symbols(column.payload, spec.k, f"{kind} payload")
+    elif kind in ("blh", "olh"):
+        seeds, reports = column.payload
+        if np.shape(seeds) != np.shape(reports):
+            raise InputError(f"{kind} seeds and reports must have equal length")
+        _check_symbols(reports, spec.g, f"{kind} reports")
+
+
+def _check_symbols(values, size: int, what: str) -> None:
+    values = np.asarray(values)
+    if values.ndim != 1 or not np.issubdtype(values.dtype, np.integer):
+        raise InputError(f"{what} must be a 1-d array of integer symbols")
+    if values.size and (values.min() < 0 or int(values.max()) >= size):
+        raise InputError(f"{what} must lie in [0, {size})")
 
 
 # --------------------------------------------------------------------------
@@ -356,13 +372,19 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
     include = rng.random(n) < p
     keys = rng.random((n, k))
     keys[rows, values] = np.inf  # others ranked first
-    order = np.argsort(keys, axis=1)
-    # Members are the `need` lowest-ranked symbols; need <= omega, so only
-    # the first omega ranks can be members.
-    need = np.where(include, omega - 1, omega)
     members = np.zeros((n, k), dtype=bool)
-    for rank in range(omega):
-        members[rows, order[:, rank]] = rank < need
+    if omega == 1:
+        # The one other member is the lowest key, unless the true value is
+        # included: the first rank of the argsort below, without the sort.
+        # Two keys tie with probability 2^-53; argmin then takes the first.
+        members[rows, np.argmin(keys, axis=1)] = ~include
+    else:
+        order = np.argsort(keys, axis=1)
+        # Members are the `need` lowest-ranked symbols; need <= omega, so only
+        # the first omega ranks can be members.
+        need = np.where(include, omega - 1, omega)
+        for rank in range(omega):
+            members[rows, order[:, rank]] = rank < need
     members[rows, values] = include
     return PerturbedColumn(spec, members)
 
@@ -436,30 +458,45 @@ def decode_column(spec: MechanismSpec, column: PerturbedColumn, rng: np.random.G
 # Frequency estimation
 # --------------------------------------------------------------------------
 
-def estimate_frequencies(spec: MechanismSpec, column: PerturbedColumn) -> np.ndarray:
-    """Unbiased frequency estimate from a perturbed column, clipped to [0, 1]
-    and renormalized."""
+def support_counts(spec: MechanismSpec, column: PerturbedColumn) -> np.ndarray:
+    """Per-symbol support counts of a column's reports, or for she its summed
+    report vectors. Counts of row slices of a column add up to the counts of
+    the whole column, so a column can be counted in pieces."""
     _check_column(spec, column)
-    n = len(column)
-    if n == 0:
-        raise InputError("no outputs to estimate from")
-    kind, k = spec.kind, spec.k
+    if spec.kind == "she":
+        return _she_payload(column).sum(axis=0)
+    if spec.kind in ("grr", "exp"):
+        return np.bincount(np.asarray(column.payload), minlength=spec.k)
+    return np.count_nonzero(column._support, axis=1)
 
-    if kind == "she":
-        est = _she_payload(column).mean(axis=0)
+
+def debias_counts(spec: MechanismSpec, counts, n: int) -> np.ndarray:
+    """Unbiased frequency estimate from the :func:`support_counts` of ``n``
+    reports, clipped to [0, 1] and renormalized."""
+    k = spec.k
+    counts = np.asarray(counts)
+    if counts.shape != (k,):
+        raise InputError(f"need one count per symbol, k = {k}")
+    if n <= 0:
+        raise InputError("no outputs to estimate from")
+    if spec.kind == "she":
+        est = counts / n
     else:
-        if kind in ("grr", "exp"):
-            support = np.bincount(np.asarray(column.payload), minlength=k)
-        else:
-            support = np.count_nonzero(column._support, axis=1)
         p, q = _support_rates(spec)
         if p == q:
             est = np.full(k, 1.0 / k)
         else:
-            est = (support / n - q) / (p - q)
+            est = (counts / n - q) / (p - q)
 
     est = np.clip(est, 0.0, 1.0)
     total = est.sum()
     if total <= 0:
         return np.full(k, 1.0 / k)
     return est / total
+
+
+def estimate_frequencies(spec: MechanismSpec, column: PerturbedColumn) -> np.ndarray:
+    """Unbiased frequency estimate from a perturbed column, clipped to [0, 1]
+    and renormalized."""
+    counts = support_counts(spec, column)
+    return debias_counts(spec, counts, len(column))

@@ -7,10 +7,17 @@ is then the log of the largest conditional-probability ratio observed across
 decoded neighbor tuples, restricted to cells witnessed under both
 conditioning symbols.
 
+The expanded rows are only ever counted, so the stages run on blocks of
+``BLOCK_ROWS`` expanded rows and the counts add up across blocks: memory
+stays flat in the expansion factor. ``estimate_cpl`` keeps only the
+count table, and perturbs only the neighbors; ``perturb_dataset`` joins the
+decoded blocks for callers that want the rows.
+
 Significance comes from permutation surrogates: shuffling each neighbor
 column independently keeps every one-way margin and destroys the
 cross-attribute correlation. That null depends on the margins alone, so each
-surrogate is drawn directly as a count table with those margins.
+surrogate is drawn directly as a count table with the observed table's
+margins.
 """
 from __future__ import annotations
 
@@ -19,13 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, expand_dataset
+from .data_model import Dataset
 from .errors import InputError, InsufficientDataError
 from .mechanisms import MechanismSpec, decode_column, perturb_column
 from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, derive_rng
 
 #: Refuse joint neighbor alphabets larger than this many cells.
 MAX_TUPLE_CELLS = 10 ** 6
+
+#: Expanded rows per block of the perturb -> decode -> count pipeline.
+BLOCK_ROWS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -64,13 +74,7 @@ class StatisticalCplResult:
     excluded_cells: int
 
 
-def perturb_dataset(d: Dataset, specs: list[MechanismSpec], cfg: EstimationConfig) -> Dataset:
-    """Expand, perturb and decode every attribute; returns the decoded dataset.
-
-    Row i of the result is aligned with row i of ``expand_dataset(d,
-    cfg.expansion)``. Every expanded record is perturbed with fresh
-    randomness; per-attribute streams are derived from the config seed.
-    """
+def _check_specs(d: Dataset, specs: list[MechanismSpec]) -> None:
     if len(specs) != d.n_attributes:
         raise InputError(f"need one mechanism spec per attribute ({d.n_attributes})")
     for j, spec in enumerate(specs):
@@ -79,22 +83,68 @@ def perturb_dataset(d: Dataset, specs: list[MechanismSpec], cfg: EstimationConfi
                 f"attribute {d.attribute_names[j]!r} has alphabet size "
                 f"{d.alphabet(j).size} but spec k={spec.k}"
             )
-    expanded = expand_dataset(d, cfg.expansion)
-    decoded = np.empty_like(expanded.records)
-    for j, spec in enumerate(specs):
-        col = perturb_column(spec, expanded.column(j), derive_rng(cfg.seed, STAGE_PERTURB, j))
-        decoded[:, j] = decode_column(spec, col, derive_rng(cfg.seed, STAGE_DECODE, j))
-    return Dataset(expanded.schema, decoded)
 
 
-def _tuple_codes(columns: list[np.ndarray], sizes: list[int]) -> tuple[np.ndarray, int]:
+def _decoded_blocks(d: Dataset, specs: list[MechanismSpec], attrs, r: int, seed: int,
+                    key: tuple[int, ...] = ()):
+    """Walk ``expand_dataset(d, r)``, whose row i is record i // r, in blocks
+    of ``BLOCK_ROWS`` rows without building it. Yields every expanded block
+    with the ``(perturbed column, decoded symbols)`` of each attribute in
+    ``attrs``. Attribute j draws from one perturb and one decode stream,
+    ``derive_rng(seed, STAGE_PERTURB | STAGE_DECODE, *key, j)``, each
+    continued from block to block."""
+    streams = [(j, derive_rng(seed, STAGE_PERTURB, *key, j), derive_rng(seed, STAGE_DECODE, *key, j))
+               for j in attrs]
+    n_rows = d.n_records * r
+    for start in range(0, n_rows, BLOCK_ROWS):
+        block = d.records[np.arange(start, min(start + BLOCK_ROWS, n_rows)) // r]
+        reports = []
+        for j, perturb_rng, decode_rng in streams:
+            col = perturb_column(specs[j], block[:, j], perturb_rng)
+            reports.append((col, decode_column(specs[j], col, decode_rng)))
+        yield block, reports
+
+
+def perturb_dataset(d: Dataset, specs: list[MechanismSpec], cfg: EstimationConfig) -> Dataset:
+    """Expand, perturb and decode every attribute; returns the decoded dataset.
+
+    Row i of the result is aligned with row i of ``expand_dataset(d,
+    cfg.expansion)``. Every expanded record is perturbed with fresh
+    randomness; per-attribute streams are derived from the config seed.
+    """
+    _check_specs(d, specs)
+    decoded = np.empty((d.n_records * cfg.expansion, d.n_attributes), dtype=np.int64)
+    row = 0
+    for block, reports in _decoded_blocks(d, specs, range(d.n_attributes), cfg.expansion, cfg.seed):
+        for j, (_, symbols) in enumerate(reports):
+            decoded[row:row + len(block), j] = symbols
+        row += len(block)
+    return Dataset(d.schema, decoded)
+
+
+def _check_indices(n_attributes: int, indices) -> None:
+    if not all(0 <= z < n_attributes for z in indices):
+        raise InputError(f"attribute indices must lie in [0, {n_attributes})")
+
+
+def _check_attributes(n_attributes: int, target: int, neighbors) -> list[int]:
+    neighbors = list(neighbors)
+    if not neighbors:
+        raise InputError("neighbor set must be nonempty")
+    if target in neighbors:
+        raise InputError("target attribute cannot be its own neighbor")
+    _check_indices(n_attributes, (target, *neighbors))
+    return neighbors
+
+
+def _tuple_cells(sizes: list[int]) -> int:
     cells = math.prod(sizes)
     if cells > MAX_TUPLE_CELLS:
         raise InputError(
             f"joint neighbor alphabet has {cells} cells (cap {MAX_TUPLE_CELLS}); "
             "reduce the neighbor set"
         )
-    return np.ravel_multi_index(tuple(columns), dims=tuple(sizes)), cells
+    return cells
 
 
 def count_table(target: np.ndarray, w_codes: np.ndarray, m: int, n_w: int) -> np.ndarray:
@@ -147,26 +197,22 @@ def _surrogate_table(target_counts: np.ndarray, neighbor_counts: list[np.ndarray
     return table.reshape(target_counts.size, -1)
 
 
-def _observed_and_null(perturbed: Dataset, original: Dataset, target: int,
-                       neighbors: list[int], cfg: EstimationConfig) -> StatisticalCplResult:
-    if perturbed.n_records != original.n_records:
-        raise InputError("perturbed and original datasets are not row-aligned")
-    if perturbed.n_attributes != original.n_attributes:
-        raise InputError("perturbed and original datasets have different schemas")
-    cols = [perturbed.column(z) for z in neighbors]
-    sizes = [perturbed.alphabet(z).size for z in neighbors]
-    w_codes, n_w = _tuple_codes(cols, sizes)
-    x = original.column(target)
-    m = original.alphabet(target).size
-    leakage, excluded = sup_ratio_leakage(count_table(x, w_codes, m, n_w))
-
-    x_counts = np.bincount(x, minlength=m)
-    w_counts = [np.bincount(col, minlength=size) for col, size in zip(cols, sizes)]
+def _observed_and_null(table: np.ndarray, sizes: list[int],
+                       cfg: EstimationConfig) -> StatisticalCplResult:
+    """Leakage of an observed (m, n_w) count table, whose columns index the
+    decoded neighbor tuple of alphabet ``sizes``, and its permutation p-value.
+    The surrogates keep the table's target margin and its margin of every
+    neighbor."""
+    leakage, excluded = sup_ratio_leakage(table)
+    cube = table.reshape(-1, *sizes)
+    x_counts = table.sum(axis=1)
+    w_counts = [cube.sum(axis=tuple(a for a in range(cube.ndim) if a != z))
+                for z in range(1, cube.ndim)]
     hits = 0
     for s in range(cfg.surrogates):
-        table = _surrogate_table(x_counts, w_counts, derive_rng(cfg.seed, STAGE_SURROGATE, s))
+        null_table = _surrogate_table(x_counts, w_counts, derive_rng(cfg.seed, STAGE_SURROGATE, s))
         try:
-            surrogate, _ = sup_ratio_leakage(table)
+            surrogate, _ = sup_ratio_leakage(null_table)
         except InsufficientDataError:
             continue
         hits += surrogate >= leakage
@@ -174,15 +220,43 @@ def _observed_and_null(perturbed: Dataset, original: Dataset, target: int,
     return StatisticalCplResult(leakage, p_value, p_value < cfg.alpha, excluded)
 
 
+def _decoded_table(perturbed: Dataset, original: Dataset, target: int,
+                   neighbors: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Count table of original ``target`` against the decoded ``neighbors``
+    tuple, with the neighbors' alphabet sizes."""
+    if perturbed.n_records != original.n_records:
+        raise InputError("perturbed and original datasets are not row-aligned")
+    if perturbed.n_attributes != original.n_attributes:
+        raise InputError("perturbed and original datasets have different schemas")
+    sizes = [perturbed.alphabet(z).size for z in neighbors]
+    n_w = _tuple_cells(sizes)
+    w_codes = np.ravel_multi_index(tuple(perturbed.column(z) for z in neighbors), dims=tuple(sizes))
+    return count_table(original.column(target), w_codes, original.alphabet(target).size, n_w), sizes
+
+
 def statistical_cpl(perturbed: Dataset, original: Dataset, target: int,
                     neighbors: list[int], cfg: EstimationConfig) -> StatisticalCplResult:
     """Leakage of ``target`` caused by the decoded ``neighbors`` tuple."""
-    neighbors = list(neighbors)
-    if not neighbors:
-        raise InputError("neighbor set must be nonempty")
-    if target in neighbors:
-        raise InputError("target attribute cannot be its own neighbor")
-    return _observed_and_null(perturbed, original, target, neighbors, cfg)
+    neighbors = _check_attributes(original.n_attributes, target, neighbors)
+    return _observed_and_null(*_decoded_table(perturbed, original, target, neighbors), cfg)
+
+
+def estimate_cpl(d: Dataset, specs: list[MechanismSpec], target: int,
+                 neighbors: list[int], cfg: EstimationConfig) -> StatisticalCplResult:
+    """``statistical_cpl(perturb_dataset(d, specs, cfg), expand_dataset(d,
+    cfg.expansion), target, neighbors, cfg)``, bit for bit, without building
+    either dataset: only the neighbors are perturbed and decoded, block by
+    block, and only their (m, n_w) count table is kept."""
+    neighbors = _check_attributes(d.n_attributes, target, neighbors)
+    _check_specs(d, specs)
+    sizes = [d.alphabet(z).size for z in neighbors]
+    n_w = _tuple_cells(sizes)
+    m = d.alphabet(target).size
+    table = np.zeros((m, n_w), dtype=np.int64)
+    for block, reports in _decoded_blocks(d, specs, neighbors, cfg.expansion, cfg.seed):
+        w_codes = np.ravel_multi_index(tuple(symbols for _, symbols in reports), dims=tuple(sizes))
+        table += count_table(block[:, target], w_codes, m, n_w)
+    return _observed_and_null(table, sizes, cfg)
 
 
 def statistical_tpl(perturbed: Dataset, original: Dataset, target: int,
@@ -194,5 +268,5 @@ def statistical_tpl(perturbed: Dataset, original: Dataset, target: int,
     if neighbors is None:
         neighbors = [j for j in range(original.n_attributes) if j != target]
     w_set = sorted(set(neighbors) | {target})
-    return _observed_and_null(perturbed, original, target, w_set, cfg)
-
+    _check_indices(original.n_attributes, w_set)
+    return _observed_and_null(*_decoded_table(perturbed, original, target, w_set), cfg)

@@ -269,6 +269,15 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "InputError" and "olh hash range" in error["message"]
 
+    @pytest.mark.parametrize("target, neighbors", [("5", "1"), ("0", "-1"), ("0", "2")])
+    def test_estimate_attribute_out_of_range_exits_two(self, capsys, workdir, target, neighbors):
+        code, out, err = run(capsys, ["estimate", "--data",
+                                      str(workdir / "fx" / "maxleak_pair.csv"),
+                                      "--mechanism", "grr", "--epsilon", "1", "--target", target,
+                                      "--neighbors", neighbors, "--r", "1", "--surrogates", "5"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "InputError"
+
     def test_missing_file_exits_two_with_json(self, capsys):
         code, out, err = run(capsys, ["analyze", "matrix", "--data", "/nope.csv",
                                       "--epsilon", "1"])

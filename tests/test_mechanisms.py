@@ -19,6 +19,8 @@ from cpl_kit.mechanisms import (
     KINDS,
     _random_seeds,
     _support_rates,
+    debias_counts,
+    support_counts,
 )
 from cpl_kit.rng import derive_rng
 
@@ -343,6 +345,61 @@ class TestColumnSpecCheck:
     def test_non_column_rejected(self):
         with pytest.raises(InputError, match="PerturbedColumn"):
             estimate_frequencies(spec_for("grr"), [0, 1, 2])
+
+    @pytest.mark.parametrize("kind", ["grr", "exp"])
+    @pytest.mark.parametrize("payload, match", [
+        ([0, 7, -1], "must lie in"), ([0, 7, 2], "must lie in"), ([0, -1, 2], "must lie in"),
+        ([0.0, 1.0, 2.0], "integer symbols"), ([[0, 1], [2, 3]], "integer symbols"),
+    ])
+    def test_symbol_payload_checked(self, kind, payload, match):
+        spec = spec_for(kind, epsilon=1.0, k=4)
+        col = PerturbedColumn(spec, np.asarray(payload))
+        with pytest.raises(InputError, match=match):
+            decode_column(spec, col, derive_rng(17, 3))
+        with pytest.raises(InputError, match=match):
+            estimate_frequencies(spec, col)
+
+    @pytest.mark.parametrize("kind", ["blh", "olh"])
+    def test_hash_reports_checked(self, kind):
+        spec = spec_for(kind, epsilon=1.0, k=4)
+        seeds = _random_seeds(derive_rng(17, 4), 3)
+        for reports, match in (([5, 9, -3], "must lie in"), ([0, spec.g, 1], "must lie in"),
+                               ([-1, 0, 1], "must lie in"), ([0, 1], "equal length")):
+            col = PerturbedColumn(spec, (seeds, np.asarray(reports)))
+            with pytest.raises(InputError, match=match):
+                decode_column(spec, col, derive_rng(17, 5))
+            with pytest.raises(InputError, match=match):
+                estimate_frequencies(spec, col)
+
+
+def row_slice(column, lo, hi):
+    """Rows lo:hi of a perturbed column, as a column of its own."""
+    if column.spec.kind in ("blh", "olh"):
+        return PerturbedColumn(column.spec, tuple(part[lo:hi] for part in column.payload))
+    return PerturbedColumn(column.spec, column.payload[lo:hi])
+
+
+class TestCountsAddAcrossSlices:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_slice_counts_sum_to_column_counts(self, kind):
+        spec = spec_for(kind, epsilon=1.0, k=5)
+        values = derive_rng(24, 0).integers(0, 5, 3001)
+        col = perturb_column(spec, values, derive_rng(24, 1))
+        whole = support_counts(spec, col)
+        parts = sum(support_counts(spec, row_slice(col, lo, lo + 1000))
+                    for lo in range(0, len(col), 1000))
+        if kind == "she":  # float sums, associated differently
+            np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=1e-9)
+        else:
+            assert_bitwise(parts, whole)
+        assert_bitwise(estimate_frequencies(spec, col), debias_counts(spec, whole, len(col)))
+
+    def test_debias_checks_its_counts(self):
+        spec = spec_for("oue", epsilon=1.0, k=4)
+        with pytest.raises(InputError, match="one count per symbol"):
+            debias_counts(spec, np.ones(5), 10)
+        with pytest.raises(InputError, match="no outputs"):
+            debias_counts(spec, np.zeros(4), 0)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cpl_kit import (
     MechanismSpec,
     cpl_bound,
     cpl_exact,
+    estimate_cpl,
     expand_dataset,
     perturb_dataset,
     statistical_cpl,
@@ -19,9 +21,9 @@ from cpl_kit import (
     transition_matrix,
 )
 from cpl_kit.data_model import Alphabet, conditional_from_joint, empirical_joint
-from cpl_kit.fixtures import independent_pair, maxleak_pair, perfect_copy
+from cpl_kit.fixtures import independent_pair, latent_five, maxleak_pair, perfect_copy
 from cpl_kit.rng import STAGE_SURROGATE, derive_rng
-from cpl_kit.statistical import _surrogate_table, count_table, sup_ratio_leakage
+from cpl_kit.statistical import BLOCK_ROWS, _surrogate_table, count_table, sup_ratio_leakage
 
 
 def grr_specs(d, epsilon):
@@ -59,6 +61,13 @@ class TestPerturbDataset:
         cfg = EstimationConfig(expansion=1, surrogates=1, seed=0)
         with pytest.raises(InputError, match="alphabet size"):
             perturb_dataset(d, [MechanismSpec("grr", 1.0, 3)] * 2, cfg)
+
+    def test_rows_aligned_across_blocks(self):
+        d = perfect_copy(n=30_001, seed=3, k=4)  # 90_003 rows: one full block and a partial one
+        cfg = EstimationConfig(expansion=3, surrogates=1, seed=4)
+        pert, orig = pipeline(d, 40.0, cfg)
+        assert orig.n_records > BLOCK_ROWS
+        assert (pert.records == orig.records).all()
 
     def test_deterministic_given_seed(self):
         d = independent_pair(n=3000, seed=4, k=2)
@@ -243,6 +252,13 @@ class TestStatisticalTpl:
         bound = 1.0 + cpl_bound(cond, BudgetParams(1.0)).leakage
         assert res.leakage <= bound + 0.05
 
+    def test_attribute_out_of_range_rejected(self):
+        d = maxleak_pair(n=200, seed=0)
+        cfg = EstimationConfig(expansion=1, surrogates=2, seed=0)
+        for target, neighbors in ((5, None), (0, [7]), (0, [-1])):
+            with pytest.raises(InputError, match="attribute indices"):
+                statistical_tpl(d, d, target, cfg, neighbors=neighbors)
+
     def test_zero_budget_tpl_insignificant(self):
         d = independent_pair(n=100_000, seed=9, k=2)
         cfg = EstimationConfig(expansion=2, surrogates=99, seed=10)
@@ -250,3 +266,63 @@ class TestStatisticalTpl:
         res = statistical_tpl(pert, orig, 0, cfg)
         assert res.leakage < 0.05
         assert not res.significant
+
+
+def four_records_pair():
+    """One record per symbol of a maxleak-schema pair, for expansions so large
+    that a single record spans several blocks."""
+    schema = maxleak_pair(n=10, seed=0).schema
+    return Dataset(schema, np.array([[0, 0], [1, 1], [2, 3], [3, 2]]))
+
+
+class TestEstimateCpl:
+    @pytest.mark.parametrize("kind, data, target, neighbors, r", [
+        ("grr", lambda: maxleak_pair(n=70_001, seed=3), 0, [1], 1),
+        ("grr", lambda: maxleak_pair(n=30_001, seed=3), 1, [0], 3),
+        ("olh", lambda: latent_five(n=70_001, seed=4), 0, [1, 2, 3, 4], 1),
+        ("olh", lambda: latent_five(n=30_001, seed=4), 2, [4, 0, 1, 3], 3),
+        ("grr", four_records_pair, 0, [1], BLOCK_ROWS + 5),
+    ], ids=["grr-r1", "grr-r3", "olh-r1", "olh-r3", "grr-r-above-block"])
+    def test_one_stream_two_paths(self, kind, data, target, neighbors, r):
+        # every n*r here leaves a partial last block
+        d = data()
+        assert d.n_records * r % BLOCK_ROWS != 0
+        cfg = EstimationConfig(expansion=r, surrogates=30, seed=5)
+        specs = [MechanismSpec(kind, 1.0, d.alphabet(j).size) for j in range(d.n_attributes)]
+        got = estimate_cpl(d, specs, target, neighbors, cfg)
+        want = statistical_cpl(perturb_dataset(d, specs, cfg), expand_dataset(d, r),
+                               target, neighbors, cfg)
+        assert got.leakage.hex() == want.leakage.hex()
+        assert got.p_value.hex() == want.p_value.hex()
+        assert (got.significant, got.excluded_cells) == (want.significant, want.excluded_cells)
+
+    def test_input_validation(self):
+        d = independent_pair(n=100, seed=6)
+        cfg = EstimationConfig(expansion=1, surrogates=1, seed=0)
+        specs = grr_specs(d, 1.0)
+        with pytest.raises(InputError, match="nonempty"):
+            estimate_cpl(d, specs, 0, [], cfg)
+        with pytest.raises(InputError, match="own neighbor"):
+            estimate_cpl(d, specs, 0, [0, 1], cfg)
+        with pytest.raises(InputError, match="alphabet size"):
+            estimate_cpl(d, [MechanismSpec("grr", 1.0, 3)] * 2, 0, [1], cfg)
+        for target, neighbors in ((2, [1]), (0, [-1]), (0, [2])):
+            with pytest.raises(InputError, match="attribute indices"):
+                estimate_cpl(d, specs, target, neighbors, cfg)
+            with pytest.raises(InputError, match="attribute indices"):
+                statistical_cpl(d, d, target, neighbors, cfg)
+
+    def test_peak_memory_flat_in_expansion(self):
+        d = maxleak_pair(n=20_000, seed=0)
+        specs = grr_specs(d, 1.0)
+
+        def peak(r):
+            cfg = EstimationConfig(expansion=r, surrogates=5, seed=1)
+            tracemalloc.start()
+            try:
+                estimate_cpl(d, specs, 0, [1], cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50) <= 1.5 * peak(5)
