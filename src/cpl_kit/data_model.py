@@ -8,9 +8,11 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -241,59 +243,101 @@ def load_csv(path, schema_hints: dict | None = None) -> Dataset:
     Categorical alphabets use first-appearance order. ``schema_hints`` maps a
     column name either to an int (treat as numeric, equal-width bin into that
     many bins) or to a list of labels (declared alphabet and ordering).
+
+    Each distinct row is parsed and coded once and repeats are not kept, so
+    time and memory scale with the number of distinct rows, plus one int64
+    per record. A file that is not UTF-8 text, that ``csv`` cannot parse,
+    whose rows differ in width or whose header repeats a name raises
+    ``InputError`` naming the file, and the line where a row is at fault.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
     hints = dict(schema_hints or {})
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, header row required") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InputError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append(row)
+    header, rows, ordinal = _read_distinct_rows(path)
+    if header is None:
+        raise InputError(f"{path}: empty file, header row required")
+    if set(map(len, rows)) - {len(header)}:
+        i, row = next((i, row) for i, row in enumerate(rows) if len(row) != len(header))
+        lineno = int(np.argmax(ordinal == i)) + 2
+        raise InputError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
     if not rows:
         raise InputError(f"{path}: no data rows")
+    if not header:
+        raise InputError(f"{path}: header row has no fields")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise InputError(f"{path}: header repeats column names {repeated}")
     unknown = set(hints) - set(header)
     if unknown:
         raise InputError(f"schema hints for unknown columns: {sorted(unknown)}")
 
-    columns: list[np.ndarray] = []
+    codes = np.empty((len(rows), len(header)), dtype=np.int64)
     schema: list[tuple[str, Alphabet]] = []
     for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
+        cells = list(map(itemgetter(j), rows))
         hint = hints.get(name)
         if isinstance(hint, int):
             try:
-                numeric = [float(c) for c in cells]
+                numeric = np.fromiter(map(float, cells), np.float64, len(cells))
             except ValueError as exc:
                 raise InputError(f"column {name!r} declared numeric: {exc}") from None
-            idx, alphabet = bin_numeric(numeric, hint)
+            # Binning edges depend only on min and max, which the distinct
+            # rows share with the records.
+            codes[:, j], alphabet = bin_numeric(numeric, hint)
         else:
             # Without a declared alphabet, symbols take first-appearance order.
             alphabet = Alphabet(tuple(dict.fromkeys(cells) if hint is None else hint))
-            idx = alphabet.indices(cells)
-        columns.append(idx)
+            codes[:, j] = alphabet.indices(cells)
         schema.append((name, alphabet))
-    return Dataset(tuple(schema), np.column_stack(columns))
+    return Dataset(tuple(schema), codes[ordinal])
+
+
+def _read_distinct_rows(path: Path) -> tuple[list[str] | None, list[tuple[str, ...]], np.ndarray]:
+    """Header, distinct rows in order of first appearance, and each record's
+    index into those rows.
+
+    Taken in this order the distinct rows meet every symbol and every bad
+    cell in record order. The row -> index dict is dropped on return, so it
+    and its int values never coexist with the coded columns.
+    """
+    first: dict[tuple[str, ...], int] = {}  # distinct row -> index of its first record
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            record_first = np.fromiter(
+                map(first.setdefault, map(tuple, reader), itertools.count()), np.int64)
+        except csv.Error as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # The decoder reads ahead of the parser, so locate the bad bytes
+            # in the raw file rather than trusting `reader.line_num`.
+            raise InputError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: "
+                             f"{exc.reason}") from None
+    firsts = np.fromiter(first.values(), np.int64, len(first))
+    return header, list(first), np.searchsorted(firsts, record_first)
+
+
+def _undecodable_line(path: Path) -> int:
+    """1-based line of the first bytes in ``path`` that are not UTF-8."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return raw.count(b"\n", 0, exc.start) + 1
+    return raw.count(b"\n") + 1
 
 
 def write_csv(d: Dataset, path) -> None:
     """Write a Dataset back to CSV with symbol labels."""
     path = Path(path)
+    columns = [np.array(alphabet.symbols, dtype=object)[d.column(j)].tolist()
+               for j, (_, alphabet) in enumerate(d.schema)]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(d.attribute_names)
-        symbol_tables = [alphabet.symbols for _, alphabet in d.schema]
-        for row in d.records:
-            writer.writerow([symbol_tables[j][v] for j, v in enumerate(row)])
+        writer.writerows(zip(*columns))
 
 
 def expand_dataset(d: Dataset, r: int) -> Dataset:

@@ -375,16 +375,17 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
     members = np.zeros((n, k), dtype=bool)
     if omega == 1:
         # The one other member is the lowest key, unless the true value is
-        # included: the first rank of the argsort below, without the sort.
+        # included: the first rank of a sort, without the sort.
         # Two keys tie with probability 2^-53; argmin then takes the first.
         members[rows, np.argmin(keys, axis=1)] = ~include
     else:
-        order = np.argsort(keys, axis=1)
-        # Members are the `need` lowest-ranked symbols; need <= omega, so only
-        # the first omega ranks can be members.
-        need = np.where(include, omega - 1, omega)
-        for rank in range(omega):
-            members[rows, order[:, rank]] = rank < need
+        # Members are the omega - 1 lowest keys, plus the omega-th lowest when
+        # the true value is left out. A partition at omega - 1 puts the
+        # omega - 1 lowest first, in some order, and the omega-th lowest next,
+        # the same member set a full row sort gives.
+        order = np.argpartition(keys, omega - 1, axis=1)
+        members[rows[:, None], order[:, :omega - 1]] = True
+        members[rows, order[:, omega - 1]] = ~include
     members[rows, values] = include
     return PerturbedColumn(spec, members)
 

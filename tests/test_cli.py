@@ -278,6 +278,19 @@ class TestErrors:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "InputError"
 
+    @pytest.mark.parametrize("content, message", [
+        (b"a,b\nx,y\n\xff\xfe,z\n", ":3: not UTF-8 text"),
+        (b"a,b\nx,y\n" + b"x" * 131_073 + b",z\n", ":3: field larger than field limit"),
+        (b"a,a\nx,y\n", "header repeats column names"),
+    ])
+    def test_unreadable_csv_exits_two(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        code, out, err = run(capsys, ["analyze", "matrix", "--data", str(path), "--epsilon", "1"])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and message in error["message"]
+
     def test_missing_file_exits_two_with_json(self, capsys):
         code, out, err = run(capsys, ["analyze", "matrix", "--data", "/nope.csv",
                                       "--epsilon", "1"])

@@ -1,3 +1,8 @@
+import csv
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,12 +17,74 @@ from cpl_kit import (
     load_csv,
     write_csv,
 )
-from cpl_kit.fixtures import MAXLEAK_JOINT, independent_pair, sample_pair_from_joint
+from cpl_kit.fixtures import (
+    FIXTURES,
+    MAXLEAK_JOINT,
+    generate_fixtures,
+    independent_pair,
+    sample_pair_from_joint,
+)
 from cpl_kit.rng import derive_rng
 
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def ref_load_csv(path, schema_hints=None):
+    """Row-list loader: every row held as a list of strings, then each column
+    coded in record order. The reference `load_csv` must match."""
+    path = Path(path)
+    hints = dict(schema_hints or {})
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file, header row required") from None
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise InputError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            rows.append(row)
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    unknown = set(hints) - set(header)
+    if unknown:
+        raise InputError(f"schema hints for unknown columns: {sorted(unknown)}")
+    columns, schema = [], []
+    for j, name in enumerate(header):
+        cells = [row[j] for row in rows]
+        hint = hints.get(name)
+        if isinstance(hint, int):
+            try:
+                numeric = [float(c) for c in cells]
+            except ValueError as exc:
+                raise InputError(f"column {name!r} declared numeric: {exc}") from None
+            idx, alphabet = bin_numeric(numeric, hint)
+        else:
+            alphabet = Alphabet(tuple(dict.fromkeys(cells) if hint is None else hint))
+            idx = alphabet.indices(cells)
+        columns.append(idx)
+        schema.append((name, alphabet))
+    return Dataset(tuple(schema), np.column_stack(columns))
+
+
+def load_outcome(loader, path, hints=None):
+    try:
+        d = loader(path, hints)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return d.schema, d.records.dtype, d.records.tolist()
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fx")
+    generate_fixtures(out, seed=1, samples={name: 4000 for name in FIXTURES})
+    return out
 
 
 class TestLoadCsv:
@@ -89,6 +156,102 @@ class TestLoadCsv:
         d2 = load_csv(back)
         assert d2.schema == d.schema
         assert (d2.records == d.records).all()
+
+
+class TestLoadCsvMatchesRowListLoader:
+    """Schema, records and error text equal the row-list reference loader."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixture(self, fixture_dir, name):
+        path = fixture_dir / f"{name}.csv"
+        assert load_outcome(load_csv, path) == load_outcome(ref_load_csv, path)
+
+    @pytest.mark.parametrize("text, hints", [
+        pytest.param("u,v\n" + "a,x\n" * 5 + "b\na,x\nc,y,z\n", None, id="ragged-after-repeats"),
+        pytest.param("u,v\n" + "1,x\n2,y\n" * 4 + "q,x\n2,y\nr,y\n", {"u": 3},
+                     id="bad-numeric-cell-late"),
+        pytest.param("u,v\n" + "1,x\n3,y\n" * 4, {"u": 3}, id="numeric-repeats"),
+        pytest.param("u,v\nb,x\na,x\nb,x\nzz,y\nqq,y\n", {"u": ["a", "b"]},
+                     id="unknown-declared-symbol"),
+        pytest.param("u,v\nb,x\na,x\n", {"u": ["a", "b", "c"], "v": ["x"]},
+                     id="declared-alphabets"),
+        pytest.param("u,v\na,x\n", {"w": 2}, id="hint-for-unknown-column"),
+        pytest.param('u,v\n"a,1","l1\nl2"\nÄé,"q""t"\n"a,1","l1\nl2"\nÄé,z\nb,"l1\nl2"\n', None,
+                     id="quotes-newlines-unicode"),
+        pytest.param("u,v\n" + "".join(f"{i},{i % 3}\n" for i in range(300)), None,
+                     id="all-distinct"),
+        pytest.param("u,v\n" + "".join(f"{i / 7},{i % 3}\n" for i in range(300)), {"u": 4},
+                     id="all-distinct-numeric"),
+        pytest.param("u,v\n", None, id="header-only"),
+        pytest.param("", None, id="empty"),
+        pytest.param("u,v\r\na,x\r\nb,y\r\na,x\r\n", None, id="crlf"),
+    ])
+    def test_edge_file(self, tmp_path, text, hints):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert load_outcome(load_csv, path, hints) == load_outcome(ref_load_csv, path, hints)
+
+    def test_peak_memory_bounded_by_records(self, tmp_path):
+        path = tmp_path / "d.csv"
+        rng = derive_rng(31, 0)
+        distinct = [f"s{a},t{b}\n" for a in range(4) for b in range(4)]
+        path.write_text("u,v\n" + "".join(np.array(distinct)[rng.integers(0, 16, 200_000)]),
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            d = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.n_records == 200_000
+        assert peak <= 6 * d.records.nbytes
+
+
+class TestUnreadableCsv:
+    def test_invalid_utf8_named_with_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\nx,y\n\xff\xfe,z\n")
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: not UTF-8 text: invalid start byte$"):
+            load_csv(path)
+
+    def test_invalid_utf8_past_the_first_read_block(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n" + b"x,y\n" * 5000 + b"x,\xc3\n")
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:5002: not UTF-8 text"):
+            load_csv(path)
+
+    def test_oversized_field_named_with_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_lines(path, ["a,b", "x,y", "x" * 131_073 + ",z"])
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: field larger than field limit"):
+            load_csv(path)
+
+    def test_repeated_header_name_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_lines(path, ["a,b,a", "x,y,z"])
+        with pytest.raises(InputError, match=r"header repeats column names \['a'\]$"):
+            load_csv(path)
+
+    def test_header_without_fields_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\n\n", encoding="utf-8")
+        with pytest.raises(InputError, match="header row has no fields"):
+            load_csv(path)
+
+
+class TestWriteCsv:
+    def test_bytes_match_row_by_row_writer(self, tmp_path):
+        labels = Alphabet(("a,b", 'q"t', "l1\nl2", "Äé", " "))
+        d = Dataset((("u", labels), ("v", labels), ("w", Alphabet(("s0", "s1")))),
+                    np.column_stack([np.arange(500) % 5, np.arange(500) // 100,
+                                     np.arange(500) % 2]))
+        write_csv(d, tmp_path / "by_column.csv")
+        with (tmp_path / "by_row.csv").open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(d.attribute_names)
+            for row in d.records:
+                writer.writerow([d.alphabet(j).symbols[v] for j, v in enumerate(row)])
+        assert (tmp_path / "by_column.csv").read_bytes() == (tmp_path / "by_row.csv").read_bytes()
 
 
 class TestBinNumeric:
