@@ -8,7 +8,10 @@ risky), R2 (pure overestimation, wasteful), R3 (mixed).
 
 Utility benchmark: each mechanism/budget cell reports frequency-estimation
 NMSE, normalized 0-1 error between decoded outputs and inputs, and total
-pairwise leakage normalized by the budget-only bound.
+pairwise leakage normalized by the budget-only bound. The leakage is exact
+for every mechanism: each neighbor is released through its decoded channel
+(``transition_matrix``), so it depends on the data and the budget alone,
+not on the seed or the expansion factor.
 """
 from __future__ import annotations
 
@@ -18,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpl_bound import BudgetParams, cpl_bound
-from .cpl_exact import cpl_exact
+from .cpl_exact import EXACT_ENGINES, cpl_exact
 from .correlation_metrics import metrics
 from .data_model import ConditionalDistribution, Dataset, conditional_from_joint, empirical_joint
 from .errors import DimensionMismatchError, InputError
 from .mechanisms import MechanismSpec, debias_counts, support_counts, transition_matrix
-from .statistical import EstimationConfig, _decoded_blocks, count_table, sup_ratio_leakage
+from .statistical import EstimationConfig, _decoded_blocks
 
 _TOL = 1e-9
 
@@ -140,19 +143,20 @@ def pairwise_abs_pcc(d: Dataset) -> np.ndarray:
 
 
 def reference_leakages(d: Dataset, epsilon: float, method: str = "bound") -> list[float]:
-    """Per-pair reference leakage: the budget-only bound, or the exact value
-    for a transition-matrix mechanism (``exact-grr`` / ``exact-exp``)."""
+    """Per-pair reference leakage: the budget-only bound (``bound``), or the
+    exact value through the decoded channel of a mechanism (``exact-<kind>``
+    for any kind, see ``EXACT_ENGINES``)."""
+    if method != "bound" and method not in EXACT_ENGINES:
+        raise InputError(f"unknown reference method {method!r}")
     conds = pairwise_conditionals(d)
     values = []
     for i, j in ordered_pairs(d.n_attributes):
         cond = conds[(i, j)]
         if method == "bound":
             values.append(cpl_bound(cond, BudgetParams(epsilon, 0.0)).leakage)
-        elif method in ("exact-grr", "exact-exp"):
-            spec = MechanismSpec(method.split("-")[1], epsilon, cond.n_cols)
-            values.append(cpl_exact(cond, transition_matrix(spec)).leakage)
         else:
-            raise InputError(f"unknown reference method {method!r}")
+            spec = MechanismSpec(EXACT_ENGINES[method], epsilon, cond.n_cols)
+            values.append(cpl_exact(cond, transition_matrix(spec)).leakage)
     return values
 
 
@@ -198,8 +202,8 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
     utility errors alongside normalized total pairwise leakage.
 
     The expanded dataset is walked in blocks; per attribute, the support
-    counts and the decoding mismatches add up across blocks, and so do the
-    per-pair count tables of the statistically estimated kinds."""
+    counts and the decoding mismatches add up across blocks. The leakage of
+    each pair is exact, through the neighbor's decoded channel."""
     n_attr = d.n_attributes
     sizes = [d.alphabet(j).size for j in range(n_attr)]
     n_rows = d.n_records * cfg.expansion
@@ -212,18 +216,13 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
     rows: list[UtilityRow] = []
     for cell, (kind, eps) in enumerate((k, e) for k in kinds for e in epsilons):
         specs = [MechanismSpec(kind, eps, size) for size in sizes]
-        exact = kind in ("grr", "exp")
         counts = [0] * n_attr
         mismatches = 0
-        tables = dict.fromkeys(pairs, 0)
         for block, reports in _decoded_blocks(d, specs, range(n_attr), cfg.expansion,
                                               cfg.seed, key=(cell,)):
             for j, (col, symbols) in enumerate(reports):
                 counts[j] += support_counts(specs[j], col)
                 mismatches += int(np.count_nonzero(symbols != block[:, j]))
-            if not exact:
-                for i, j in pairs:
-                    tables[(i, j)] += count_table(block[:, i], reports[j][1], sizes[i], sizes[j])
         freq_err = 0.0
         for j, spec in enumerate(specs):
             est = debias_counts(spec, counts[j], n_rows)
@@ -231,13 +230,9 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
         freq_nmse = freq_err / freq_denom
         zero_one = mismatches / (n_rows * n_attr)
 
+        channels = [transition_matrix(spec) for spec in specs]
         tcpl_star = sum(cpl_bound(conds[p], BudgetParams(eps, 0.0)).leakage for p in pairs)
-        tcpl_prime = 0.0
-        for i, j in pairs:
-            if exact:
-                tcpl_prime += cpl_exact(conds[(i, j)], transition_matrix(specs[j])).leakage
-            else:
-                tcpl_prime += sup_ratio_leakage(tables[(i, j)])[0]
+        tcpl_prime = sum(cpl_exact(conds[(i, j)], channels[j]).leakage for i, j in pairs)
         norm_tcpl = tcpl_prime / tcpl_star if tcpl_star > 0 else 0.0
         rows.append(UtilityRow(kind, eps, UtilityReport(freq_nmse, zero_one, norm_tcpl)))
     return rows

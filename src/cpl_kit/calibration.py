@@ -6,9 +6,11 @@ the correlation leakage caused by every neighbor at that same budget) stays
 within the ceiling. Naive equal splitting uses ceiling/n; weak correlations
 leave most of that slack unused, and stepping the shared budget upward while
 the constraint holds recovers it. Worst-attribute leakage is monotone in the
-shared budget, so the first infeasible step is final. The budget-independent
-part of every leakage computation is built once per calibration and shared
-by all probes.
+shared budget, so the first infeasible step is final. The leakage engine is
+the budget-only bound, safe for any pure mechanism, or ``exact-<kind>``: the
+exact leakage through the decoded channel of any mechanism kind. The
+budget-independent part of every leakage computation is built once per
+calibration and shared by all probes.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 # Calibration evaluates the bound through ``_BoundTable``; ``cpl_bound`` stays
 # importable from here because perfbench's tracer tests rebind it in this module.
 from .cpl_bound import BudgetParams, _BoundTable, cpl_bound  # noqa: F401
-from .cpl_exact import _output_ratios
+from .cpl_exact import EXACT_ENGINES, _output_ratios
 from .data_model import ConditionalDistribution, JointDistribution, conditional_from_joint
 from .errors import InfeasibleBudgetError, InputError, InsufficientDataError
 from .mechanisms import MechanismSpec, transition_matrix
@@ -69,15 +71,16 @@ def _leakage_table(conds: list[ConditionalDistribution], engine: str):
     """Leakage of every conditional as a function of the shared budget.
 
     Everything that does not depend on the budget is computed here, once:
-    the bound's greedy orders and prefix masses, or for ``exact-grr`` the
+    the bound's greedy orders and prefix masses, or for ``exact-<kind>`` the
     usable rows stacked by (row count, domain size), so that a probe builds
     one transition matrix per domain size and does one matmul per stack.
     """
     if engine == "bound":
         table = _BoundTable.build(conds)
         return lambda eps: table.leakages(BudgetParams(eps, 0.0))
-    if engine != "exact-grr":
+    if engine not in EXACT_ENGINES:
         raise InputError(f"unknown leakage engine {engine!r}")
+    kind = EXACT_ENGINES[engine]
     groups: dict[tuple[int, int], list[int]] = {}
     for c, cond in enumerate(conds):
         rows = cond.valid_rows()
@@ -92,7 +95,7 @@ def _leakage_table(conds: list[ConditionalDistribution], engine: str):
         trans: dict[int, np.ndarray] = {}
         for k, members, stack in stacks:
             if k not in trans:
-                trans[k] = transition_matrix(MechanismSpec("grr", eps, k)).matrix
+                trans[k] = transition_matrix(MechanismSpec(kind, eps, k)).matrix
             best = _output_ratios(stack @ trans[k])[0].max(axis=1)
             for c, ratio in zip(members, best.tolist()):
                 out[c] = math.log(ratio)
@@ -137,7 +140,7 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
 
     ``joints`` maps ordered attribute pairs (i, j) to the pairwise
     distribution of (attribute i, attribute j); the leakage engine is the
-    budget-only bound (safe for any pure mechanism) or ``exact-grr``.
+    budget-only bound (safe for any pure mechanism) or ``exact-<kind>``.
     The equal split is feasible by construction (each neighbor leaks at most
     the shared budget); a numerical violation of that is an error.
     """

@@ -31,10 +31,10 @@ from .calibration import calibrate
 from .composition import CplMatrix, tcpl
 from .correlation_metrics import metrics
 from .cpl_bound import BudgetParams, cpl_bound
-from .cpl_exact import cpl_exact
+from .cpl_exact import EXACT_ENGINES, cpl_exact
 from .data_model import empirical_joint, load_conditional_json, load_csv
-from .errors import CplKitError, InfeasibleBudgetError
-from .fixtures import generate_fixtures
+from .errors import CplKitError, InfeasibleBudgetError, InputError
+from .fixtures import FIXTURES, generate_fixtures
 from .mechanisms import KINDS, MechanismSpec, transition_matrix
 from .statistical import EstimationConfig, estimate_cpl
 
@@ -46,12 +46,24 @@ def _default_seed() -> int:
     return int(env) if env else 0
 
 
+def _number_list(text: str, parse, what: str) -> list:
+    """Comma-separated numbers; blank entries are skipped, and a bad entry or
+    an empty list is an ``InputError``."""
+    try:
+        values = [parse(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise InputError(f"{what} must be comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise InputError(f"{what} must list at least one number")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+    return _number_list(text, int, "integer list")
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
+    return _number_list(text, float, "number list")
 
 
 def _jsonable(x):
@@ -241,12 +253,25 @@ def _cmd_calibrate(args) -> dict:
     }
 
 
-def _cmd_fixtures_generate(args) -> dict:
+def _samples(text: str) -> dict[str, int]:
+    """``name=count`` overrides, comma-separated, of fixture sample counts."""
     samples = {}
-    if args.samples:
-        for part in args.samples.split(","):
-            name, _, count = part.partition("=")
+    for part in text.split(","):
+        name, _, count = part.partition("=")
+        if name not in FIXTURES:
+            raise InputError(f"unknown fixture {name!r} in --samples, expected one of "
+                             f"{sorted(FIXTURES)}")
+        try:
             samples[name] = int(count)
+        except ValueError:
+            raise InputError(f"--samples {name} needs an integer count, got {count!r}") from None
+        if samples[name] < 1:
+            raise InputError(f"--samples {name} count must be at least 1, got {samples[name]}")
+    return samples
+
+
+def _cmd_fixtures_generate(args) -> dict:
+    samples = _samples(args.samples) if args.samples else {}
     return generate_fixtures(args.out_dir, seed=args.seed, samples=samples)
 
 
@@ -271,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--mechanism", choices=("grr", "exp"), default=None,
-                   help="use exact transition-matrix leakage instead of the bound")
+    p.add_argument("--mechanism", choices=KINDS, default=None,
+                   help="use exact leakage through the mechanism's decoded channel "
+                        "instead of the bound")
     p.add_argument("--bits", action="store_true")
     p.add_argument("--out")
     _add_seed(p)
@@ -280,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = asub.add_parser("exact", help="exact leakage for one conditional table")
     p.add_argument("--cond", required=True, help="conditional table JSON")
-    p.add_argument("--mechanism", choices=("grr", "exp"), required=True)
+    p.add_argument("--mechanism", choices=KINDS, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--bits", action="store_true")
@@ -318,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--epsilons", default="1")
     p.add_argument("--thresholds", default="0.2,0.4")
-    p.add_argument("--reference", default="bound",
-                   choices=("bound", "exact-grr", "exact-exp"))
+    p.add_argument("--reference", default="bound", choices=("bound", *EXACT_ENGINES))
     p.add_argument("--out")
     _add_seed(p)
     p.set_defaults(func=_cmd_benchmark_analyzers)
@@ -337,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--engine", default="bound", choices=("bound", "exact-grr"))
+    p.add_argument("--engine", default="bound", choices=("bound", *EXACT_ENGINES))
     p.add_argument("--out")
     _add_seed(p)
     p.set_defaults(func=_cmd_calibrate)

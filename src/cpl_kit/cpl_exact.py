@@ -21,7 +21,11 @@ import numpy as np
 
 from .data_model import ConditionalDistribution
 from .errors import DimensionMismatchError, InsufficientDataError
-from .mechanisms import TransitionMatrix
+from .mechanisms import KINDS, TransitionMatrix
+
+#: Exact leakage engine names, ``exact-<kind>``, and the mechanism kind each
+#: releases the neighbor through; the one other engine is ``bound``.
+EXACT_ENGINES = {f"exact-{kind}": kind for kind in KINDS}
 
 
 @dataclass(frozen=True)

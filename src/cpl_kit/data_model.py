@@ -59,9 +59,21 @@ class Alphabet:
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
+    """A read-only array with the contents of ``a``. An array that is already
+    read-only and owns its data is taken as is; a writable array or a view
+    is copied, so no caller's array can change the result."""
+    if not a.flags.writeable and a.base is None:
+        return a
     out = np.array(a, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _lock(a: np.ndarray) -> np.ndarray:
+    """Make a freshly built array read-only in place, so that ``_locked``
+    takes it without a copy."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -290,7 +302,7 @@ def load_csv(path, schema_hints: dict | None = None) -> Dataset:
             alphabet = Alphabet(tuple(dict.fromkeys(cells) if hint is None else hint))
             codes[:, j] = alphabet.indices(cells)
         schema.append((name, alphabet))
-    return Dataset(tuple(schema), codes[ordinal])
+    return Dataset(tuple(schema), _lock(codes[ordinal]))
 
 
 def _read_distinct_rows(path: Path) -> tuple[list[str] | None, list[tuple[str, ...]], np.ndarray]:
@@ -350,7 +362,7 @@ def expand_dataset(d: Dataset, r: int) -> Dataset:
         raise InputError(f"expansion factor must be >= 1, got {r}")
     if r == 1:
         return d
-    return Dataset(d.schema, np.repeat(d.records, r, axis=0))
+    return Dataset(d.schema, _lock(np.repeat(d.records, r, axis=0)))
 
 
 def empirical_joint(d: Dataset, i: int, j: int) -> JointDistribution:
@@ -390,5 +402,7 @@ def load_conditional_json(path) -> ConditionalDistribution:
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
         return ConditionalDistribution.from_json(obj)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    # ValueError covers a ragged matrix and bytes that are not UTF-8
+    # (JSONDecodeError and UnicodeDecodeError are both ValueErrors).
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: not a valid conditional table: {exc}") from None

@@ -12,10 +12,19 @@ response), keeping each bit with probability e^(eps/2) / (1 + e^(eps/2)).
 Mechanisms work on whole columns: ``perturb_column`` perturbs a column of
 symbol indices, ``decode_column`` maps the reports back into the input
 alphabet (an inference attack), and ``estimate_frequencies`` gives an
-unbiased frequency estimate. ``grr`` and ``exp`` additionally expose their
-full transition matrix; the others have exponential-size or continuous
-output alphabets, so leakage analysis for them goes through the
-budget-only bound or the statistical estimator.
+unbiased frequency estimate.
+
+Every mechanism with its decoder is a symmetric k-ary channel: it keeps the
+true symbol with probability a = ``keep_probability()`` and otherwise
+reports one of the other k - 1 symbols uniformly, which is grr at budget
+ln(a (k - 1) / (1 - a)) (Kairouz, Oh and Viswanath, NeurIPS 2014).
+``transition_matrix`` returns that channel for every kind, so exact leakage
+analysis covers all eight. a has a closed form per kind, with (p, q) the
+support rates below: a = p / omega for ss; for the unary and hash kinds
+a = p E[1/(1+B)] + (1-p) (1-q)^(k-1) / k with B ~ Bin(k-1, q), taking an
+ideal hash (q = 1/g); for she, decoded without a prior, a sums the ties of
+the clipped Laplace scores at 0 and 1 and a 1-d integral over the scores in
+between, evaluated by Gauss-Legendre quadrature.
 
 Every report except ``she`` is a symbol or *supports* a set of input
 symbols (the set bits for rappor/oue/ss, the hash preimage for blh/olh).
@@ -32,6 +41,7 @@ determinism; everything here is pure given the stream.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -103,17 +113,10 @@ class MechanismSpec:
         return max(1, int(math.floor(self.k / (math.exp(self.epsilon) + 1))))
 
     def keep_probability(self) -> float:
-        """Probability that grr/exp report the true symbol."""
-        w = self._diag_weight()
+        """Diagonal a of the decoded channel: the probability that a report,
+        decoded without a prior, is the true symbol."""
+        w = _channel_weight(self)
         return w / (w + self.k - 1)
-
-    def _diag_weight(self) -> float:
-        if self.kind == "grr":
-            return math.exp(self.epsilon)
-        if self.kind == "exp":
-            # 0/1 utility, sensitivity 1: score exp(eps * u / 2).
-            return math.exp(self.epsilon / 2.0)
-        raise UnsupportedMechanismError(f"{self.kind} has no symbol-keep probability")
 
     def params(self) -> dict:
         p: dict = {}
@@ -168,21 +171,87 @@ class TransitionMatrix:
 
 
 def transition_matrix(spec: MechanismSpec, labels: tuple[str, ...] | None = None) -> TransitionMatrix:
-    """Closed-form transition matrix; only tractable for grr and exp."""
-    if spec.kind not in ("grr", "exp"):
-        raise UnsupportedMechanismError(
-            f"{spec.kind} has no tractable transition matrix; use the (epsilon, delta) "
-            "bound or the statistical estimator instead"
-        )
+    """The decoded channel P(decoded symbol | true symbol) of ``spec``."""
     if labels is None:
         labels = tuple(str(i) for i in range(spec.k))
     if len(labels) != spec.k:
         raise DimensionMismatchError("label count does not match domain size")
-    w = spec._diag_weight()
+    w = _channel_weight(spec)
     denom = w + spec.k - 1
     mat = np.full((spec.k, spec.k), 1.0 / denom)
     np.fill_diagonal(mat, w / denom)
     return TransitionMatrix(labels, labels, mat, spec.epsilon)
+
+
+def _channel_weight(spec: MechanismSpec) -> float:
+    """Ratio w of the decoded channel's diagonal entry to each entry off it."""
+    kind, k = spec.kind, spec.k
+    e_eps = math.exp(spec.epsilon)
+    if kind == "grr":
+        return e_eps
+    if kind == "exp":
+        # 0/1 utility, sensitivity 1: score exp(eps * u / 2).
+        return math.exp(spec.epsilon / 2.0)
+    a = _decoded_keep(spec)
+    # Decoding post-processes an eps-LDP report, so w <= e^eps: the clamp
+    # loses nothing, and keeps rounding near a = 1 within the budget. With
+    # k = 1 there is no off-diagonal entry, and any w gives [[1.0]].
+    if k == 1 or a >= 1.0:
+        return e_eps
+    return min(e_eps, a * (k - 1) / (1.0 - a))
+
+
+def _decoded_keep(spec: MechanismSpec) -> float:
+    """Closed-form probability a that decoding returns the true symbol."""
+    if spec.kind == "she":
+        return _she_keep(spec.epsilon, spec.k)
+    p, q = _support_rates(spec)
+    if spec.kind == "ss":
+        return p / spec.subset_size
+    # rappor/oue/blh/olh: the support set holds the true symbol w.p. p and
+    # each other symbol w.p. q, independently; the draw is uniform over the
+    # set, or over all k symbols when it is empty.
+    return p * _mean_share(q, spec.k) + (1.0 - p) * (1.0 - q) ** (spec.k - 1) / spec.k
+
+
+def _mean_share(q: float, k: int) -> float:
+    """E[1/(1+B)] for B ~ Bin(k-1, q), q > 0: (1 - (1-q)^k) / (k q),
+    accurate as q -> 0."""
+    return -math.expm1(k * math.log1p(-q)) / (k * q)
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    Newton's method on the Legendre recurrence, from the classic estimate
+    cos(pi (i + 3/4) / (n + 1/2)) of the roots. Unlike an eigenvalue method it
+    leaves LAPACK, which costs about 2 MiB of RSS to set up, unloaded."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(5):  # for n = 64: nodes at rounding level after 3 steps, weights after 4
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        slope = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+def _she_keep(epsilon: float, k: int) -> float:
+    """a for she decoded without a prior. The true symbol scores
+    X = clip(1 + L, 0, 1) and each other symbol Y = clip(L', 0, 1), with L, L'
+    Laplace of scale b = 2/eps. X = 1 w.p. 1/2 and ties the M ~ Bin(k-1, s)
+    others at 1, s = e^(-1/b)/2; X = 0 w.p. s and wins only in the all-zero
+    tie; for X = z in (0, 1) it wins when every Y < z, w.p. (1 - e^(-z/b)/2)
+    each."""
+    if epsilon <= 0:
+        raise InputError("she requires epsilon > 0")
+    b = 2.0 / epsilon
+    s = 0.5 * math.exp(-1.0 / b)
+    nodes, weights = _gauss_legendre(64)
+    z = (nodes + 1.0) / 2.0
+    density = np.exp(-(1.0 - z) / b) / (2.0 * b)
+    inner = 0.5 * float(weights @ (density * (1.0 - 0.5 * np.exp(-z / b)) ** (k - 1)))
+    return 0.5 * _mean_share(s, k) + s * 0.5 ** (k - 1) / k + inner
 
 
 @dataclass(frozen=True)

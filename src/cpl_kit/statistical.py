@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset
+from .data_model import Dataset, _lock
 from .errors import InputError, InsufficientDataError
 from .mechanisms import MechanismSpec, decode_column, perturb_column
 from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, derive_rng
@@ -119,7 +119,7 @@ def perturb_dataset(d: Dataset, specs: list[MechanismSpec], cfg: EstimationConfi
         for j, (_, symbols) in enumerate(reports):
             decoded[row:row + len(block), j] = symbols
         row += len(block)
-    return Dataset(d.schema, decoded)
+    return Dataset(d.schema, _lock(decoded))
 
 
 def _check_indices(n_attributes: int, indices) -> None:

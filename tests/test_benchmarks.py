@@ -6,8 +6,11 @@ from cpl_kit import (
     DimensionMismatchError,
     EstimationConfig,
     InputError,
+    MechanismSpec,
     cpl_bound,
+    cpl_exact,
     nmse_cpl,
+    transition_matrix,
     undershoot_overshoot,
 )
 from cpl_kit.benchmarks import (
@@ -16,6 +19,7 @@ from cpl_kit.benchmarks import (
     baseline_spl_anl,
     ordered_pairs,
     pairwise_abs_pcc,
+    pairwise_conditionals,
     reference_leakages,
     utility_benchmark,
 )
@@ -26,6 +30,7 @@ from cpl_kit.fixtures import (
     noisy_copy,
     sample_pair_from_joint,
 )
+from cpl_kit.mechanisms import KINDS
 from cpl_kit.rng import derive_rng
 
 
@@ -105,6 +110,22 @@ class TestAnalyzerBenchmark:
         assert points["grr-anl"].distance < 0.05
         assert points["exp-anl"].region == "R1"
 
+    def test_exact_reference_for_every_mechanism(self):
+        d = mixed_five(n=5_000, seed=1)
+        conds = pairwise_conditionals(d)
+        for kind in KINDS:
+            ref = reference_leakages(d, 1.0, f"exact-{kind}")
+            bound = reference_leakages(d, 1.0, "bound")
+            assert all(0.0 <= r <= b + 1e-9 for r, b in zip(ref, bound))
+            i, j = ordered_pairs(d.n_attributes)[0]
+            spec = MechanismSpec(kind, 1.0, d.alphabet(j).size)
+            assert ref[0] == cpl_exact(conds[(i, j)], transition_matrix(spec)).leakage
+
+    @pytest.mark.parametrize("method", ["exact-nope", "exact", "grr"])
+    def test_unknown_reference_rejected(self, method):
+        with pytest.raises(InputError, match="reference method"):
+            reference_leakages(independent_pair(n=1_000, seed=2, k=2), 1.0, method)
+
     def test_exact_reference_puts_grr_at_origin(self):
         d = mixed_five(n=20_000, seed=1)
         points = analyzer_benchmark(d, 1.0, reference="exact-grr")
@@ -154,10 +175,27 @@ class TestUtilityBenchmark:
     def test_norm_tcpl_bounded_for_every_mechanism(self):
         d = noisy_copy(n=30_000, seed=0, k=4, flip=0.2)
         cfg = EstimationConfig(expansion=4, surrogates=1, seed=5)
-        rows = utility_benchmark(
-            d, ["grr", "exp", "rappor", "oue", "blh", "olh", "she", "ss"], [1.0], cfg)
+        rows = utility_benchmark(d, list(KINDS), [1.0, 3.0], cfg)
         for row in rows:
-            assert row.report.norm_tcpl <= 1.05
+            assert 0.0 < row.report.norm_tcpl <= 1.0 + 1e-9
+
+    def test_norm_tcpl_is_exact_total_over_bound_total(self):
+        d = mixed_five(n=5_000, seed=4)
+        conds = pairwise_conditionals(d)
+        cfg = EstimationConfig(expansion=1, surrogates=1, seed=5)
+        for row in utility_benchmark(d, list(KINDS), [1.0], cfg):
+            exact = sum(cpl_exact(conds[(i, j)], transition_matrix(
+                MechanismSpec(row.mechanism, 1.0, d.alphabet(j).size))).leakage
+                for i, j in ordered_pairs(d.n_attributes))
+            star = sum(cpl_bound(c, BudgetParams(1.0, 0.0)).leakage for c in conds.values())
+            assert row.report.norm_tcpl == exact / star
+
+    def test_norm_tcpl_independent_of_seed_and_expansion(self):
+        d = noisy_copy(n=5_000, seed=3, k=4)
+        runs = [{r.mechanism: r.report.norm_tcpl for r in utility_benchmark(
+                    d, list(KINDS), [1.0], EstimationConfig(expansion=r, surrogates=1, seed=seed))}
+                for r, seed in ((1, 9), (3, 9), (1, 10))]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_grr_and_ss_near_bound_hash_vector_below(self):
         d = noisy_copy(n=30_000, seed=0, k=4, flip=0.2)
@@ -171,9 +209,8 @@ class TestUtilityBenchmark:
         # = 0.6225 and q = 1 - p. Decoded, it keeps the true symbol w.p.
         # a = p E[1/(1+B)] + (1-p)(1-q)^3/4 = 0.3731, B ~ Bin(3, q): a grr
         # channel at eps_eff = ln(3a/(1-a)) = 0.580. Its exact tcpl' on this
-        # data is 0.953 against tcpl* 1.649, so norm_tcpl = 0.578; the
-        # statistical sup over sampled cells reads a few SE above that.
-        assert 0.5 < rows["rappor"] < 0.8
+        # data is 0.953 against tcpl* 1.649, so norm_tcpl = 0.578.
+        assert rows["rappor"] == pytest.approx(0.578, abs=5e-4)
 
     def test_deterministic(self):
         d = noisy_copy(n=5_000, seed=3, k=4)

@@ -18,6 +18,7 @@ from cpl_kit import (
     worst_tpl,
 )
 from cpl_kit.calibration import _as_conditionals, _leakage_table
+from cpl_kit.mechanisms import KINDS
 from cpl_kit.fixtures import weak_ten
 from cpl_kit.benchmarks import ordered_pairs
 from cpl_kit.data_model import empirical_joint
@@ -178,16 +179,21 @@ class TestLeakageTable:
             assert table(eps) == want
 
     def test_exact_grr_table_equals_public_kernel(self):
+        # and the table of every other kind's exact engine
         conds = self.mixed_conditionals()
-        table = _leakage_table(conds, "exact-grr")
-        for eps in self.EPSILONS:
-            want = [cpl_exact(c, transition_matrix(MechanismSpec("grr", eps, c.n_cols))).leakage
-                    for c in conds]
-            assert table(eps) == want
+        for kind in KINDS:
+            table = _leakage_table(conds, f"exact-{kind}")
+            for eps in self.EPSILONS:
+                if kind == "she" and eps == 0:
+                    continue  # she needs a positive budget
+                want = [cpl_exact(c, transition_matrix(MechanismSpec(kind, eps, c.n_cols))).leakage
+                        for c in conds]
+                assert table(eps) == want
 
     def test_unknown_engine(self):
-        with pytest.raises(InputError, match="engine"):
-            _leakage_table(self.mixed_conditionals(), "exact-oue")
+        for engine in ("exact-nope", "exact", "grr", "exact-grr-exp"):
+            with pytest.raises(InputError, match="engine"):
+                _leakage_table(self.mixed_conditionals(), engine)
 
 
 class TestNonFiniteInputs:

@@ -7,6 +7,7 @@ import pytest
 from cpl_kit import conditional_from_joint
 from cpl_kit.cli import main
 from cpl_kit.fixtures import MAXLEAK_JOINT
+from cpl_kit.mechanisms import KINDS
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,13 @@ class TestAnalyze:
         assert res["leakage_nats"] == 1.0
         assert res["relaxation"] == 0.0
         assert res["B"] == 0.0
+
+    @pytest.mark.parametrize("mechanism", KINDS)
+    def test_exact_for_every_mechanism(self, capsys, workdir, mechanism):
+        code, out, _ = run(capsys, ["analyze", "exact", "--cond", str(workdir / "cond.json"),
+                                    "--mechanism", mechanism, "--epsilon", "1"])
+        assert code == 0
+        assert 0.0 < payload(out)["result"]["leakage_nats"] <= 1.0 + 1e-9
 
     def test_exact_with_witness(self, capsys, workdir):
         code, out, _ = run(capsys, ["analyze", "exact", "--cond", str(workdir / "cond.json"),
@@ -305,8 +313,42 @@ class TestErrors:
     def test_bad_mechanism_for_exact(self, capsys, workdir):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "exact", "--cond", str(workdir / "cond.json"),
-                  "--mechanism", "oue", "--epsilon", "1"])
+                  "--mechanism", "nope", "--epsilon", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("content", [
+        b'{"row_labels": ["a", "b"], "col_labels": ["u", "v"], "matrix": [[0.5], [0.5, 0.5]]}',
+        b'{"row_labels": ["a", "b"], "col_labels": ["u", "v"], "matrix": [[1, 0], [0, 1]]}\xff',
+    ], ids=["ragged-matrix", "not-utf8"])
+    @pytest.mark.parametrize("command", [["bound"], ["exact", "--mechanism", "grr"]])
+    def test_malformed_conditional_exits_two(self, capsys, tmp_path, content, command):
+        path = tmp_path / "cond.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, ["analyze", command[0], "--cond", str(path),
+                                      "--epsilon", "1", *command[1:]])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and "not a valid conditional table" in error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--data", "fx/maxleak_pair.csv", "--mechanism", "grr", "--epsilon", "1",
+         "--target", "0", "--neighbors", "x"],
+        ["estimate", "--data", "fx/maxleak_pair.csv", "--mechanism", "grr", "--epsilon", "1",
+         "--target", "0", "--neighbors", ""],
+        ["benchmark", "analyzers", "--data", "fx/maxleak_pair.csv", "--epsilons", "1,x"],
+        ["benchmark", "analyzers", "--data", "fx/maxleak_pair.csv", "--thresholds", "0.2,x"],
+        ["benchmark", "utility", "--data", "fx/maxleak_pair.csv", "--epsilons", ""],
+        ["benchmark", "utility", "--data", "fx/maxleak_pair.csv", "--epsilons", ","],
+        *(["fixtures", "generate", "--out-dir", "fx/out", "--samples", samples]
+          for samples in ("maxleak_pair=abc", "maxleak_pair=-3", "maxleak_pair",
+                          "nope=10", "maxleak_pair=0", "maxleak_pair=10,weak_ten=0")),
+    ], ids=lambda a: " ".join(a[-2:]))
+    def test_bad_list_entry_exits_two(self, capsys, workdir, argv):
+        argv = [str(workdir / a) if a.startswith("fx/") else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "InputError"
+        assert not (workdir / "fx" / "out").exists()
 
     def test_numerical_infeasibility_exits_three(self, capsys, workdir, monkeypatch):
         from cpl_kit import InfeasibleBudgetError

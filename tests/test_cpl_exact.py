@@ -11,9 +11,11 @@ from cpl_kit import (
     TransitionMatrix,
     cpl_bound,
     cpl_exact,
+    cpl_limit,
     evaluate_witness,
     transition_matrix,
 )
+from cpl_kit.mechanisms import KINDS
 from cpl_kit.rng import derive_rng
 from conftest import random_conditional
 
@@ -66,7 +68,7 @@ class TestWorkedValues:
 
 
 class TestAgainstOracle:
-    @pytest.mark.parametrize("kind", ["grr", "exp"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("epsilon", [0.2, 1.0, 3.0])
     def test_random_conditionals(self, kind, epsilon):
         rng = derive_rng(100, 0)
@@ -110,7 +112,7 @@ class TestInvariants:
         for _ in range(30):
             cond = random_conditional(rng)
             for eps in (0.5, 2.0):
-                for kind in ("grr", "exp"):
+                for kind in KINDS:
                     trans = transition_matrix(MechanismSpec(kind, eps, cond.n_cols))
                     assert cpl_exact(cond, trans).leakage <= eps + 1e-9
 
@@ -140,14 +142,17 @@ class TestInvariants:
                 cpl_exact(cond, trans).leakage, abs=1e-12)
 
     def test_never_exceeds_budget_bound(self):
+        # exact <= bound <= min(eps, cpl_limit) for every mechanism
         rng = derive_rng(105, 0)
         for _ in range(25):
             cond = random_conditional(rng)
+            limit = cpl_limit(cond)
             for eps in (0.5, 1.0, 3.0):
-                trans = transition_matrix(MechanismSpec("grr", eps, cond.n_cols))
-                exact = cpl_exact(cond, trans).leakage
                 bound = cpl_bound(cond, BudgetParams(eps, 0.0)).leakage
-                assert exact <= bound + 1e-9
+                assert bound <= min(eps, limit) + 1e-9
+                for kind in KINDS:
+                    trans = transition_matrix(MechanismSpec(kind, eps, cond.n_cols))
+                    assert cpl_exact(cond, trans).leakage <= bound + 1e-9
 
     def test_requires_two_rows(self):
         cond = ConditionalDistribution(("x",), ("a", "b"), np.array([[0.5, 0.5]]))

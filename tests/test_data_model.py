@@ -291,6 +291,42 @@ class TestExpand:
         assert (j1.matrix == j2.matrix).all()
 
 
+class TestDatasetRecords:
+    SCHEMA = (("a", Alphabet(("x", "y"))), ("b", Alphabet(("x", "y"))))
+
+    def test_writable_array_is_copied(self):
+        rec = np.array([[0, 1], [1, 0]], dtype=np.int64)
+        d = Dataset(self.SCHEMA, rec)
+        rec[0, 0] = 1
+        assert d.records.tolist() == [[0, 1], [1, 0]]
+        assert not d.records.flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        base = np.array([[0, 1], [1, 0], [1, 1]], dtype=np.int64)
+        base.setflags(write=False)
+        d = Dataset(self.SCHEMA, base[1:])
+        assert d.records.base is None and d.records.tolist() == [[1, 0], [1, 1]]
+
+    def test_locked_owned_array_taken_as_is(self):
+        rec = np.array([[0, 1], [1, 0]], dtype=np.int64)
+        rec.setflags(write=False)
+        assert Dataset(self.SCHEMA, rec).records is rec
+
+    def test_expand_allocates_its_records_once(self):
+        d = independent_pair(n=20_000, seed=1)
+        tracemalloc.start()
+        try:
+            e = expand_dataset(d, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * e.records.nbytes
+
+    def test_loaded_records_locked_in_place(self, fixture_dir):
+        rec = load_csv(fixture_dir / "maxleak_pair.csv").records
+        assert rec.base is None and not rec.flags.writeable
+
+
 class TestEmpiricalJoint:
     def test_sampled_joint_close_to_source(self):
         rng = derive_rng(42, 9)

@@ -8,7 +8,6 @@ from cpl_kit import (
     InputError,
     MechanismSpec,
     PerturbedColumn,
-    UnsupportedMechanismError,
     decode_column,
     estimate_frequencies,
     perturb_column,
@@ -99,10 +98,67 @@ class TestTransitionMatrix:
         cmin = t.matrix.min(axis=0)
         assert (cmax <= cmin * math.exp(epsilon) * (1 + 1e-9)).all()
 
+    @pytest.mark.parametrize("kind", ["rappor", "oue", "blh", "olh", "she"])
+    def test_single_symbol_domain_keeps_it(self, kind):
+        t = transition_matrix(MechanismSpec(kind, 1.0, 1))
+        assert t.matrix.tolist() == [[1.0]]
+        assert MechanismSpec(kind, 1.0, 1).keep_probability() == 1.0
+
+    def test_she_needs_a_positive_budget(self):
+        with pytest.raises(InputError, match="she requires epsilon > 0"):
+            transition_matrix(MechanismSpec("she", 0.0, 4))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_largest_budget_passes_ratio_check(self, kind, k):
+        # The largest accepted budget: e^eps is the largest finite double,
+        # and olh stops where its hash range reaches 2^63.
+        epsilon = math.log(2 ** 63) if kind == "olh" else mechanisms._EPSILON_MAX
+        t = transition_matrix(MechanismSpec(kind, epsilon, k))
+        assert t.epsilon == epsilon  # the constructor's ratio check passed at it
+        assert np.isfinite(t.matrix).all()
+        assert (t.matrix.diagonal() >= t.matrix[0, -1]).all()
+
+
+class TestChannelClosedForms:
+    """The decoded channel's diagonal a against independent evaluations."""
+
+    @pytest.mark.parametrize("kind", ["rappor", "oue", "blh", "olh"])
+    @pytest.mark.parametrize("epsilon", [0.0, 1.5, 40.0])
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    def test_support_kinds_match_binomial_sum(self, kind, epsilon, k):
+        spec = MechanismSpec(kind, epsilon, k)
+        p, q = _support_rates(spec)
+        mean = math.fsum(math.comb(k - 1, j) * q ** j * (1 - q) ** (k - 1 - j) / (1 + j)
+                         for j in range(k))
+        a = p * mean + (1 - p) * (1 - q) ** (k - 1) / k
+        assert spec.keep_probability() == pytest.approx(a, rel=1e-12)
+
+    def test_ss_is_inclusion_over_subset_size(self):
+        spec = MechanismSpec("ss", 0.5, 10)
+        assert spec.keep_probability() == pytest.approx(
+            _support_rates(spec)[0] / spec.subset_size, rel=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("k", [2, 7, 30])
+    def test_she_matches_fine_trapezoid(self, epsilon, k):
+        b = 2.0 / epsilon
+        s = 0.5 * math.exp(-1.0 / b)
+        ties = math.fsum(math.comb(k - 1, m) * s ** m * (1 - s) ** (k - 1 - m) / (1 + m)
+                         for m in range(k)) / 2 + s * 0.5 ** (k - 1) / k
+        z = np.linspace(0.0, 1.0, 200_001)
+        inner = np.trapezoid(np.exp(-(1 - z) / b) / (2 * b) * (1 - 0.5 * np.exp(-z / b)) ** (k - 1), z)
+        assert MechanismSpec("she", epsilon, k).keep_probability() == pytest.approx(
+            ties + inner, rel=1e-7)
+
     @pytest.mark.parametrize("kind", ["rappor", "oue", "blh", "olh", "she", "ss"])
-    def test_intractable_kinds_refused(self, kind):
-        with pytest.raises(UnsupportedMechanismError, match="no tractable"):
-            transition_matrix(spec_for(kind))
+    def test_unclamped_channel_within_budget(self, kind):
+        # Decoding is post-processing: a (k-1) / (1-a) <= e^eps before any clamp.
+        for epsilon in (0.1, 0.5, 1.0, 3.0, 8.0):
+            for k in (2, 3, 7, 20):
+                a = mechanisms._decoded_keep(MechanismSpec(kind, epsilon, k))
+                assert 1.0 / k - 1e-12 <= a < 1.0
+                assert a * (k - 1) / (1 - a) <= math.exp(epsilon) * (1 + 1e-9)
 
 
 class TestPerturbLaw:
@@ -293,17 +349,21 @@ class TestFrequencyEstimation:
 
 class TestDecodedChannel:
     """Monte-Carlo check of the decoded channel P(decoded | true). Decoding
-    post-processes an eps-LDP report, so the channel obeys e^eps; and every
+    post-processes an eps-LDP report, so the channel obeys e^eps; every
     mechanism treats the symbols alike, so the channel is symmetric: one
-    value on the diagonal and one off it."""
+    value on the diagonal and one off it; and every cell lies within Z
+    standard errors of ``transition_matrix``."""
 
-    N = 400_000  # reports per true symbol
     Z = 5.0  # standard errors allowed; each channel makes about 50 comparisons
 
-    @pytest.mark.parametrize("kind, epsilon", [(kind, 0.5) for kind in KINDS] + [("rappor", 0.1)])
-    def test_channel_obeys_budget_and_is_symmetric(self, kind, epsilon):
-        spec = MechanismSpec(kind, epsilon, 4)
-        n, k = self.N, spec.k
+    @pytest.mark.parametrize("kind, epsilon, k, n", [
+        # n reports per true symbol
+        *(pytest.param(kind, 0.5, 4, 400_000, id=f"{kind}-0.5") for kind in KINDS),
+        pytest.param("rappor", 0.1, 4, 400_000, id="rappor-0.1"),
+        *(pytest.param(kind, 3.0, 7, 100_000, id=f"{kind}-3.0-k7") for kind in KINDS),
+    ])
+    def test_channel_obeys_budget_and_is_symmetric(self, kind, epsilon, k, n):
+        spec = MechanismSpec(kind, epsilon, k)
         values = np.repeat(np.arange(k), n)
         seed = (25, KINDS.index(kind), int(epsilon * 10))
         col = perturb_column(spec, values, derive_rng(*seed, 1))
@@ -317,6 +377,8 @@ class TestDecodedChannel:
             # Var(a - b) <= (a + b) / n for two cells, in one row or in two
             hi, lo = cells.max(), cells.min()
             assert hi - lo <= self.Z * math.sqrt((hi + lo) / n)
+        exact = transition_matrix(spec).matrix
+        assert (np.abs(channel - exact) <= self.Z * np.sqrt(exact * (1 - exact) / n)).all()
 
 
 class TestColumnSpecCheck:
