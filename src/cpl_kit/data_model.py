@@ -302,7 +302,7 @@ def load_csv(path, schema_hints: dict | None = None) -> Dataset:
             alphabet = Alphabet(tuple(dict.fromkeys(cells) if hint is None else hint))
             codes[:, j] = alphabet.indices(cells)
         schema.append((name, alphabet))
-    return Dataset(tuple(schema), _lock(codes[ordinal]))
+    return Dataset(tuple(schema), _lock(codes.take(ordinal, axis=0)))
 
 
 def _read_distinct_rows(path: Path) -> tuple[list[str] | None, list[tuple[str, ...]], np.ndarray]:

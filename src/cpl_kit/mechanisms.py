@@ -8,6 +8,12 @@ summation (``she``), and subset selection (``ss``). rappor and oue are both
 unary encodings and differ only in their bit rates: rappor is symmetric
 unary encoding (Wang et al.'s basic RAPPOR, Erlingsson et al.'s permanent
 response), keeping each bit with probability e^(eps/2) / (1 + e^(eps/2)).
+ss reports a subset of omega = max(1, floor(k / (e^eps + 1))) symbols that
+holds the true one with probability p = omega e^eps / (omega e^eps + k -
+omega), the other members uniform. With omega = 1, p is grr's keep
+probability and the one other member is uniform over k - 1 symbols: ss is
+then grr (Ye and Barg, IEEE Trans. IT 2018), drawn as grr's report and
+stored one-hot. Larger subsets rank random keys.
 
 Mechanisms work on whole columns: ``perturb_column`` perturbs a column of
 symbol indices, ``decode_column`` maps the reports back into the input
@@ -332,17 +338,20 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 def _hash_bucket(values, seeds, g: int) -> np.ndarray:
     """Bucket in [0, g) of each value under its report's seed; broadcasts.
     Works through the last axis in blocks of about ``_HASH_BLOCK`` elements,
-    so the mixing passes run on temporaries that stay in cache."""
+    so the mixing passes run on temporaries that stay in cache. Each block is
+    reduced as x - (x // g) g, bit for bit x % g: numpy divides by a scalar
+    through a fast path that its uint64 remainder lacks."""
     v = _mix64(np.asarray(values, dtype=np.uint64) + np.uint64(1))
     s = np.asarray(seeds, dtype=np.uint64)
     shape = np.broadcast_shapes(v.shape, s.shape)
     v, s = np.broadcast_to(v, shape), np.broadcast_to(s, shape)
     x = np.empty(shape, dtype=np.uint64)
+    g = np.uint64(g)
     step = max(1, _HASH_BLOCK // max(1, math.prod(shape[:-1])))
     for lo in range(0, shape[-1], step):
         block = np.s_[..., lo:lo + step]
-        _mix64(np.bitwise_xor(v[block], s[block], out=x[block]))
-        x[block] %= np.uint64(g)
+        mixed = _mix64(np.bitwise_xor(v[block], s[block], out=x[block]))
+        mixed -= mixed // g * g
     return x.view(np.int64)  # buckets are below g <= 2^63
 
 
@@ -438,23 +447,23 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
 
     # ss: report a subset of size omega containing the true value w.p. p.
     omega = spec.subset_size
+    members = np.zeros((n, k), dtype=bool)
+    if omega == 1:
+        # p = e^eps / (e^eps + k - 1) is grr's keep probability, and the one
+        # member is otherwise uniform over the k - 1 other values: the report
+        # is grr's, one-hot.
+        members[rows, _grr_sample(values, p, k, rng)] = True
+        return PerturbedColumn(spec, members)
     include = rng.random(n) < p
     keys = rng.random((n, k))
     keys[rows, values] = np.inf  # others ranked first
-    members = np.zeros((n, k), dtype=bool)
-    if omega == 1:
-        # The one other member is the lowest key, unless the true value is
-        # included: the first rank of a sort, without the sort.
-        # Two keys tie with probability 2^-53; argmin then takes the first.
-        members[rows, np.argmin(keys, axis=1)] = ~include
-    else:
-        # Members are the omega - 1 lowest keys, plus the omega-th lowest when
-        # the true value is left out. A partition at omega - 1 puts the
-        # omega - 1 lowest first, in some order, and the omega-th lowest next,
-        # the same member set a full row sort gives.
-        order = np.argpartition(keys, omega - 1, axis=1)
-        members[rows[:, None], order[:, :omega - 1]] = True
-        members[rows, order[:, omega - 1]] = ~include
+    # Members are the omega - 1 lowest keys, plus the omega-th lowest when
+    # the true value is left out. A partition at omega - 1 puts the
+    # omega - 1 lowest first, in some order, and the omega-th lowest next,
+    # the same member set a full row sort gives.
+    order = np.argpartition(keys, omega - 1, axis=1)
+    members[rows[:, None], order[:, :omega - 1]] = True
+    members[rows, order[:, omega - 1]] = ~include
     members[rows, values] = include
     return PerturbedColumn(spec, members)
 

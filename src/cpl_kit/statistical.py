@@ -97,7 +97,7 @@ def _decoded_blocks(d: Dataset, specs: list[MechanismSpec], attrs, r: int, seed:
                for j in attrs]
     n_rows = d.n_records * r
     for start in range(0, n_rows, BLOCK_ROWS):
-        block = d.records[np.arange(start, min(start + BLOCK_ROWS, n_rows)) // r]
+        block = d.records.take(np.arange(start, min(start + BLOCK_ROWS, n_rows)) // r, axis=0)
         reports = []
         for j, perturb_rng, decode_rng in streams:
             col = perturb_column(specs[j], block[:, j], perturb_rng)
@@ -131,6 +131,10 @@ def _check_attributes(n_attributes: int, target: int, neighbors) -> list[int]:
     neighbors = list(neighbors)
     if not neighbors:
         raise InputError("neighbor set must be nonempty")
+    if len(set(neighbors)) != len(neighbors):
+        # A repeated neighbor would be permuted as an independent copy of
+        # itself by the surrogates, which breaks the null.
+        raise InputError(f"neighbor indices must be distinct, got {neighbors}")
     if target in neighbors:
         raise InputError("target attribute cannot be its own neighbor")
     _check_indices(n_attributes, (target, *neighbors))

@@ -286,6 +286,15 @@ class TestErrors:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "InputError"
 
+    def test_estimate_repeated_neighbor_exits_two(self, capsys, workdir):
+        code, out, err = run(capsys, ["estimate", "--data",
+                                      str(workdir / "fx" / "latent_five.csv"),
+                                      "--mechanism", "grr", "--epsilon", "0.2", "--target", "0",
+                                      "--neighbors", "3,3", "--r", "1", "--surrogates", "5"])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and "distinct" in error["message"]
+
     @pytest.mark.parametrize("content, message", [
         (b"a,b\nx,y\n\xff\xfe,z\n", ":3: not UTF-8 text"),
         (b"a,b\nx,y\n" + b"x" * 131_073 + b",z\n", ":3: field larger than field limit"),

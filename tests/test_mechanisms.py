@@ -467,8 +467,8 @@ class TestCountsAddAcrossSlices:
 # --------------------------------------------------------------------------
 # Row-major reference kernels: the (N, k) implementation that the symbol-major
 # kernels replaced, kept as the oracle they must match bit for bit. rappor is
-# the oue reference at its own rates, and she breaks its ties through
-# ref_uniform_over_mask.
+# the oue reference at its own rates, she breaks its ties through
+# ref_uniform_over_mask, and ss with omega = 1 draws grr's report, one-hot.
 # --------------------------------------------------------------------------
 
 def ref_mix64(x):
@@ -512,6 +512,10 @@ def ref_perturb(spec, values, rng):
         seeds = _random_seeds(rng, n)
         return seeds, ref_grr_sample(ref_hash_bucket(values, seeds, spec.g), p, spec.g, rng)
     omega = spec.subset_size
+    if omega == 1:
+        members = np.zeros((n, k), dtype=bool)
+        members[np.arange(n), ref_grr_sample(values, p, k, rng)] = True
+        return members
     include = rng.random(n) < p
     keys = rng.random((n, k))
     keys[np.arange(n), values] = np.inf
@@ -651,11 +655,24 @@ class TestBitIdenticalToRowMajorKernels:
 
     def test_hash_bucket_matches_on_every_block_layout(self):
         seeds = _random_seeds(derive_rng(23, 0), 40_000)  # 2 to 49 blocks
-        for k in (1, 3, 40):
-            values = np.arange(k)[:, None]
-            assert_bitwise(mechanisms._hash_bucket(values, seeds[None, :], 7),
-                           ref_hash_bucket(values, seeds[None, :], 7))
         values = derive_rng(23, 1).integers(0, 9, 40_000)
-        assert_bitwise(mechanisms._hash_bucket(values, seeds, 2 ** 63),
-                       ref_hash_bucket(values, seeds, 2 ** 63))
+        for g in (2, 4, 7, 21, 149, 2 ** 63):  # blh; olh at eps 1, 3, 5 and its limit
+            for k in (1, 3, 40):
+                symbols = np.arange(k)[:, None]
+                assert_bitwise(mechanisms._hash_bucket(symbols, seeds[None, :], g),
+                               ref_hash_bucket(symbols, seeds[None, :], g))
+            assert_bitwise(mechanisms._hash_bucket(values, seeds, g),
+                           ref_hash_bucket(values, seeds, g))
+
+    def test_ss_with_one_member_is_one_hot_grr(self):
+        for spec in grid_specs("ss"):
+            if spec.subset_size != 1:
+                continue
+            grr = MechanismSpec("grr", spec.epsilon, spec.k)
+            seed = (26, spec.k, int(spec.epsilon * 10))
+            values = derive_rng(*seed, 0).integers(0, spec.k, 3000)
+            col = perturb_column(spec, values, derive_rng(*seed, 1))
+            report = perturb_column(grr, values, derive_rng(*seed, 1)).payload
+            assert_bitwise(col.payload, np.eye(spec.k, dtype=bool)[report])
+            assert_bitwise(decode_column(spec, col, derive_rng(*seed, 2)), report)
 

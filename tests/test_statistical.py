@@ -26,7 +26,9 @@ from cpl_kit.data_model import Alphabet, conditional_from_joint, empirical_joint
 from cpl_kit.mechanisms import KINDS
 from cpl_kit.fixtures import independent_pair, latent_five, maxleak_pair, perfect_copy
 from cpl_kit.rng import STAGE_SURROGATE, derive_rng
-from cpl_kit.statistical import BLOCK_ROWS, _surrogate_table, count_table, sup_ratio_leakage
+from cpl_kit.statistical import (
+    BLOCK_ROWS, _decoded_blocks, _surrogate_table, count_table, sup_ratio_leakage,
+)
 
 
 def grr_specs(d, epsilon):
@@ -314,6 +316,25 @@ class TestEstimateCpl:
                 estimate_cpl(d, specs, target, neighbors, cfg)
             with pytest.raises(InputError, match="attribute indices"):
                 statistical_cpl(d, d, target, neighbors, cfg)
+
+    @pytest.mark.parametrize("neighbors", [[1, 1], [2, 1, 2]])
+    def test_repeated_neighbor_rejected(self, neighbors):
+        # A repeat would enter the surrogates as an independent copy.
+        d = latent_five(n=200, seed=6)
+        cfg = EstimationConfig(expansion=1, surrogates=1, seed=0)
+        specs = grr_specs(d, 1.0)
+        with pytest.raises(InputError, match="distinct"):
+            estimate_cpl(d, specs, 0, neighbors, cfg)
+        with pytest.raises(InputError, match="distinct"):
+            statistical_cpl(d, d, 0, neighbors, cfg)
+
+    @pytest.mark.parametrize("r", [1, 3, BLOCK_ROWS + 5])
+    def test_blocks_concatenate_to_the_expanded_records(self, r):
+        d = four_records_pair()
+        assert d.n_records * r % BLOCK_ROWS != 0
+        blocks = [block for block, _ in _decoded_blocks(d, [], [], r, seed=0)]
+        assert max(len(block) for block in blocks) <= BLOCK_ROWS
+        np.testing.assert_array_equal(np.concatenate(blocks), expand_dataset(d, r).records)
 
     def test_peak_memory_flat_in_expansion(self):
         d = maxleak_pair(n=20_000, seed=0)
