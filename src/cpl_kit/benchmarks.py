@@ -11,11 +11,15 @@ NMSE, normalized 0-1 error between decoded outputs and inputs, and total
 pairwise leakage normalized by the budget-only bound. The leakage is exact
 for every mechanism: each neighbor is released through its decoded channel
 (``transition_matrix``), so it depends on the data and the budget alone,
-not on the seed or the expansion factor.
+not on the seed or the expansion factor. The errors come from columns, one
+attribute of one cell each, which draw from their own streams, so they run
+on a thread pool and are summed in grid order: the rows do not depend on
+the number of threads.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +29,8 @@ from .cpl_exact import EXACT_ENGINES, cpl_exact
 from .correlation_metrics import metrics
 from .data_model import ConditionalDistribution, Dataset, conditional_from_joint, empirical_joint
 from .errors import DimensionMismatchError, InputError
-from .mechanisms import MechanismSpec, debias_counts, support_counts, transition_matrix
-from .statistical import EstimationConfig, _decoded_blocks
+from .mechanisms import MechanismSpec, debias_counts, transition_matrix
+from .statistical import EstimationConfig, _block_stats, _column_streams, _expanded_blocks
 
 _TOL = 1e-9
 
@@ -196,14 +200,44 @@ def nmse_cpl(estimates, references) -> float:
     return float(((est - ref) ** 2).sum()) / denom
 
 
+def _workers(n_columns: int) -> int:
+    """Threads for ``n_columns`` columns: one per CPU the process may use."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_columns))
+
+
+def _column_stats(d: Dataset, kind: str, eps: float, j: int, r: int, seed: int,
+                  cell: int) -> tuple[np.ndarray, int]:
+    """Support counts and decoding mismatches of attribute ``j`` under the
+    ``cell``-th (kind, eps), summed over the expanded rows block by block."""
+    spec = MechanismSpec(kind, eps, d.alphabet(j).size)
+    perturb_rng, decode_rng = _column_streams(seed, (cell,), j)
+    counts, mismatches = 0, 0
+    for values in _expanded_blocks(d.column(j), r):
+        block_counts, block_mismatches = _block_stats(spec, values, perturb_rng, decode_rng)
+        counts += block_counts
+        mismatches += block_mismatches
+    return counts, mismatches
+
+
 def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
                       cfg: EstimationConfig) -> list[UtilityRow]:
     """Perturb the dataset under every (mechanism, budget) cell and report
     utility errors alongside normalized total pairwise leakage.
 
-    The expanded dataset is walked in blocks; per attribute, the support
-    counts and the decoding mismatches add up across blocks. The leakage of
-    each pair is exact, through the neighbor's decoded channel."""
+    Each column, one attribute of one cell, walks the expanded dataset in
+    blocks on a thread pool and keeps only its support counts and decoding
+    mismatches. The cells are then finished in grid order, so the first
+    failing cell raises, as in a serial run. The leakage of each pair is
+    exact, through the neighbor's decoded channel; its budget-only bound
+    depends on the budget alone and is computed once per budget."""
+    # Imported here: concurrent.futures loads logging, which every other
+    # command would pay for in start-up time and memory.
+    from concurrent.futures import ThreadPoolExecutor
+
     n_attr = d.n_attributes
     sizes = [d.alphabet(j).size for j in range(n_attr)]
     n_rows = d.n_records * cfg.expansion
@@ -212,27 +246,34 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
     true_freqs = [np.bincount(d.column(j), minlength=sizes[j]) / d.n_records
                   for j in range(n_attr)]
     freq_denom = sum(float((f ** 2).sum()) for f in true_freqs)
+    grid = [(k, e) for k in kinds for e in epsilons]
+    tcpl_stars: dict[float, float] = {}
 
-    rows: list[UtilityRow] = []
-    for cell, (kind, eps) in enumerate((k, e) for k in kinds for e in epsilons):
-        specs = [MechanismSpec(kind, eps, size) for size in sizes]
-        counts = [0] * n_attr
-        mismatches = 0
-        for block, reports in _decoded_blocks(d, specs, range(n_attr), cfg.expansion,
-                                              cfg.seed, key=(cell,)):
-            for j, (col, symbols) in enumerate(reports):
-                counts[j] += support_counts(specs[j], col)
-                mismatches += int(np.count_nonzero(symbols != block[:, j]))
-        freq_err = 0.0
-        for j, spec in enumerate(specs):
-            est = debias_counts(spec, counts[j], n_rows)
-            freq_err += float(((est - true_freqs[j]) ** 2).sum())
-        freq_nmse = freq_err / freq_denom
-        zero_one = mismatches / (n_rows * n_attr)
+    pool = ThreadPoolExecutor(_workers(len(grid) * n_attr))
+    try:
+        columns = [[pool.submit(_column_stats, d, kind, eps, j, cfg.expansion, cfg.seed, cell)
+                    for j in range(n_attr)] for cell, (kind, eps) in enumerate(grid)]
+        rows: list[UtilityRow] = []
+        for (kind, eps), futures in zip(grid, columns):
+            # Built before the results are read, so that a bad spec raises
+            # ahead of any column error of its cell, as in a serial run.
+            specs = [MechanismSpec(kind, eps, size) for size in sizes]
+            counts, mismatches = zip(*(future.result() for future in futures))
+            freq_err = 0.0
+            for j, spec in enumerate(specs):
+                est = debias_counts(spec, counts[j], n_rows)
+                freq_err += float(((est - true_freqs[j]) ** 2).sum())
+            freq_nmse = freq_err / freq_denom
+            zero_one = sum(mismatches) / (n_rows * n_attr)
 
-        channels = [transition_matrix(spec) for spec in specs]
-        tcpl_star = sum(cpl_bound(conds[p], BudgetParams(eps, 0.0)).leakage for p in pairs)
-        tcpl_prime = sum(cpl_exact(conds[(i, j)], channels[j]).leakage for i, j in pairs)
-        norm_tcpl = tcpl_prime / tcpl_star if tcpl_star > 0 else 0.0
-        rows.append(UtilityRow(kind, eps, UtilityReport(freq_nmse, zero_one, norm_tcpl)))
+            channels = [transition_matrix(spec) for spec in specs]
+            if eps not in tcpl_stars:
+                tcpl_stars[eps] = sum(cpl_bound(conds[p], BudgetParams(eps, 0.0)).leakage
+                                      for p in pairs)
+            tcpl_star = tcpl_stars[eps]
+            tcpl_prime = sum(cpl_exact(conds[(i, j)], channels[j]).leakage for i, j in pairs)
+            norm_tcpl = tcpl_prime / tcpl_star if tcpl_star > 0 else 0.0
+            rows.append(UtilityRow(kind, eps, UtilityReport(freq_nmse, zero_one, norm_tcpl)))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return rows

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data_model import Dataset, _lock
 from .errors import InputError, InsufficientDataError
-from .mechanisms import MechanismSpec, decode_column, perturb_column
+from .mechanisms import MechanismSpec, decode_column, perturb_column, support_counts
 from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, derive_rng
 
 #: Refuse joint neighbor alphabets larger than this many cells.
@@ -85,24 +85,43 @@ def _check_specs(d: Dataset, specs: list[MechanismSpec]) -> None:
             )
 
 
+def _column_streams(seed: int, key: tuple[int, ...], j: int):
+    """Perturb and decode streams of attribute ``j``: ``derive_rng(seed,
+    STAGE_PERTURB | STAGE_DECODE, *key, j)``."""
+    return derive_rng(seed, STAGE_PERTURB, *key, j), derive_rng(seed, STAGE_DECODE, *key, j)
+
+
+def _expanded_blocks(records: np.ndarray, r: int):
+    """Walk ``records`` expanded by ``r``, whose row i is record i // r, in
+    blocks of ``BLOCK_ROWS`` rows without building it."""
+    n_rows = len(records) * r
+    for start in range(0, n_rows, BLOCK_ROWS):
+        yield records.take(np.arange(start, min(start + BLOCK_ROWS, n_rows)) // r, axis=0)
+
+
 def _decoded_blocks(d: Dataset, specs: list[MechanismSpec], attrs, r: int, seed: int,
                     key: tuple[int, ...] = ()):
-    """Walk ``expand_dataset(d, r)``, whose row i is record i // r, in blocks
-    of ``BLOCK_ROWS`` rows without building it. Yields every expanded block
-    with the ``(perturbed column, decoded symbols)`` of each attribute in
-    ``attrs``. Attribute j draws from one perturb and one decode stream,
-    ``derive_rng(seed, STAGE_PERTURB | STAGE_DECODE, *key, j)``, each
-    continued from block to block."""
-    streams = [(j, derive_rng(seed, STAGE_PERTURB, *key, j), derive_rng(seed, STAGE_DECODE, *key, j))
-               for j in attrs]
-    n_rows = d.n_records * r
-    for start in range(0, n_rows, BLOCK_ROWS):
-        block = d.records.take(np.arange(start, min(start + BLOCK_ROWS, n_rows)) // r, axis=0)
+    """Yield every block of ``expand_dataset(d, r)`` with the ``(perturbed
+    column, decoded symbols)`` of each attribute in ``attrs``. Attribute j
+    draws from its two ``_column_streams``, each continued from block to
+    block."""
+    streams = [(j, *_column_streams(seed, key, j)) for j in attrs]
+    for block in _expanded_blocks(d.records, r):
         reports = []
         for j, perturb_rng, decode_rng in streams:
             col = perturb_column(specs[j], block[:, j], perturb_rng)
             reports.append((col, decode_column(specs[j], col, decode_rng)))
         yield block, reports
+
+
+def _block_stats(spec: MechanismSpec, values: np.ndarray, perturb_rng: np.random.Generator,
+                 decode_rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Perturb and decode one block of one attribute, as ``_decoded_blocks``
+    does, and keep only its support counts and its decoding mismatches, so
+    no report outlives the block."""
+    col = perturb_column(spec, values, perturb_rng)
+    symbols = decode_column(spec, col, decode_rng)
+    return support_counts(spec, col), int(np.count_nonzero(symbols != values))
 
 
 def perturb_dataset(d: Dataset, specs: list[MechanismSpec], cfg: EstimationConfig) -> Dataset:

@@ -1,3 +1,7 @@
+import os
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,10 @@ from cpl_kit import (
     transition_matrix,
     undershoot_overshoot,
 )
+from cpl_kit import benchmarks
 from cpl_kit.benchmarks import (
+    UtilityReport,
+    UtilityRow,
     analyzer_benchmark,
     baseline_grf,
     baseline_spl_anl,
@@ -30,8 +37,9 @@ from cpl_kit.fixtures import (
     noisy_copy,
     sample_pair_from_joint,
 )
-from cpl_kit.mechanisms import KINDS
+from cpl_kit.mechanisms import KINDS, debias_counts, support_counts
 from cpl_kit.rng import derive_rng
+from cpl_kit.statistical import BLOCK_ROWS, _decoded_blocks
 
 
 class TestUndershootOvershoot:
@@ -218,6 +226,101 @@ class TestUtilityBenchmark:
         a = utility_benchmark(d, ["oue"], [1.0], cfg)
         b = utility_benchmark(d, ["oue"], [1.0], cfg)
         assert a == b
+
+
+def serial_utility(d, kinds, epsilons, cfg):
+    """Oracle: every cell walked serially through ``_decoded_blocks``, all
+    attributes of a block together, each cell's bound recomputed."""
+    n_attr = d.n_attributes
+    sizes = [d.alphabet(j).size for j in range(n_attr)]
+    n_rows = d.n_records * cfg.expansion
+    pairs = ordered_pairs(n_attr)
+    conds = pairwise_conditionals(d)
+    true_freqs = [np.bincount(d.column(j), minlength=sizes[j]) / d.n_records
+                  for j in range(n_attr)]
+    freq_denom = sum(float((f ** 2).sum()) for f in true_freqs)
+    rows = []
+    for cell, (kind, eps) in enumerate((k, e) for k in kinds for e in epsilons):
+        specs = [MechanismSpec(kind, eps, size) for size in sizes]
+        counts = [0] * n_attr
+        mismatches = 0
+        for block, reports in _decoded_blocks(d, specs, range(n_attr), cfg.expansion,
+                                              cfg.seed, key=(cell,)):
+            for j, (col, symbols) in enumerate(reports):
+                counts[j] += support_counts(specs[j], col)
+                mismatches += int(np.count_nonzero(symbols != block[:, j]))
+        freq_err = 0.0
+        for j, spec in enumerate(specs):
+            est = debias_counts(spec, counts[j], n_rows)
+            freq_err += float(((est - true_freqs[j]) ** 2).sum())
+        tcpl_star = sum(cpl_bound(conds[p], BudgetParams(eps, 0.0)).leakage for p in pairs)
+        tcpl_prime = sum(cpl_exact(conds[(i, j)], transition_matrix(specs[j])).leakage
+                         for i, j in pairs)
+        rows.append(UtilityRow(kind, eps, UtilityReport(
+            freq_err / freq_denom, mismatches / (n_rows * n_attr),
+            tcpl_prime / tcpl_star if tcpl_star > 0 else 0.0)))
+    return rows
+
+
+class TestUtilityColumns:
+    # 3000 records x 25 = 75,000 expanded rows: one full block and a partial one
+    N, R = 3_000, 25
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        d = mixed_five(n=self.N, seed=6)
+        cfg = EstimationConfig(expansion=self.R, surrogates=1, seed=11)
+        assert BLOCK_ROWS < self.N * self.R < 2 * BLOCK_ROWS
+        return d, cfg, serial_utility(d, list(KINDS), [1.0, 3.0], cfg)
+
+    @pytest.mark.parametrize("workers", [None, 1, 4])
+    def test_rows_equal_serial_oracle(self, oracle, monkeypatch, workers):
+        d, cfg, expected = oracle
+        if workers is not None:
+            monkeypatch.setattr(benchmarks, "_workers", lambda n_columns: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches, more interleavings
+        try:
+            rows = utility_benchmark(d, list(KINDS), [1.0, 3.0], cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == expected
+
+    def test_one_worker_memory_is_one_block(self, monkeypatch):
+        # she's payload is an (N, k) float64 block; a column keeps nothing
+        # of a block past it, so the peak stays within a few such blocks
+        monkeypatch.setattr(benchmarks, "_workers", lambda n_columns: 1)
+        k = 4
+        d = noisy_copy(n=5_000, seed=3, k=k)
+        cfg = EstimationConfig(expansion=30, surrogates=1, seed=5)
+        assert d.n_records * cfg.expansion > 2 * BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            utility_benchmark(d, ["she"], [1.0], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * BLOCK_ROWS * k * 8
+
+    def test_bound_computed_once_per_budget(self, monkeypatch):
+        calls = []
+
+        def counting_bound(cond, params):
+            calls.append(params.epsilon)
+            return cpl_bound(cond, params)
+
+        monkeypatch.setattr(benchmarks, "cpl_bound", counting_bound)
+        d = noisy_copy(n=2_000, seed=3, k=4)
+        cfg = EstimationConfig(expansion=1, surrogates=1, seed=5)
+        rows = utility_benchmark(d, ["grr", "oue", "ss"], [1.0, 3.0], cfg)
+        assert len(rows) == 6
+        pairs = len(ordered_pairs(d.n_attributes))
+        assert sorted(calls) == [1.0] * pairs + [3.0] * pairs
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+    def test_workers_one_per_cpu_capped_by_columns(self):
+        assert benchmarks._workers(1) == 1
+        assert benchmarks._workers(10 ** 6) == len(os.sched_getaffinity(0))
 
 
 class TestOrderedPairs:

@@ -204,6 +204,22 @@ class TestDeterminism:
                   "--budget", "2", "--threads", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--threads", "--workers"])
+    def test_no_thread_knob_on_benchmark_utility(self, workdir, flag):
+        # the utility benchmark sizes its pool itself; its rows cannot depend on it
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "utility", "--data", str(workdir / "fx" / "noisy_copy.csv"),
+                  "--mechanisms", "grr", "--epsilons", "1", "--r", "1", flag, "2"])
+        assert exc.value.code == 2
+
+    def test_benchmark_utility_config_digest_pinned(self, capsys, workdir, monkeypatch):
+        monkeypatch.chdir(workdir)
+        _, out, _ = run(capsys, ["benchmark", "utility", "--data", "fx/noisy_copy.csv",
+                                 "--mechanisms", "grr", "--epsilons", "1", "--r", "1",
+                                 "--seed", "3"])
+        assert payload(out)["manifest"]["config_digest"] == (
+            "03cf88d6e04414c8efc72a70753f98b011606eb7878e178d1289e3014f2e082a")
+
     def test_seed_env_fallback(self, capsys, workdir, monkeypatch):
         monkeypatch.setenv("CPL_KIT_SEED", "99")
         _, out, _ = run(capsys, ["estimate", "--data",
@@ -276,6 +292,17 @@ class TestErrors:
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "InputError" and "olh hash range" in error["message"]
+
+    def test_benchmark_utility_first_failing_cell_reported(self, capsys, workdir):
+        # grid order is she/0, she/50, olh/0, olh/50: she at 0 fails before
+        # olh's hash range is ever checked
+        code, out, err = run(capsys, ["benchmark", "utility", "--data",
+                                      str(workdir / "fx" / "noisy_copy.csv"),
+                                      "--mechanisms", "she,olh", "--epsilons", "0,50",
+                                      "--r", "1"])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"type": "InputError", "message": "she requires epsilon > 0"}
 
     @pytest.mark.parametrize("target, neighbors", [("5", "1"), ("0", "-1"), ("0", "2")])
     def test_estimate_attribute_out_of_range_exits_two(self, capsys, workdir, target, neighbors):
