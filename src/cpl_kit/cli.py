@@ -4,8 +4,10 @@ Subcommands: ``analyze {matrix,exact,bound}``, ``estimate``, ``benchmark
 {analyzers,utility}``, ``calibrate`` and ``fixtures generate``. Every run
 emits a JSON envelope with a manifest (command line, seed, config digest,
 version, wall time); identical flags and seed reproduce byte-identical
-results apart from the wall-time field. The config digest leaves out
-arguments that cannot change a result, such as ``--out``. Leakage values
+results apart from the wall-time field. Only ``estimate``, ``benchmark
+utility`` and ``fixtures generate`` draw randomness and take ``--seed``; the
+others have no seed, and their manifest's is null. The config digest leaves
+out arguments that cannot change a result, such as ``--out``. Leakage values
 are reported in nats and declared as such in the ``units`` block; ``--bits``
 adds a converted display field. Output is strict JSON: an infinite value is
 written as the string ``"inf"``.
@@ -39,11 +41,6 @@ from .mechanisms import KINDS, MechanismSpec, transition_matrix
 from .statistical import EstimationConfig, estimate_cpl
 
 _LN2 = math.log(2.0)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("CPL_KIT_SEED")
-    return int(env) if env else 0
 
 
 def _number_list(text: str, parse, what: str) -> list:
@@ -117,15 +114,12 @@ def _with_bits(obj: dict, args: argparse.Namespace) -> dict:
     return obj
 
 
-def _spec_from_args(args: argparse.Namespace, k: int) -> MechanismSpec:
-    return MechanismSpec(args.mechanism, args.epsilon, k, getattr(args, "delta", 0.0))
-
-
 # --------------------------------------------------------------------------
 # Subcommand handlers
 # --------------------------------------------------------------------------
 
 def _cmd_analyze_matrix(args) -> dict:
+    budget = BudgetParams(args.epsilon, args.delta)
     d = load_csv(args.data)
     conds = pairwise_conditionals(d)
     n = d.n_attributes
@@ -139,7 +133,7 @@ def _cmd_analyze_matrix(args) -> dict:
             entry = {"target": i, "neighbor": j, "leakage_nats": res.leakage,
                      "infinite": res.is_infinite}
         else:
-            res = cpl_bound(cond, BudgetParams(args.epsilon, args.delta))
+            res = cpl_bound(cond, budget)
             grid[i][j] = res
             entry = {"target": i, "neighbor": j, "leakage_nats": res.leakage,
                      "relaxation": res.relaxation}
@@ -167,8 +161,7 @@ def _cmd_analyze_matrix(args) -> dict:
 
 def _cmd_analyze_exact(args) -> dict:
     cond = load_conditional_json(args.cond)
-    k = args.k if args.k else cond.n_cols
-    spec = _spec_from_args(args, k)
+    spec = MechanismSpec(args.mechanism, args.epsilon, cond.n_cols)
     res = cpl_exact(cond, transition_matrix(spec))
     out = {
         "leakage_nats": res.leakage,
@@ -280,7 +273,9 @@ def _cmd_fixtures_generate(args) -> dict:
 # --------------------------------------------------------------------------
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    # argparse parses a string default with ``type`` only when --seed is not
+    # given, so a bad CPL_KIT_SEED is a usage error of the seeded commands alone.
+    p.add_argument("--seed", type=int, default=os.environ.get("CPL_KIT_SEED") or "0",
                    help="root seed for all randomness (env CPL_KIT_SEED)")
 
 
@@ -301,17 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of the bound")
     p.add_argument("--bits", action="store_true")
     p.add_argument("--out")
-    _add_seed(p)
     p.set_defaults(func=_cmd_analyze_matrix)
 
     p = asub.add_parser("exact", help="exact leakage for one conditional table")
     p.add_argument("--cond", required=True, help="conditional table JSON")
     p.add_argument("--mechanism", choices=KINDS, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--bits", action="store_true")
     p.add_argument("--out")
-    _add_seed(p)
     p.set_defaults(func=_cmd_analyze_exact)
 
     p = asub.add_parser("bound", help="budget-only leakage bound for one conditional table")
@@ -320,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--bits", action="store_true")
     p.add_argument("--out")
-    _add_seed(p)
     p.set_defaults(func=_cmd_analyze_bound)
 
     p = sub.add_parser("estimate", help="statistical leakage estimate from perturbed data")
@@ -346,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", default="0.2,0.4")
     p.add_argument("--reference", default="bound", choices=("bound", *EXACT_ENGINES))
     p.add_argument("--out")
-    _add_seed(p)
     p.set_defaults(func=_cmd_benchmark_analyzers)
 
     p = bsub.add_parser("utility", help="utility error vs normalized total leakage")
@@ -364,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--engine", default="bound", choices=("bound", *EXACT_ENGINES))
     p.add_argument("--out")
-    _add_seed(p)
     p.set_defaults(func=_cmd_calibrate)
 
     fixtures = sub.add_parser("fixtures", help="bundled synthetic datasets")

@@ -82,9 +82,6 @@ class CplMatrix:
     def n(self) -> int:
         return len(self.attributes)
 
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
-
     def leakage_grid(self) -> np.ndarray:
         """Leakage components as an array with NaN on the diagonal."""
         out = np.full((self.n, self.n), np.nan)
@@ -96,14 +93,6 @@ class CplMatrix:
                         raise InputError(f"missing leakage entry ({i}, {j})")
                     out[i, j] = e.leakage
         return out
-
-    def to_json(self) -> dict:
-        grid = self.leakage_grid()
-        return {
-            "attributes": list(self.attributes),
-            "leakage": [[None if i == j else grid[i, j] for j in range(self.n)]
-                        for i in range(self.n)],
-        }
 
 
 def tcpl(matrix: CplMatrix) -> float:

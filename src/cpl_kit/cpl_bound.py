@@ -9,7 +9,7 @@ conditional rows (g, g'), to choosing the index subset S that maximizes
 
 A greedy pass over indices in descending ratio order g_i/g'_i admits index i
 exactly when g_i/g'_i >= current H; an exchange argument shows this is
-optimal, and a brute-force subset enumeration is provided as the test oracle.
+optimal, and the tests check it against a brute-force subset enumeration.
 The admission order and its prefix sums do not depend on the budget, so they
 are computed once for all row pairs of a set of conditionals and reused for
 every budget (``_BoundTable``).
@@ -28,13 +28,9 @@ import numpy as np
 
 from .data_model import ConditionalDistribution
 from .errors import InputError, InsufficientDataError
-from .mechanisms import _check_budget
+from .mechanisms import _check_epsilon
 
 _ZERO = 1e-15  # below this a probability entry is treated as exactly zero
-
-
-def _disjoint(g: np.ndarray, gp: np.ndarray) -> bool:
-    return not ((g > _ZERO) & (gp > _ZERO)).any()
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,9 @@ class BudgetParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        _check_budget(self.epsilon, self.delta)
+        _check_epsilon(self.epsilon)
+        if not 0 <= self.delta < 1:
+            raise InputError("delta must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -169,37 +167,6 @@ def cpl_bound(cond: ConditionalDistribution, budget: BudgetParams) -> BoundedCpl
     a, b = float(table.a[p, k]), float(table.b[p, k])
     subset = tuple(table.order[p, :k].tolist())
     return BoundedCplResult(leaks[p], budget.delta * a, subset, a, b, table.pairs[p])
-
-
-def cpl_bound_bruteforce(cond: ConditionalDistribution, budget: BudgetParams) -> BoundedCplResult:
-    """Exhaustive-subset reference implementation (oracle for the greedy).
-
-    Enumerates every nonempty index subset for every ordered row pair;
-    only usable below ~20 neighbor symbols.
-    """
-    t = cond.n_cols
-    if t > 20:
-        raise InputError(f"brute force enumerates 2^t subsets; t={t} is too large")
-    masks = (np.arange(1, 2 ** t)[:, None] >> np.arange(t)[None, :]) & 1
-    masks = masks.astype(np.float64)
-    lam = math.expm1(budget.epsilon)
-    best: BoundedCplResult | None = None
-    for x, xp in _iter_pairs(cond):
-        g = cond.matrix[x]
-        gp = cond.matrix[xp]
-        a_all = masks @ g
-        b_all = masks @ gp
-        h_all = (1.0 + a_all * lam) / (1.0 + b_all * lam)
-        s = int(np.argmax(h_all))
-        a, b = float(a_all[s]), float(b_all[s])
-        if _disjoint(g, gp):
-            leak = budget.epsilon
-        else:
-            leak = math.log(h_all[s])
-        if best is None or leak > best.leakage:
-            subset = tuple(int(i) for i in np.flatnonzero(masks[s]))
-            best = BoundedCplResult(leak, budget.delta * a, subset, a, b, (x, xp))
-    return best
 
 
 def cpl_limit(cond: ConditionalDistribution) -> float:

@@ -115,12 +115,6 @@ class Dataset:
     def column(self, i: int) -> np.ndarray:
         return self.records[:, i]
 
-    def attribute_index(self, name: str) -> int:
-        try:
-            return self.attribute_names.index(name)
-        except ValueError:
-            raise InputError(f"no attribute named {name!r}") from None
-
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -148,18 +142,6 @@ class JointDistribution:
 
     def col_marginal(self) -> np.ndarray:
         return self.matrix.sum(axis=0)
-
-    def to_json(self) -> dict:
-        return {
-            "row_labels": list(self.row_labels),
-            "col_labels": list(self.col_labels),
-            "matrix": self.matrix.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "JointDistribution":
-        return cls(tuple(obj["row_labels"]), tuple(obj["col_labels"]),
-                   np.asarray(obj["matrix"], dtype=np.float64))
 
 
 @dataclass(frozen=True)

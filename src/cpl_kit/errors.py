@@ -14,9 +14,9 @@ class DimensionMismatchError(InputError):
 
 
 class UnsupportedMechanismError(CplKitError):
-    """Requested an operation a mechanism cannot provide (e.g. a closed-form
-    transition matrix for a hash- or vector-valued mechanism). Use the
-    budget-only bound or the statistical estimator instead."""
+    """Requested a parameter or rate a mechanism does not have (e.g. the hash
+    range of a mechanism that does not hash, or support rates for ``she``,
+    whose reports support no symbol set)."""
 
 
 class InsufficientDataError(CplKitError):

@@ -68,31 +68,28 @@ _EPSILON_MAX = math.log(sys.float_info.max)
 _OLH_G_MAX = 2 ** 63
 
 
-def _check_budget(epsilon: float, delta: float) -> None:
+def _check_epsilon(epsilon: float) -> None:
     if not 0 <= epsilon <= _EPSILON_MAX:
         raise InputError(f"epsilon must be a finite number in [0, {_EPSILON_MAX:.2f}], "
                          f"got {epsilon!r}")
-    if not 0 <= delta < 1:
-        raise InputError("delta must be in [0, 1)")
 
 
 @dataclass(frozen=True)
 class MechanismSpec:
     """One mechanism with its privacy budget and domain size.
 
-    All eight mechanisms are pure LDP; ``delta`` is carried for budget
-    bookkeeping and must be 0 for perturbation.
+    All eight mechanisms are pure epsilon-LDP, so a spec has no delta; the
+    (epsilon, delta) budget of the leakage bound is ``cpl_bound.BudgetParams``.
     """
 
     kind: str
     epsilon: float
     k: int
-    delta: float = 0.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown mechanism kind {self.kind!r}, expected one of {KINDS}")
-        _check_budget(self.epsilon, self.delta)
+        _check_epsilon(self.epsilon)
         if self.k < 2 and self.kind in ("grr", "exp", "ss"):
             raise InputError(f"{self.kind} requires domain size k >= 2")
         if self.k < 1:
@@ -123,23 +120,6 @@ class MechanismSpec:
         decoded without a prior, is the true symbol."""
         w = _channel_weight(self)
         return w / (w + self.k - 1)
-
-    def params(self) -> dict:
-        p: dict = {}
-        if self.kind in ("blh", "olh"):
-            p = {"g": self.g}
-        elif self.kind == "ss":
-            p = {"omega": self.subset_size}
-        return p
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "epsilon": self.epsilon, "delta": self.delta,
-                "k": self.k, "params": self.params()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MechanismSpec":
-        return cls(kind=obj["kind"], epsilon=float(obj["epsilon"]),
-                   k=int(obj["k"]), delta=float(obj.get("delta", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -176,12 +156,9 @@ class TransitionMatrix:
         return self.matrix.shape[1]
 
 
-def transition_matrix(spec: MechanismSpec, labels: tuple[str, ...] | None = None) -> TransitionMatrix:
+def transition_matrix(spec: MechanismSpec) -> TransitionMatrix:
     """The decoded channel P(decoded symbol | true symbol) of ``spec``."""
-    if labels is None:
-        labels = tuple(str(i) for i in range(spec.k))
-    if len(labels) != spec.k:
-        raise DimensionMismatchError("label count does not match domain size")
+    labels = tuple(str(i) for i in range(spec.k))
     w = _channel_weight(spec)
     denom = w + spec.k - 1
     mat = np.full((spec.k, spec.k), 1.0 / denom)
@@ -411,8 +388,6 @@ def _grr_sample(values: np.ndarray, keep_p: float, k: int, rng: np.random.Genera
 
 def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> PerturbedColumn:
     """Perturb a full column of symbol indices under ``spec``."""
-    if spec.delta != 0:
-        raise InputError("perturbation requires delta = 0; every mechanism is pure LDP")
     values = np.asarray(values, dtype=np.int64)
     if values.size and (values.min() < 0 or values.max() >= spec.k):
         raise InputError("value out of range for the mechanism's domain")

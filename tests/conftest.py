@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from cpl_kit import ConditionalDistribution, JointDistribution, conditional_from_joint
+from cpl_kit.cpl_bound import _ZERO, BoundedCplResult, BudgetParams, _iter_pairs
+from cpl_kit.errors import InputError
 from cpl_kit.fixtures import MAXLEAK_JOINT
 
 LABELS4 = ("s0", "s1", "s2", "s3")
@@ -45,3 +49,38 @@ def random_conditional(rng: np.random.Generator, m: int = None, t: int = None,
     labels_m = tuple(f"r{i}" for i in range(m))
     labels_t = tuple(f"c{i}" for i in range(t))
     return ConditionalDistribution(labels_m, labels_t, mat)
+
+
+def _disjoint(g: np.ndarray, gp: np.ndarray) -> bool:
+    return not ((g > _ZERO) & (gp > _ZERO)).any()
+
+
+def cpl_bound_bruteforce(cond: ConditionalDistribution, budget: BudgetParams) -> BoundedCplResult:
+    """Exhaustive-subset reference implementation (oracle for the greedy).
+
+    Enumerates every nonempty index subset for every ordered row pair;
+    only usable below ~20 neighbor symbols.
+    """
+    t = cond.n_cols
+    if t > 20:
+        raise InputError(f"brute force enumerates 2^t subsets; t={t} is too large")
+    masks = (np.arange(1, 2 ** t)[:, None] >> np.arange(t)[None, :]) & 1
+    masks = masks.astype(np.float64)
+    lam = math.expm1(budget.epsilon)
+    best: BoundedCplResult | None = None
+    for x, xp in _iter_pairs(cond):
+        g = cond.matrix[x]
+        gp = cond.matrix[xp]
+        a_all = masks @ g
+        b_all = masks @ gp
+        h_all = (1.0 + a_all * lam) / (1.0 + b_all * lam)
+        s = int(np.argmax(h_all))
+        a, b = float(a_all[s]), float(b_all[s])
+        if _disjoint(g, gp):
+            leak = budget.epsilon
+        else:
+            leak = math.log(h_all[s])
+        if best is None or leak > best.leakage:
+            subset = tuple(int(i) for i in np.flatnonzero(masks[s]))
+            best = BoundedCplResult(leak, budget.delta * a, subset, a, b, (x, xp))
+    return best

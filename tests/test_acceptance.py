@@ -33,12 +33,11 @@ from cpl_kit import (
 )
 from cpl_kit.benchmarks import analyzer_benchmark, ordered_pairs, pairwise_conditionals
 from cpl_kit.calibration import _as_conditionals
-from cpl_kit.cpl_bound import cpl_bound_bruteforce
 from cpl_kit.cli import main
 from cpl_kit.fixtures import MAXLEAK_JOINT, chain_five, latent_five, maxleak_pair, mixed_five, weak_ten
 from cpl_kit.rng import derive_rng
 from cpl_kit.statistical import count_table, sup_ratio_leakage
-from conftest import random_conditional
+from conftest import cpl_bound_bruteforce, random_conditional
 
 REFERENCE_JOINT = JointDistribution(tuple("abcd"), tuple("wxyz"), MAXLEAK_JOINT)
 # theoretical and experimental leakage columns of the reference pair,

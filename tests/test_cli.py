@@ -73,7 +73,7 @@ class TestAnalyze:
 
     def test_exact_with_witness(self, capsys, workdir):
         code, out, _ = run(capsys, ["analyze", "exact", "--cond", str(workdir / "cond.json"),
-                                    "--mechanism", "grr", "--epsilon", "1", "--k", "4"])
+                                    "--mechanism", "grr", "--epsilon", "1"])
         res = payload(out)["result"]
         assert res["leakage_nats"] == pytest.approx(1.0, abs=1e-9)
         assert set(res["witness"]) == {"output", "x", "x_prime"}
@@ -204,6 +204,30 @@ class TestDeterminism:
                   "--budget", "2", "--threads", "2"])
         assert exc.value.code == 2
 
+    # the subcommands that draw no randomness
+    SEEDLESS = [
+        ["analyze", "matrix", "--data", "fx/maxleak_pair.csv", "--epsilon", "1"],
+        ["analyze", "exact", "--cond", "cond.json", "--mechanism", "grr", "--epsilon", "1"],
+        ["analyze", "bound", "--cond", "cond.json", "--epsilon", "1"],
+        ["benchmark", "analyzers", "--data", "fx/mixed_five.csv", "--epsilons", "1"],
+        ["calibrate", "--data", "fx/independent_pair.csv", "--budget", "2", "--step", "0.1"],
+    ]
+
+    @pytest.mark.parametrize("argv", SEEDLESS, ids=lambda a: "-".join(a[:2]))
+    def test_no_seed_where_nothing_is_drawn(self, capsys, workdir, monkeypatch, argv):
+        # a seed cannot change these results, so there is none to set or to digest
+        argv = [str(workdir / a) if a.startswith(("fx/", "cond.")) else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "3"])
+        assert exc.value.code == 2
+        _, out, _ = run(capsys, argv)
+        monkeypatch.setenv("CPL_KIT_SEED", "99")
+        _, out99, _ = run(capsys, argv)
+        r, r99 = payload(out), payload(out99)
+        assert r["manifest"]["seed"] is None and r99["manifest"]["seed"] is None
+        assert r["manifest"]["config_digest"] == r99["manifest"]["config_digest"]
+        assert r["result"] == r99["result"]
+
     @pytest.mark.parametrize("flag", ["--threads", "--workers"])
     def test_no_thread_knob_on_benchmark_utility(self, workdir, flag):
         # the utility benchmark sizes its pool itself; its rows cannot depend on it
@@ -227,6 +251,17 @@ class TestDeterminism:
                                  "--mechanism", "grr", "--epsilon", "1", "--target", "0",
                                  "--neighbors", "1", "--r", "1", "--surrogates", "19"])
         assert payload(out)["manifest"]["seed"] == 99
+
+    def test_bad_seed_env_fails_only_seeded_commands(self, capsys, workdir, monkeypatch):
+        monkeypatch.setenv("CPL_KIT_SEED", "abc")
+        code, out, _ = run(capsys, ["analyze", "bound", "--cond", str(workdir / "cond.json"),
+                                    "--epsilon", "1"])
+        assert code == 0 and payload(out)["manifest"]["seed"] is None
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", str(workdir / "fx" / "independent_pair.csv"),
+                  "--mechanism", "grr", "--epsilon", "1", "--target", "0", "--neighbors", "1"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def reject_constant(name):
@@ -279,6 +314,16 @@ class TestErrors:
                                       "--epsilon", epsilon, *engine])
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize("engine", [[], ["--mechanism", "grr"]])
+    def test_matrix_bad_delta_exits_two(self, capsys, workdir, engine):
+        # the exact engine ignores delta, but it rejects the same deltas as the bound
+        code, out, err = run(capsys, ["analyze", "matrix", "--data",
+                                      str(workdir / "fx" / "maxleak_pair.csv"),
+                                      "--epsilon", "1", "--delta", "7", *engine])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "InputError",
+                                            "message": "delta must be in [0, 1)"}
 
     @pytest.mark.parametrize("argv", [
         ["benchmark", "utility", "--data", "fx/noisy_copy.csv", "--mechanisms", "olh",
@@ -350,6 +395,13 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "exact", "--cond", str(workdir / "cond.json"),
                   "--mechanism", "nope", "--epsilon", "1"])
+        assert exc.value.code == 2
+
+    def test_exact_takes_domain_size_from_table(self, workdir):
+        # the channel's k is the table's column count; there is no --k to disagree with it
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "exact", "--cond", str(workdir / "cond.json"),
+                  "--mechanism", "grr", "--epsilon", "1", "--k", "4"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("content", [

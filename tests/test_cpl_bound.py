@@ -14,9 +14,8 @@ from cpl_kit import (
     cpl_limit,
     is_max_attainable,
 )
-from cpl_kit.cpl_bound import cpl_bound_bruteforce
 from cpl_kit.rng import derive_rng
-from conftest import random_conditional
+from conftest import cpl_bound_bruteforce, random_conditional
 
 
 def pure_python_pair_max(g, gp, epsilon):
