@@ -11,10 +11,11 @@ NMSE, normalized 0-1 error between decoded outputs and inputs, and total
 pairwise leakage normalized by the budget-only bound. The leakage is exact
 for every mechanism: each neighbor is released through its decoded channel
 (``transition_matrix``), so it depends on the data and the budget alone,
-not on the seed or the expansion factor. The errors come from columns, one
-attribute of one cell each, which draw from their own streams, so they run
-on a thread pool and are summed in grid order: the rows do not depend on
-the number of threads.
+not on the seed or the expansion factor. Here and in the analyzer benchmark
+every per-pair leakage comes from the budget-independent table that
+``calibrate`` probes. The errors come from columns, one attribute of one
+cell each, which draw from their own streams, so they run on a thread pool
+and are summed in grid order: the rows do not depend on the number of threads.
 """
 from __future__ import annotations
 
@@ -24,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpl_bound import BudgetParams, cpl_bound
-from .cpl_exact import EXACT_ENGINES, cpl_exact
+from .calibration import _leakage_table
 from .correlation_metrics import metrics
 from .data_model import ConditionalDistribution, Dataset, conditional_from_joint, empirical_joint
 from .errors import DimensionMismatchError, InputError
-from .mechanisms import MechanismSpec, debias_counts, transition_matrix
-from .statistical import EstimationConfig, _block_stats, _column_streams, _expanded_blocks
+from .mechanisms import MechanismSpec, debias_counts
+from .statistical import EstimationConfig, _decoded_column
 
 _TOL = 1e-9
 
@@ -149,19 +149,8 @@ def pairwise_abs_pcc(d: Dataset) -> np.ndarray:
 def reference_leakages(d: Dataset, epsilon: float, method: str = "bound") -> list[float]:
     """Per-pair reference leakage: the budget-only bound (``bound``), or the
     exact value through the decoded channel of a mechanism (``exact-<kind>``
-    for any kind, see ``EXACT_ENGINES``)."""
-    if method != "bound" and method not in EXACT_ENGINES:
-        raise InputError(f"unknown reference method {method!r}")
-    conds = pairwise_conditionals(d)
-    values = []
-    for i, j in ordered_pairs(d.n_attributes):
-        cond = conds[(i, j)]
-        if method == "bound":
-            values.append(cpl_bound(cond, BudgetParams(epsilon, 0.0)).leakage)
-        else:
-            spec = MechanismSpec(EXACT_ENGINES[method], epsilon, cond.n_cols)
-            values.append(cpl_exact(cond, transition_matrix(spec)).leakage)
-    return values
+    for any kind, see ``EXACT_ENGINES``), from calibration's leakage table."""
+    return _leakage_table(list(pairwise_conditionals(d).values()), method)(epsilon)
 
 
 def analyzer_benchmark(d: Dataset, epsilon: float, thresholds=(0.2, 0.4),
@@ -171,16 +160,17 @@ def analyzer_benchmark(d: Dataset, epsilon: float, thresholds=(0.2, 0.4),
     ``reference`` is a method name accepted by :func:`reference_leakages` or
     a precomputed per-pair list (e.g. statistical estimates).
     """
+    conds = list(pairwise_conditionals(d).values())
     if isinstance(reference, str):
-        ref = reference_leakages(d, epsilon, reference)
+        ref = _leakage_table(conds, reference)(epsilon)
     else:
         ref = list(reference)
     n = d.n_attributes
     pcc = pairwise_abs_pcc(d)
     points = {
         "spl-anl": undershoot_overshoot(ref, baseline_spl_anl(n, epsilon), epsilon),
-        "grr-anl": undershoot_overshoot(ref, reference_leakages(d, epsilon, "exact-grr"), epsilon),
-        "exp-anl": undershoot_overshoot(ref, reference_leakages(d, epsilon, "exact-exp"), epsilon),
+        "grr-anl": undershoot_overshoot(ref, _leakage_table(conds, "exact-grr")(epsilon), epsilon),
+        "exp-anl": undershoot_overshoot(ref, _leakage_table(conds, "exact-exp")(epsilon), epsilon),
     }
     for thr in thresholds:
         points[f"grf-{thr:g}"] = undershoot_overshoot(
@@ -214,12 +204,13 @@ def _column_stats(d: Dataset, kind: str, eps: float, j: int, r: int, seed: int,
     """Support counts and decoding mismatches of attribute ``j`` under the
     ``cell``-th (kind, eps), summed over the expanded rows block by block."""
     spec = MechanismSpec(kind, eps, d.alphabet(j).size)
-    perturb_rng, decode_rng = _column_streams(seed, (cell,), j)
     counts, mismatches = 0, 0
-    for values in _expanded_blocks(d.column(j), r):
-        block_counts, block_mismatches = _block_stats(spec, values, perturb_rng, decode_rng)
+    for values, block_counts, symbols in _decoded_column(spec, d.column(j), r, seed, (cell,), j):
         counts += block_counts
-        mismatches += block_mismatches
+        mismatches += int(np.count_nonzero(symbols != values))
+        # Unbound now: the loop variables would otherwise keep this block
+        # alive while the walker draws the next one, two blocks at a time.
+        del values, block_counts, symbols
     return counts, mismatches
 
 
@@ -232,8 +223,8 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
     blocks on a thread pool and keeps only its support counts and decoding
     mismatches. The cells are then finished in grid order, so the first
     failing cell raises, as in a serial run. The leakage of each pair is
-    exact, through the neighbor's decoded channel; its budget-only bound
-    depends on the budget alone and is computed once per budget."""
+    exact, through the neighbor's decoded channel, and its budget-only
+    bound, both summed over calibration's leakage table."""
     # Imported here: concurrent.futures loads logging, which every other
     # command would pay for in start-up time and memory.
     from concurrent.futures import ThreadPoolExecutor
@@ -241,13 +232,11 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
     n_attr = d.n_attributes
     sizes = [d.alphabet(j).size for j in range(n_attr)]
     n_rows = d.n_records * cfg.expansion
-    pairs = ordered_pairs(n_attr)
-    conds = pairwise_conditionals(d)
+    conds = list(pairwise_conditionals(d).values())
     true_freqs = [np.bincount(d.column(j), minlength=sizes[j]) / d.n_records
                   for j in range(n_attr)]
     freq_denom = sum(float((f ** 2).sum()) for f in true_freqs)
     grid = [(k, e) for k in kinds for e in epsilons]
-    tcpl_stars: dict[float, float] = {}
 
     pool = ThreadPoolExecutor(_workers(len(grid) * n_attr))
     try:
@@ -266,12 +255,10 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
             freq_nmse = freq_err / freq_denom
             zero_one = sum(mismatches) / (n_rows * n_attr)
 
-            channels = [transition_matrix(spec) for spec in specs]
-            if eps not in tcpl_stars:
-                tcpl_stars[eps] = sum(cpl_bound(conds[p], BudgetParams(eps, 0.0)).leakage
-                                      for p in pairs)
-            tcpl_star = tcpl_stars[eps]
-            tcpl_prime = sum(cpl_exact(conds[(i, j)], channels[j]).leakage for i, j in pairs)
+            # Built after the cell's specs: a constant column fails on its
+            # spec first, as in a serial run, not on its table.
+            tcpl_star = sum(_leakage_table(conds, "bound")(eps))
+            tcpl_prime = sum(_leakage_table(conds, f"exact-{kind}")(eps))
             norm_tcpl = tcpl_prime / tcpl_star if tcpl_star > 0 else 0.0
             rows.append(UtilityRow(kind, eps, UtilityReport(freq_nmse, zero_one, norm_tcpl)))
     finally:

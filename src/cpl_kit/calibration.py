@@ -10,7 +10,8 @@ shared budget, so the first infeasible step is final. The leakage engine is
 the budget-only bound, safe for any pure mechanism, or ``exact-<kind>``: the
 exact leakage through the decoded channel of any mechanism kind. The
 budget-independent part of every leakage computation is built once per
-calibration and shared by all probes.
+calibration and shared by all probes. The analyzer and utility benchmarks
+take their per-pair leakages from the same table.
 """
 from __future__ import annotations
 

@@ -120,6 +120,9 @@ def _with_bits(obj: dict, args: argparse.Namespace) -> dict:
 
 def _cmd_analyze_matrix(args) -> dict:
     budget = BudgetParams(args.epsilon, args.delta)
+    if args.mechanism and args.delta != 0:
+        raise InputError("--delta applies to the bound only; the exact engine "
+                         "(--mechanism) reads epsilon alone")
     d = load_csv(args.data)
     conds = pairwise_conditionals(d)
     n = d.n_attributes
@@ -191,12 +194,14 @@ def _cmd_estimate(args) -> dict:
     d = load_csv(args.data)
     cfg = EstimationConfig(expansion=args.r, surrogates=args.surrogates,
                            alpha=args.alpha, seed=args.seed)
-    specs = [MechanismSpec(args.mechanism, args.epsilon, d.alphabet(j).size)
-             for j in range(d.n_attributes)]
-    res = estimate_cpl(d, specs, args.target, _int_list(args.neighbors), cfg)
+    neighbors = _int_list(args.neighbors)
+    # Only the neighbors are perturbed; estimate_cpl rejects the indices left out.
+    specs = {z: MechanismSpec(args.mechanism, args.epsilon, d.alphabet(z).size)
+             for z in neighbors if 0 <= z < d.n_attributes}
+    res = estimate_cpl(d, specs, args.target, neighbors, cfg)
     return _with_bits({
         "target": args.target,
-        "neighbors": _int_list(args.neighbors),
+        "neighbors": neighbors,
         "mechanism": args.mechanism,
         "epsilon": args.epsilon,
         "leakage_nats": res.leakage,
@@ -223,7 +228,7 @@ def _cmd_benchmark_analyzers(args) -> dict:
 
 def _cmd_benchmark_utility(args) -> dict:
     d = load_csv(args.data)
-    cfg = EstimationConfig(expansion=args.r, surrogates=1, alpha=0.05, seed=args.seed)
+    cfg = EstimationConfig(expansion=args.r, seed=args.seed)
     rows = utility_benchmark(d, args.mechanisms.split(","), _float_list(args.epsilons), cfg)
     return {"rows": [{
         "mechanism": r.mechanism, "epsilon": r.epsilon,
@@ -234,9 +239,7 @@ def _cmd_benchmark_utility(args) -> dict:
 
 def _cmd_calibrate(args) -> dict:
     d = load_csv(args.data)
-    joints = {(i, j): empirical_joint(d, i, j)
-              for i in range(d.n_attributes) for j in range(d.n_attributes) if i != j}
-    res = calibrate(joints, args.budget, step=args.step, engine=args.engine)
+    res = calibrate(pairwise_conditionals(d), args.budget, step=args.step, engine=args.engine)
     return {
         "epsilon_star": res.epsilon_star,
         "worst_attribute": res.worst_attribute,

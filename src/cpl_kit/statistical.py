@@ -9,9 +9,12 @@ conditioning symbols.
 
 The expanded rows are only ever counted, so the stages run on blocks of
 ``BLOCK_ROWS`` expanded rows and the counts add up across blocks: memory
-stays flat in the expansion factor. ``estimate_cpl`` keeps only the
-count table, and perturbs only the neighbors; ``perturb_dataset`` joins the
-decoded blocks for callers that want the rows.
+stays flat in the expansion factor. One walker streams one attribute's
+column through the stages, from that attribute's own two streams.
+``estimate_cpl`` walks only the neighbors, in step, and keeps only the count
+table; ``perturb_dataset`` walks every column in turn and joins the decoded
+symbols for callers that want the rows; the utility benchmark walks each
+column alone.
 
 Significance comes from permutation surrogates: shuffling each neighbor
 column independently keeps every one-way margin and destroys the
@@ -74,21 +77,18 @@ class StatisticalCplResult:
     excluded_cells: int
 
 
-def _check_specs(d: Dataset, specs: list[MechanismSpec]) -> None:
-    if len(specs) != d.n_attributes:
-        raise InputError(f"need one mechanism spec per attribute ({d.n_attributes})")
-    for j, spec in enumerate(specs):
+def _check_specs(d: Dataset, specs, attrs) -> None:
+    """Check ``specs[j]``, the mechanism of attribute j, for every j in ``attrs``."""
+    for j in attrs:
+        try:
+            spec = specs[j]
+        except LookupError:
+            raise InputError(f"no mechanism spec for attribute {d.attribute_names[j]!r}") from None
         if spec.k != d.alphabet(j).size:
             raise InputError(
                 f"attribute {d.attribute_names[j]!r} has alphabet size "
                 f"{d.alphabet(j).size} but spec k={spec.k}"
             )
-
-
-def _column_streams(seed: int, key: tuple[int, ...], j: int):
-    """Perturb and decode streams of attribute ``j``: ``derive_rng(seed,
-    STAGE_PERTURB | STAGE_DECODE, *key, j)``."""
-    return derive_rng(seed, STAGE_PERTURB, *key, j), derive_rng(seed, STAGE_DECODE, *key, j)
 
 
 def _expanded_blocks(records: np.ndarray, r: int):
@@ -99,29 +99,25 @@ def _expanded_blocks(records: np.ndarray, r: int):
         yield records.take(np.arange(start, min(start + BLOCK_ROWS, n_rows)) // r, axis=0)
 
 
-def _decoded_blocks(d: Dataset, specs: list[MechanismSpec], attrs, r: int, seed: int,
-                    key: tuple[int, ...] = ()):
-    """Yield every block of ``expand_dataset(d, r)`` with the ``(perturbed
-    column, decoded symbols)`` of each attribute in ``attrs``. Attribute j
-    draws from its two ``_column_streams``, each continued from block to
-    block."""
-    streams = [(j, *_column_streams(seed, key, j)) for j in attrs]
-    for block in _expanded_blocks(d.records, r):
-        reports = []
-        for j, perturb_rng, decode_rng in streams:
-            col = perturb_column(specs[j], block[:, j], perturb_rng)
-            reports.append((col, decode_column(specs[j], col, decode_rng)))
-        yield block, reports
-
-
 def _block_stats(spec: MechanismSpec, values: np.ndarray, perturb_rng: np.random.Generator,
-                 decode_rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Perturb and decode one block of one attribute, as ``_decoded_blocks``
-    does, and keep only its support counts and its decoding mismatches, so
-    no report outlives the block."""
+                 decode_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Perturb and decode one block of one attribute and keep only its
+    support counts and decoded symbols, so no report outlives the block."""
     col = perturb_column(spec, values, perturb_rng)
-    symbols = decode_column(spec, col, decode_rng)
-    return support_counts(spec, col), int(np.count_nonzero(symbols != values))
+    return support_counts(spec, col), decode_column(spec, col, decode_rng)
+
+
+def _decoded_column(spec: MechanismSpec, values: np.ndarray, r: int, seed: int,
+                    key: tuple[int, ...], j: int):
+    """Yield ``(block, support counts, decoded symbols)`` for every block of
+    ``values``, attribute j's column, expanded by ``r``. The column draws
+    from ``derive_rng(seed, STAGE_PERTURB | STAGE_DECODE, *key, j)``, each
+    stream continued from block to block, so a column walked alone and one
+    walked in step with others give the same symbols."""
+    perturb_rng = derive_rng(seed, STAGE_PERTURB, *key, j)
+    decode_rng = derive_rng(seed, STAGE_DECODE, *key, j)
+    for block in _expanded_blocks(values, r):
+        yield (block, *_block_stats(spec, block, perturb_rng, decode_rng))
 
 
 def perturb_dataset(d: Dataset, specs: list[MechanismSpec], cfg: EstimationConfig) -> Dataset:
@@ -131,13 +127,15 @@ def perturb_dataset(d: Dataset, specs: list[MechanismSpec], cfg: EstimationConfi
     cfg.expansion)``. Every expanded record is perturbed with fresh
     randomness; per-attribute streams are derived from the config seed.
     """
-    _check_specs(d, specs)
+    if len(specs) != d.n_attributes:
+        raise InputError(f"need one mechanism spec per attribute ({d.n_attributes})")
+    _check_specs(d, specs, range(d.n_attributes))
     decoded = np.empty((d.n_records * cfg.expansion, d.n_attributes), dtype=np.int64)
-    row = 0
-    for block, reports in _decoded_blocks(d, specs, range(d.n_attributes), cfg.expansion, cfg.seed):
-        for j, (_, symbols) in enumerate(reports):
+    for j, spec in enumerate(specs):
+        row = 0
+        for block, _, symbols in _decoded_column(spec, d.column(j), cfg.expansion, cfg.seed, (), j):
             decoded[row:row + len(block), j] = symbols
-        row += len(block)
+            row += len(block)
     return Dataset(d.schema, _lock(decoded))
 
 
@@ -264,21 +262,25 @@ def statistical_cpl(perturbed: Dataset, original: Dataset, target: int,
     return _observed_and_null(*_decoded_table(perturbed, original, target, neighbors), cfg)
 
 
-def estimate_cpl(d: Dataset, specs: list[MechanismSpec], target: int,
-                 neighbors: list[int], cfg: EstimationConfig) -> StatisticalCplResult:
+def estimate_cpl(d: Dataset, specs, target: int, neighbors: list[int],
+                 cfg: EstimationConfig) -> StatisticalCplResult:
     """``statistical_cpl(perturb_dataset(d, specs, cfg), expand_dataset(d,
     cfg.expansion), target, neighbors, cfg)``, bit for bit, without building
-    either dataset: only the neighbors are perturbed and decoded, block by
-    block, and only their (m, n_w) count table is kept."""
+    either dataset: only the neighbors are perturbed and decoded, each by its
+    own column walker, in step block by block, and only their (m, n_w) count
+    table is kept. ``specs[z]`` is attribute z's mechanism; only the
+    neighbors' are read, so a mapping of the neighbors alone will do."""
     neighbors = _check_attributes(d.n_attributes, target, neighbors)
-    _check_specs(d, specs)
+    _check_specs(d, specs, neighbors)
     sizes = [d.alphabet(z).size for z in neighbors]
     n_w = _tuple_cells(sizes)
     m = d.alphabet(target).size
     table = np.zeros((m, n_w), dtype=np.int64)
-    for block, reports in _decoded_blocks(d, specs, neighbors, cfg.expansion, cfg.seed):
-        w_codes = np.ravel_multi_index(tuple(symbols for _, symbols in reports), dims=tuple(sizes))
-        table += count_table(block[:, target], w_codes, m, n_w)
+    walkers = [_decoded_column(specs[z], d.column(z), cfg.expansion, cfg.seed, (), z)
+               for z in neighbors]
+    for block, *reports in zip(_expanded_blocks(d.column(target), cfg.expansion), *walkers):
+        w_codes = np.ravel_multi_index(tuple(symbols for _, _, symbols in reports), dims=tuple(sizes))
+        table += count_table(block, w_codes, m, n_w)
     return _observed_and_null(table, sizes, cfg)
 
 

@@ -1,3 +1,6 @@
+# utility_benchmark imports this lazily; importing it here keeps that import
+# out of the tracemalloc windows below.
+import concurrent.futures  # noqa: F401
 import os
 import sys
 import tracemalloc
@@ -13,6 +16,7 @@ from cpl_kit import (
     MechanismSpec,
     cpl_bound,
     cpl_exact,
+    expand_dataset,
     nmse_cpl,
     transition_matrix,
     undershoot_overshoot,
@@ -37,9 +41,9 @@ from cpl_kit.fixtures import (
     noisy_copy,
     sample_pair_from_joint,
 )
-from cpl_kit.mechanisms import KINDS, debias_counts, support_counts
-from cpl_kit.rng import derive_rng
-from cpl_kit.statistical import BLOCK_ROWS, _decoded_blocks
+from cpl_kit.mechanisms import KINDS, debias_counts, decode_column, perturb_column, support_counts
+from cpl_kit.rng import STAGE_DECODE, STAGE_PERTURB, derive_rng
+from cpl_kit.statistical import BLOCK_ROWS
 
 
 class TestUndershootOvershoot:
@@ -131,7 +135,7 @@ class TestAnalyzerBenchmark:
 
     @pytest.mark.parametrize("method", ["exact-nope", "exact", "grr"])
     def test_unknown_reference_rejected(self, method):
-        with pytest.raises(InputError, match="reference method"):
+        with pytest.raises(InputError, match="unknown leakage engine"):
             reference_leakages(independent_pair(n=1_000, seed=2, k=2), 1.0, method)
 
     def test_exact_reference_puts_grr_at_origin(self):
@@ -229,11 +233,14 @@ class TestUtilityBenchmark:
 
 
 def serial_utility(d, kinds, epsilons, cfg):
-    """Oracle: every cell walked serially through ``_decoded_blocks``, all
-    attributes of a block together, each cell's bound recomputed."""
+    """Oracle: every cell walked serially over the blocks of the built
+    expanded dataset, all attributes of a block together, with the public
+    column API on the ``derive_rng`` streams; every pair's leakage comes
+    from the single-pair kernels."""
     n_attr = d.n_attributes
     sizes = [d.alphabet(j).size for j in range(n_attr)]
     n_rows = d.n_records * cfg.expansion
+    expanded = expand_dataset(d, cfg.expansion).records
     pairs = ordered_pairs(n_attr)
     conds = pairwise_conditionals(d)
     true_freqs = [np.bincount(d.column(j), minlength=sizes[j]) / d.n_records
@@ -242,11 +249,15 @@ def serial_utility(d, kinds, epsilons, cfg):
     rows = []
     for cell, (kind, eps) in enumerate((k, e) for k in kinds for e in epsilons):
         specs = [MechanismSpec(kind, eps, size) for size in sizes]
+        streams = [(derive_rng(cfg.seed, STAGE_PERTURB, cell, j),
+                    derive_rng(cfg.seed, STAGE_DECODE, cell, j)) for j in range(n_attr)]
         counts = [0] * n_attr
         mismatches = 0
-        for block, reports in _decoded_blocks(d, specs, range(n_attr), cfg.expansion,
-                                              cfg.seed, key=(cell,)):
-            for j, (col, symbols) in enumerate(reports):
+        for start in range(0, n_rows, BLOCK_ROWS):
+            block = expanded[start:start + BLOCK_ROWS]
+            for j, (perturb_rng, decode_rng) in enumerate(streams):
+                col = perturb_column(specs[j], block[:, j], perturb_rng)
+                symbols = decode_column(specs[j], col, decode_rng)
                 counts[j] += support_counts(specs[j], col)
                 mismatches += int(np.count_nonzero(symbols != block[:, j]))
         freq_err = 0.0
@@ -302,20 +313,21 @@ class TestUtilityColumns:
             tracemalloc.stop()
         assert peak <= 4 * BLOCK_ROWS * k * 8
 
-    def test_bound_computed_once_per_budget(self, monkeypatch):
-        calls = []
-
-        def counting_bound(cond, params):
-            calls.append(params.epsilon)
-            return cpl_bound(cond, params)
-
-        monkeypatch.setattr(benchmarks, "cpl_bound", counting_bound)
-        d = noisy_copy(n=2_000, seed=3, k=4)
-        cfg = EstimationConfig(expansion=1, surrogates=1, seed=5)
-        rows = utility_benchmark(d, ["grr", "oue", "ss"], [1.0, 3.0], cfg)
-        assert len(rows) == 6
-        pairs = len(ordered_pairs(d.n_attributes))
-        assert sorted(calls) == [1.0] * pairs + [3.0] * pairs
+    def test_one_worker_memory_is_under_five_int64_blocks(self, monkeypatch):
+        # a grr column holds a block's values, reports and symbols, one int64
+        # each; if the loop kept the last block alive while the walker draws
+        # the next, the peak would pass six such blocks
+        monkeypatch.setattr(benchmarks, "_workers", lambda n_columns: 1)
+        d = noisy_copy(n=5_000, seed=3, k=4)
+        cfg = EstimationConfig(expansion=30, surrogates=1, seed=5)
+        assert d.n_records * cfg.expansion > 2 * BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            utility_benchmark(d, ["grr"], [1.0], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * BLOCK_ROWS * 8
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
     def test_workers_one_per_cpu_capped_by_columns(self):

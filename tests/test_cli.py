@@ -115,6 +115,24 @@ class TestEstimate:
         assert res["significant"] is True
         assert res["p_value"] < 0.05
 
+    def test_attribute_never_perturbed_cannot_fail_the_run(self, capsys, tmp_path):
+        # c is constant, so it has no grr spec; it is neither the target nor
+        # a neighbor. It comes last, as streams are keyed by attribute index.
+        rows = [(i % 3, (i * 7) % 4 if i % 5 else i % 3) for i in range(3000)]
+        (tmp_path / "abc.csv").write_text(
+            "a,b,c\n" + "".join(f"{a},{b},z\n" for a, b in rows), encoding="utf-8")
+        (tmp_path / "ab.csv").write_text(
+            "a,b\n" + "".join(f"{a},{b}\n" for a, b in rows), encoding="utf-8")
+        results = []
+        for name in ("abc.csv", "ab.csv"):
+            code, out, err = run(capsys, ["estimate", "--data", str(tmp_path / name),
+                                          "--mechanism", "grr", "--epsilon", "1",
+                                          "--target", "0", "--neighbors", "1", "--r", "2",
+                                          "--surrogates", "20"])
+            assert code == 0, err
+            results.append(payload(out)["result"])
+        assert results[0] == results[1]
+
 
 class TestBenchmarks:
     def test_analyzers_regions(self, capsys, workdir):
@@ -324,6 +342,19 @@ class TestErrors:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == {"type": "InputError",
                                             "message": "delta must be in [0, 1)"}
+
+    def test_matrix_delta_with_mechanism_exits_two(self, capsys, workdir):
+        # the exact engine reads epsilon alone, so a delta there would only be echoed
+        code, out, err = run(capsys, ["analyze", "matrix", "--data",
+                                      str(workdir / "fx" / "mixed_five.csv"),
+                                      "--epsilon", "1", "--delta", "0.2", "--mechanism", "grr"])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and "--delta" in error["message"]
+        code, out, _ = run(capsys, ["analyze", "matrix", "--data",
+                                    str(workdir / "fx" / "mixed_five.csv"),
+                                    "--epsilon", "1", "--delta", "0", "--mechanism", "grr"])
+        assert code == 0 and payload(out)["result"]["delta"] == 0.0
 
     @pytest.mark.parametrize("argv", [
         ["benchmark", "utility", "--data", "fx/noisy_copy.csv", "--mechanisms", "olh",

@@ -27,7 +27,8 @@ from cpl_kit.mechanisms import KINDS
 from cpl_kit.fixtures import independent_pair, latent_five, maxleak_pair, perfect_copy
 from cpl_kit.rng import STAGE_SURROGATE, derive_rng
 from cpl_kit.statistical import (
-    BLOCK_ROWS, _decoded_blocks, _surrogate_table, count_table, sup_ratio_leakage,
+    BLOCK_ROWS, _decoded_column, _expanded_blocks, _surrogate_table, count_table,
+    sup_ratio_leakage,
 )
 
 
@@ -332,9 +333,45 @@ class TestEstimateCpl:
     def test_blocks_concatenate_to_the_expanded_records(self, r):
         d = four_records_pair()
         assert d.n_records * r % BLOCK_ROWS != 0
-        blocks = [block for block, _ in _decoded_blocks(d, [], [], r, seed=0)]
+        blocks = list(_expanded_blocks(d.records, r))
         assert max(len(block) for block in blocks) <= BLOCK_ROWS
         np.testing.assert_array_equal(np.concatenate(blocks), expand_dataset(d, r).records)
+
+    @pytest.mark.parametrize("kind", ["grr", "olh", "she"])
+    def test_column_walked_alone_equals_column_in_step(self, kind):
+        # perturb_dataset walks one column after another and estimate_cpl
+        # walks its neighbors in step; either way attribute j's symbols agree
+        d = latent_five(n=30_001, seed=4)
+        r, seed, cols = 3, 8, (0, 3)
+        assert BLOCK_ROWS < d.n_records * r < 2 * BLOCK_ROWS
+        specs = [MechanismSpec(kind, 1.0, d.alphabet(j).size) for j in range(d.n_attributes)]
+        pert = perturb_dataset(d, specs, EstimationConfig(expansion=r, surrogates=1, seed=seed))
+        stepped = {j: [] for j in cols}
+        for blocks in zip(*(_decoded_column(specs[j], d.column(j), r, seed, (), j) for j in cols)):
+            for j, (_, _, symbols) in zip(cols, blocks):
+                stepped[j].append(symbols)
+        for j in cols:
+            alone = list(_decoded_column(specs[j], d.column(j), r, seed, (), j))
+            assert len(alone) == len(stepped[j]) == 2
+            np.testing.assert_array_equal(np.concatenate([block for block, _, _ in alone]),
+                                          expand_dataset(d, r).column(j))
+            np.testing.assert_array_equal(
+                np.concatenate([symbols for _, _, symbols in alone]), pert.column(j))
+            np.testing.assert_array_equal(np.concatenate(stepped[j]), pert.column(j))
+
+    def test_only_the_neighbors_specs_are_read(self):
+        # a constant attribute has no valid grr spec; it is neither a
+        # neighbor nor perturbed, so it cannot change the estimate
+        d = maxleak_pair(n=3_000, seed=2)
+        constant = Dataset((*d.schema, ("c", Alphabet(("z",)))),
+                           np.column_stack([d.records, np.zeros(d.n_records, dtype=np.int64)]))
+        cfg = EstimationConfig(expansion=2, surrogates=20, seed=3)
+        want = estimate_cpl(d, grr_specs(d, 1.0), 0, [1], cfg)
+        got = estimate_cpl(constant, {1: MechanismSpec("grr", 1.0, d.alphabet(1).size)},
+                           0, [1], cfg)
+        assert got == want
+        with pytest.raises(InputError, match="no mechanism spec for attribute 'b'"):
+            estimate_cpl(constant, {0: grr_specs(d, 1.0)[0]}, 0, [1], cfg)
 
     def test_peak_memory_flat_in_expansion(self):
         d = maxleak_pair(n=20_000, seed=0)
