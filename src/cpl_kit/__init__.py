@@ -3,8 +3,9 @@
 Quantifies how much a perturbed attribute reveals about a correlated
 neighbor: exactly from transition probabilities, by a tight bound from the
 (epsilon, delta) budget alone, or statistically from perturbed data with a
-permutation significance test. Includes sequential composition, analyzer and
-utility benchmarks, and correlation-aware budget calibration.
+permutation significance test. Includes analyzer and utility benchmarks and
+correlation-aware budget calibration, which totals an attribute's leakage as
+its own budget plus the pairwise leakage caused by each neighbor.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +25,6 @@ from .benchmarks import (
     utility_benchmark,
 )
 from .calibration import CalibrationResult, calibrate, worst_tpl
-from .composition import CplMatrix, LeakagePair, sequential_compose, tcpl, tpl_upper_bound
 from .correlation_metrics import MetricReport, metrics
 from .cpl_bound import (
     BoundedCplResult,
@@ -33,7 +33,7 @@ from .cpl_bound import (
     cpl_limit,
     is_max_attainable,
 )
-from .cpl_exact import ExactCplResult, cpl_exact, evaluate_witness
+from .cpl_exact import ExactCplResult, cpl_exact
 from .data_model import (
     Alphabet,
     ConditionalDistribution,

@@ -30,7 +30,7 @@ from .correlation_metrics import metrics
 from .data_model import ConditionalDistribution, Dataset, conditional_from_joint, empirical_joint
 from .errors import DimensionMismatchError, InputError
 from .mechanisms import MechanismSpec, debias_counts
-from .statistical import EstimationConfig, _decoded_column
+from .statistical import _decoded_column
 
 _TOL = 1e-9
 
@@ -215,9 +215,10 @@ def _column_stats(d: Dataset, kind: str, eps: float, j: int, r: int, seed: int,
 
 
 def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
-                      cfg: EstimationConfig) -> list[UtilityRow]:
-    """Perturb the dataset under every (mechanism, budget) cell and report
-    utility errors alongside normalized total pairwise leakage.
+                      r: int, seed: int) -> list[UtilityRow]:
+    """Perturb the dataset, each record repeated ``r`` times, under every
+    (mechanism, budget) cell and report utility errors alongside normalized
+    total pairwise leakage.
 
     Each column, one attribute of one cell, walks the expanded dataset in
     blocks on a thread pool and keeps only its support counts and decoding
@@ -229,9 +230,11 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
     # command would pay for in start-up time and memory.
     from concurrent.futures import ThreadPoolExecutor
 
+    if r < 1:
+        raise InputError("expansion factor must be >= 1")
     n_attr = d.n_attributes
     sizes = [d.alphabet(j).size for j in range(n_attr)]
-    n_rows = d.n_records * cfg.expansion
+    n_rows = d.n_records * r
     conds = list(pairwise_conditionals(d).values())
     true_freqs = [np.bincount(d.column(j), minlength=sizes[j]) / d.n_records
                   for j in range(n_attr)]
@@ -240,7 +243,7 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
 
     pool = ThreadPoolExecutor(_workers(len(grid) * n_attr))
     try:
-        columns = [[pool.submit(_column_stats, d, kind, eps, j, cfg.expansion, cfg.seed, cell)
+        columns = [[pool.submit(_column_stats, d, kind, eps, j, r, seed, cell)
                     for j in range(n_attr)] for cell, (kind, eps) in enumerate(grid)]
         rows: list[UtilityRow] = []
         for (kind, eps), futures in zip(grid, columns):

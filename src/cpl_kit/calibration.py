@@ -6,12 +6,16 @@ the correlation leakage caused by every neighbor at that same budget) stays
 within the ceiling. Naive equal splitting uses ceiling/n; weak correlations
 leave most of that slack unused, and stepping the shared budget upward while
 the constraint holds recovers it. Worst-attribute leakage is monotone in the
-shared budget, so the first infeasible step is final. The leakage engine is
-the budget-only bound, safe for any pure mechanism, or ``exact-<kind>``: the
-exact leakage through the decoded channel of any mechanism kind. The
-budget-independent part of every leakage computation is built once per
-calibration and shared by all probes. The analyzer and utility benchmarks
-take their per-pair leakages from the same table.
+shared budget, so the first infeasible step is final. The per-pair leakage
+engine is the budget-only bound or ``exact-<kind>``: the exact leakage
+through the decoded channel of any mechanism kind. An attribute's total is
+its own budget plus the sum of its pairwise leakages; this module is the one
+place that total is computed. The sum is not a bound on the leakage of all
+neighbors at once: when the neighbors depend on each other given the target,
+their joint leakage can exceed it. The budget-independent part of every
+leakage computation is built once per calibration and shared by all probes.
+The analyzer and utility benchmarks take their per-pair leakages from the
+same table.
 """
 from __future__ import annotations
 
@@ -140,10 +144,12 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
     feasible value.
 
     ``joints`` maps ordered attribute pairs (i, j) to the pairwise
-    distribution of (attribute i, attribute j); the leakage engine is the
-    budget-only bound (safe for any pure mechanism) or ``exact-<kind>``.
-    The equal split is feasible by construction (each neighbor leaks at most
-    the shared budget); a numerical violation of that is an error.
+    distribution of (attribute i, attribute j); the per-pair leakage engine
+    is the budget-only bound or ``exact-<kind>``, and an attribute's total is
+    its own budget plus its pairwise leakages, which neighbors that depend on
+    each other given the attribute can exceed. The equal split is feasible
+    by construction (each neighbor leaks at most the shared budget); a
+    numerical violation of that is an error.
     """
     if not 0 < epsilon_bar < math.inf:
         raise InputError("total budget must be finite and positive")

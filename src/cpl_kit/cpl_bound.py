@@ -62,11 +62,6 @@ class BoundedCplResult:
     b_mass: float
     witness_pair: tuple[int, int]
 
-    def pair(self):
-        """As a composable leakage statement."""
-        from .composition import LeakagePair
-        return LeakagePair(self.leakage, self.relaxation)
-
 
 def _iter_pairs(cond: ConditionalDistribution):
     rows = cond.valid_rows()

@@ -46,12 +46,6 @@ class ExactCplResult:
     def is_infinite(self) -> bool:
         return self.infinite_witness is not None
 
-    def pair(self):
-        """As a composable leakage statement; an infinite witness becomes the
-        infinite flag rather than entering the arithmetic."""
-        from .composition import LeakagePair
-        return LeakagePair(self.leakage, 0.0, infinite=self.is_infinite)
-
 
 def cpl_exact(cond: ConditionalDistribution, trans: TransitionMatrix) -> ExactCplResult:
     """Exact leakage of the conditional's row attribute caused by releasing
@@ -91,15 +85,3 @@ def _output_ratios(chan: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     low = np.where(chan > 0, chan, np.inf)
     ratio = np.divide(top, np.min(low, axis=-2), out=np.ones_like(top), where=top > 0)
     return ratio, np.argmax(chan, axis=-2), np.argmin(low, axis=-2)
-
-
-def evaluate_witness(cond: ConditionalDistribution, trans: TransitionMatrix,
-                     witness: tuple[int, int, int]) -> float:
-    """Re-evaluate a witness triple; returns the leakage it certifies."""
-    y, x, xp = witness
-    c = trans.matrix[:, y]
-    num = float(c @ cond.matrix[x])
-    den = float(c @ cond.matrix[xp])
-    if den == 0:
-        return math.inf
-    return math.log(num / den)

@@ -128,6 +128,9 @@ class JointDistribution:
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.shape != (len(self.row_labels), len(self.col_labels)):
             raise DimensionMismatchError("joint matrix shape does not match labels")
+        # Every comparison with NaN is false, so the checks below cannot see it.
+        if not np.isfinite(mat).all():
+            raise InputError("joint probabilities must be finite")
         if (mat < 0).any():
             raise InputError("joint probabilities must be nonnegative")
         if abs(mat.sum() - 1.0) > PROB_TOL:
@@ -163,6 +166,9 @@ class ConditionalDistribution:
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.shape != (len(self.row_labels), len(self.col_labels)):
             raise DimensionMismatchError("conditional matrix shape does not match labels")
+        # Every comparison with NaN is false, so the checks below cannot see it.
+        if not np.isfinite(mat).all():
+            raise InputError("conditional probabilities must be finite")
         if (mat < 0).any():
             raise InputError("conditional probabilities must be nonnegative")
         valid = self.valid

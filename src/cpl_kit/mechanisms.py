@@ -135,6 +135,9 @@ class TransitionMatrix:
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.shape != (len(self.input_labels), len(self.output_labels)):
             raise DimensionMismatchError("transition matrix shape does not match labels")
+        # Every comparison with NaN is false, so the checks below cannot see it.
+        if not np.isfinite(mat).all():
+            raise InputError("transition probabilities must be finite")
         if (mat < 0).any() or (mat > 1).any():
             raise InputError("transition probabilities must lie in [0, 1]")
         if np.abs(mat.sum(axis=1) - 1.0).max() > PROB_TOL:

@@ -7,6 +7,7 @@ from cpl_kit import ConditionalDistribution, JointDistribution, conditional_from
 from cpl_kit.cpl_bound import _ZERO, BoundedCplResult, BudgetParams, _iter_pairs
 from cpl_kit.errors import InputError
 from cpl_kit.fixtures import MAXLEAK_JOINT
+from cpl_kit.mechanisms import TransitionMatrix
 
 LABELS4 = ("s0", "s1", "s2", "s3")
 
@@ -84,3 +85,16 @@ def cpl_bound_bruteforce(cond: ConditionalDistribution, budget: BudgetParams) ->
             subset = tuple(int(i) for i in np.flatnonzero(masks[s]))
             best = BoundedCplResult(leak, budget.delta * a, subset, a, b, (x, xp))
     return best
+
+
+def evaluate_witness(cond: ConditionalDistribution, trans: TransitionMatrix,
+                     witness: tuple[int, int, int]) -> float:
+    """Re-evaluate an exact-leakage witness triple; returns the leakage it
+    certifies."""
+    y, x, xp = witness
+    c = trans.matrix[:, y]
+    num = float(c @ cond.matrix[x])
+    den = float(c @ cond.matrix[xp])
+    if den == 0:
+        return math.inf
+    return math.log(num / den)

@@ -11,7 +11,6 @@ import pytest
 from cpl_kit import (
     BudgetParams,
     DimensionMismatchError,
-    EstimationConfig,
     InputError,
     MechanismSpec,
     cpl_bound,
@@ -165,37 +164,32 @@ class TestNmseCpl:
 class TestUtilityBenchmark:
     def test_near_noiseless_limit(self):
         d = noisy_copy(n=20_000, seed=0, k=4, flip=0.2)
-        cfg = EstimationConfig(expansion=1, surrogates=1, seed=5)
-        row = utility_benchmark(d, ["grr"], [20.0], cfg)[0]
+        row = utility_benchmark(d, ["grr"], [20.0], 1, 5)[0]
         assert row.report.zero_one_error < 0.01
         assert row.report.norm_tcpl == pytest.approx(1.0, abs=0.02)
 
     def test_zero_budget_uniform_guess(self):
         d = independent_pair(n=40_000, seed=1, k=4)
-        cfg = EstimationConfig(expansion=1, surrogates=1, seed=6)
-        row = utility_benchmark(d, ["grr"], [0.0], cfg)[0]
+        row = utility_benchmark(d, ["grr"], [0.0], 1, 6)[0]
         assert row.report.zero_one_error == pytest.approx(0.75, abs=0.01)
 
     def test_grr_nmse_monotone_in_budget(self):
         d = noisy_copy(n=30_000, seed=2, k=4, flip=0.2)
-        cfg = EstimationConfig(expansion=1, surrogates=1, seed=7)
-        rows = utility_benchmark(d, ["grr"], [1.0, 3.0, 5.0], cfg)
+        rows = utility_benchmark(d, ["grr"], [1.0, 3.0, 5.0], 1, 7)
         nmse = [r.report.freq_nmse for r in rows]
         assert nmse[1] <= nmse[0] * 1.1
         assert nmse[2] <= nmse[1] * 1.1
 
     def test_norm_tcpl_bounded_for_every_mechanism(self):
         d = noisy_copy(n=30_000, seed=0, k=4, flip=0.2)
-        cfg = EstimationConfig(expansion=4, surrogates=1, seed=5)
-        rows = utility_benchmark(d, list(KINDS), [1.0, 3.0], cfg)
+        rows = utility_benchmark(d, list(KINDS), [1.0, 3.0], 4, 5)
         for row in rows:
             assert 0.0 < row.report.norm_tcpl <= 1.0 + 1e-9
 
     def test_norm_tcpl_is_exact_total_over_bound_total(self):
         d = mixed_five(n=5_000, seed=4)
         conds = pairwise_conditionals(d)
-        cfg = EstimationConfig(expansion=1, surrogates=1, seed=5)
-        for row in utility_benchmark(d, list(KINDS), [1.0], cfg):
+        for row in utility_benchmark(d, list(KINDS), [1.0], 1, 5):
             exact = sum(cpl_exact(conds[(i, j)], transition_matrix(
                 MechanismSpec(row.mechanism, 1.0, d.alphabet(j).size))).leakage
                 for i, j in ordered_pairs(d.n_attributes))
@@ -205,15 +199,14 @@ class TestUtilityBenchmark:
     def test_norm_tcpl_independent_of_seed_and_expansion(self):
         d = noisy_copy(n=5_000, seed=3, k=4)
         runs = [{r.mechanism: r.report.norm_tcpl for r in utility_benchmark(
-                    d, list(KINDS), [1.0], EstimationConfig(expansion=r, surrogates=1, seed=seed))}
+                    d, list(KINDS), [1.0], r, seed)}
                 for r, seed in ((1, 9), (3, 9), (1, 10))]
         assert runs[0] == runs[1] == runs[2]
 
     def test_grr_and_ss_near_bound_hash_vector_below(self):
         d = noisy_copy(n=30_000, seed=0, k=4, flip=0.2)
-        cfg = EstimationConfig(expansion=4, surrogates=1, seed=5)
         rows = {r.mechanism: r.report.norm_tcpl for r in utility_benchmark(
-            d, ["grr", "ss", "blh", "rappor"], [1.0], cfg)}
+            d, ["grr", "ss", "blh", "rappor"], [1.0], 4, 5)}
         assert rows["grr"] == pytest.approx(1.0, abs=0.05)
         assert rows["ss"] == pytest.approx(1.0, abs=0.05)
         assert rows["blh"] < 0.8
@@ -226,21 +219,25 @@ class TestUtilityBenchmark:
 
     def test_deterministic(self):
         d = noisy_copy(n=5_000, seed=3, k=4)
-        cfg = EstimationConfig(expansion=1, surrogates=1, seed=9)
-        a = utility_benchmark(d, ["oue"], [1.0], cfg)
-        b = utility_benchmark(d, ["oue"], [1.0], cfg)
+        a = utility_benchmark(d, ["oue"], [1.0], 1, 9)
+        b = utility_benchmark(d, ["oue"], [1.0], 1, 9)
         assert a == b
 
+    def test_expansion_below_one_rejected(self):
+        d = noisy_copy(n=1_000, seed=3, k=4)
+        with pytest.raises(InputError, match="expansion factor must be >= 1"):
+            utility_benchmark(d, ["grr"], [1.0], 0, 9)
 
-def serial_utility(d, kinds, epsilons, cfg):
+
+def serial_utility(d, kinds, epsilons, r, seed):
     """Oracle: every cell walked serially over the blocks of the built
     expanded dataset, all attributes of a block together, with the public
     column API on the ``derive_rng`` streams; every pair's leakage comes
     from the single-pair kernels."""
     n_attr = d.n_attributes
     sizes = [d.alphabet(j).size for j in range(n_attr)]
-    n_rows = d.n_records * cfg.expansion
-    expanded = expand_dataset(d, cfg.expansion).records
+    n_rows = d.n_records * r
+    expanded = expand_dataset(d, r).records
     pairs = ordered_pairs(n_attr)
     conds = pairwise_conditionals(d)
     true_freqs = [np.bincount(d.column(j), minlength=sizes[j]) / d.n_records
@@ -249,8 +246,8 @@ def serial_utility(d, kinds, epsilons, cfg):
     rows = []
     for cell, (kind, eps) in enumerate((k, e) for k in kinds for e in epsilons):
         specs = [MechanismSpec(kind, eps, size) for size in sizes]
-        streams = [(derive_rng(cfg.seed, STAGE_PERTURB, cell, j),
-                    derive_rng(cfg.seed, STAGE_DECODE, cell, j)) for j in range(n_attr)]
+        streams = [(derive_rng(seed, STAGE_PERTURB, cell, j),
+                    derive_rng(seed, STAGE_DECODE, cell, j)) for j in range(n_attr)]
         counts = [0] * n_attr
         mismatches = 0
         for start in range(0, n_rows, BLOCK_ROWS):
@@ -275,24 +272,23 @@ def serial_utility(d, kinds, epsilons, cfg):
 
 class TestUtilityColumns:
     # 3000 records x 25 = 75,000 expanded rows: one full block and a partial one
-    N, R = 3_000, 25
+    N, R, SEED = 3_000, 25, 11
 
     @pytest.fixture(scope="class")
     def oracle(self):
         d = mixed_five(n=self.N, seed=6)
-        cfg = EstimationConfig(expansion=self.R, surrogates=1, seed=11)
         assert BLOCK_ROWS < self.N * self.R < 2 * BLOCK_ROWS
-        return d, cfg, serial_utility(d, list(KINDS), [1.0, 3.0], cfg)
+        return d, serial_utility(d, list(KINDS), [1.0, 3.0], self.R, self.SEED)
 
     @pytest.mark.parametrize("workers", [None, 1, 4])
     def test_rows_equal_serial_oracle(self, oracle, monkeypatch, workers):
-        d, cfg, expected = oracle
+        d, expected = oracle
         if workers is not None:
             monkeypatch.setattr(benchmarks, "_workers", lambda n_columns: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # more thread switches, more interleavings
         try:
-            rows = utility_benchmark(d, list(KINDS), [1.0, 3.0], cfg)
+            rows = utility_benchmark(d, list(KINDS), [1.0, 3.0], self.R, self.SEED)
         finally:
             sys.setswitchinterval(interval)
         assert rows == expected
@@ -302,12 +298,11 @@ class TestUtilityColumns:
         # of a block past it, so the peak stays within a few such blocks
         monkeypatch.setattr(benchmarks, "_workers", lambda n_columns: 1)
         k = 4
-        d = noisy_copy(n=5_000, seed=3, k=k)
-        cfg = EstimationConfig(expansion=30, surrogates=1, seed=5)
-        assert d.n_records * cfg.expansion > 2 * BLOCK_ROWS
+        d, r = noisy_copy(n=5_000, seed=3, k=k), 30
+        assert d.n_records * r > 2 * BLOCK_ROWS
         tracemalloc.start()
         try:
-            utility_benchmark(d, ["she"], [1.0], cfg)
+            utility_benchmark(d, ["she"], [1.0], r, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -318,12 +313,11 @@ class TestUtilityColumns:
         # each; if the loop kept the last block alive while the walker draws
         # the next, the peak would pass six such blocks
         monkeypatch.setattr(benchmarks, "_workers", lambda n_columns: 1)
-        d = noisy_copy(n=5_000, seed=3, k=4)
-        cfg = EstimationConfig(expansion=30, surrogates=1, seed=5)
-        assert d.n_records * cfg.expansion > 2 * BLOCK_ROWS
+        d, r = noisy_copy(n=5_000, seed=3, k=4), 30
+        assert d.n_records * r > 2 * BLOCK_ROWS
         tracemalloc.start()
         try:
-            utility_benchmark(d, ["grr"], [1.0], cfg)
+            utility_benchmark(d, ["grr"], [1.0], r, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -449,6 +449,20 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "InputError" and "not a valid conditional table" in error["message"]
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", [["bound"], ["exact", "--mechanism", "grr"]])
+    def test_non_finite_conditional_exits_two(self, capsys, tmp_path, entry, command):
+        # every comparison with NaN is false, so a NaN entry once passed the
+        # range and row-sum checks and came out as a leakage
+        path = tmp_path / "cond.json"
+        path.write_text('{"row_labels": ["a", "b"], "col_labels": ["u", "v"], '
+                        f'"matrix": [[{entry}, 1.0], [0.5, 0.5]]}}', encoding="utf-8")
+        code, out, err = run(capsys, ["analyze", command[0], "--cond", str(path),
+                                      "--epsilon", "1", *command[1:]])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and "finite" in error["message"]
+
     @pytest.mark.parametrize("argv", [
         ["estimate", "--data", "fx/maxleak_pair.csv", "--mechanism", "grr", "--epsilon", "1",
          "--target", "0", "--neighbors", "x"],

@@ -12,12 +12,11 @@ from cpl_kit import (
     cpl_bound,
     cpl_exact,
     cpl_limit,
-    evaluate_witness,
     transition_matrix,
 )
 from cpl_kit.mechanisms import KINDS
 from cpl_kit.rng import derive_rng
-from conftest import random_conditional
+from conftest import evaluate_witness, random_conditional
 
 
 def brute_force_exact(cond: ConditionalDistribution, trans: TransitionMatrix):

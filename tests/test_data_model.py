@@ -8,8 +8,11 @@ import pytest
 
 from cpl_kit import (
     Alphabet,
+    ConditionalDistribution,
     Dataset,
     InputError,
+    JointDistribution,
+    TransitionMatrix,
     bin_numeric,
     conditional_from_joint,
     empirical_joint,
@@ -349,6 +352,29 @@ class TestEmpiricalJoint:
         assert np.abs(j.matrix - 0.25).max() < 4 * sigma + 1e-12
 
 
+class TestNonFiniteTables:
+    # every comparison with NaN is false, so only an explicit check sees it
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_joint_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            JointDistribution(("a", "b"), ("x", "y"), np.array([[bad, 0.5], [0.25, 0.25]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_conditional_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            ConditionalDistribution(("a", "b"), ("x", "y"), np.array([[bad, 1.0], [0.5, 0.5]]))
+
+    def test_conditional_rejected_in_flagged_row(self):
+        with pytest.raises(InputError, match="finite"):
+            ConditionalDistribution(("a", "b"), ("x", "y"), np.array([[0.5, 0.5], [np.nan, 0.0]]),
+                                    np.array([True, False]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_transition_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            TransitionMatrix(("a", "b"), ("u", "v"), np.array([[bad, 1.0], [0.5, 0.5]]), 1.0)
+
+
 class TestConditional:
     def test_row_from_worked_joint(self, maxleak_cond_fwd):
         row = maxleak_cond_fwd.matrix[2]
@@ -359,13 +385,11 @@ class TestConditional:
         assert not np.allclose(maxleak_cond_fwd.matrix, maxleak_cond_rev.matrix)
 
     def test_uniform_joint_gives_uniform_rows(self):
-        from cpl_kit import JointDistribution
         j = JointDistribution(("a", "b"), ("x", "y"), np.full((2, 2), 0.25))
         c = conditional_from_joint(j)
         assert (c.matrix == 0.5).all()
 
     def test_zero_mass_row_flagged(self):
-        from cpl_kit import JointDistribution
         j = JointDistribution(("a", "b", "c"), ("x", "y"),
                               np.array([[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]]))
         c = conditional_from_joint(j)
@@ -377,7 +401,6 @@ class TestConditional:
         for _ in range(20):
             mat = rng.random((3, 4))
             mat /= mat.sum()
-            from cpl_kit import JointDistribution
             j = JointDistribution(("a", "b", "c"), ("w", "x", "y", "z"), mat)
             c = conditional_from_joint(j)
             assert np.abs(c.matrix[c.valid].sum(axis=1) - 1).max() <= 1e-9

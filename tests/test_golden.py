@@ -54,6 +54,16 @@ GOLDEN = {
          "--reference", "exact-oue"],
         "bf43a28a9e1f480e8c529ddd01e68670b221a24686ab781be9eafcb3d089af26",
         "ff9e877249be12f1dd7b04d7cdeffaf585ad00ea1be26a0a6978ac1ff99078df"),
+    "analyze-matrix-bound": (
+        # 20 ordered pairs: tcpl_nats is a pairwise (np.sum) total, not a running one
+        ["analyze", "matrix", "--data", "fx/mixed_five.csv", "--epsilon", "2", "--delta", "0.1"],
+        "232762e62c2a71cf4ff92dd254ecd3d985ece897aa9fcd37dda08400cb4f21ed",
+        "e9b434cb8cc320fcf6efc5895e183b4f86f906f9e756bd7003ab9215ce934760"),
+    "analyze-matrix-exact-oue": (
+        ["analyze", "matrix", "--data", "fx/mixed_five.csv", "--epsilon", "1",
+         "--mechanism", "oue"],
+        "506f24fb78ec2146c8ff92c4721ec65b384a4db89662769c63556e961f257484",
+        "3c492de1e176a0b57c59f146a3ecc898b2f170e8319f9537b53775e7edbbc5a9"),
     "calibrate-bound": (
         ["calibrate", "--data", "fx/mixed_five.csv", "--budget", "5", "--step", "0.1"],
         "d47cde9fd820be686cb3a3bbfe0ea65dc7290258895e005e6ef6e598ef937244",
