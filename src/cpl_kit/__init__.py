@@ -3,7 +3,9 @@
 Quantifies how much a perturbed attribute reveals about a correlated
 neighbor: exactly from transition probabilities, by a tight bound from the
 (epsilon, delta) budget alone, or statistically from perturbed data with a
-permutation significance test. Includes analyzer and utility benchmarks and
+permutation significance test, where ``estimate_cpl`` gives the leakage
+caused by a neighbor tuple or, with the target's own report in the tuple,
+the total leakage. Includes analyzer and utility benchmarks and
 correlation-aware budget calibration, which totals an attribute's leakage as
 its own budget plus the pairwise leakage caused by each neighbor.
 """
@@ -42,7 +44,6 @@ from .data_model import (
     bin_numeric,
     conditional_from_joint,
     empirical_joint,
-    expand_dataset,
     load_csv,
     write_csv,
 )
@@ -68,8 +69,5 @@ from .statistical import (
     StatisticalCplResult,
     count_table,
     estimate_cpl,
-    perturb_dataset,
-    statistical_cpl,
-    statistical_tpl,
     sup_ratio_leakage,
 )

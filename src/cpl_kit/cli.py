@@ -192,7 +192,7 @@ def _cmd_estimate(args) -> dict:
     cfg = EstimationConfig(expansion=args.r, surrogates=args.surrogates,
                            alpha=args.alpha, seed=args.seed)
     neighbors = _int_list(args.neighbors)
-    # Only the neighbors are perturbed; estimate_cpl rejects the indices left out.
+    # Only the tuple's members are perturbed; estimate_cpl rejects the indices left out.
     specs = {z: MechanismSpec(args.mechanism, args.epsilon, d.alphabet(z).size)
              for z in neighbors if 0 <= z < d.n_attributes}
     res = estimate_cpl(d, specs, args.target, neighbors, cfg)
@@ -319,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism", choices=KINDS, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--neighbors", required=True, help="comma-separated attribute indices")
+    p.add_argument("--neighbors", required=True,
+                   help="comma-separated attribute indices; with --target among them, "
+                        "the total leakage")
     p.add_argument("--r", type=int, default=50, help="record replication factor")
     p.add_argument("--surrogates", type=int, default=1000)
     p.add_argument("--alpha", type=float, default=0.05)

@@ -1,8 +1,8 @@
 """Discrete-attribute datasets and their empirical distributions.
 
 Tables of categorical columns are the input to every analysis in the
-package: CSV ingestion, equal-width binning of numeric columns,
-replication-based expansion, and empirical joint/conditional tables.
+package: CSV ingestion, equal-width binning of numeric columns, and
+empirical joint/conditional tables.
 All types are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
@@ -178,7 +178,7 @@ class ConditionalDistribution:
         if valid.shape != (mat.shape[0],):
             raise DimensionMismatchError("valid mask length does not match row count")
         rows = mat[valid]
-        if rows.size and np.abs(rows.sum(axis=1) - 1.0).max() > PROB_TOL:
+        if len(rows) and np.abs(rows.sum(axis=1) - 1.0).max() > PROB_TOL:
             raise InputError("every non-flagged conditional row must sum to 1")
         object.__setattr__(self, "matrix", _locked(mat))
         object.__setattr__(self, "valid", _locked(valid))
@@ -338,19 +338,6 @@ def write_csv(d: Dataset, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(d.attribute_names)
         writer.writerows(zip(*columns))
-
-
-def expand_dataset(d: Dataset, r: int) -> Dataset:
-    """Replicate every record ``r`` times (record i becomes rows i*r..i*r+r-1).
-
-    Attribute-level empirical distributions are unchanged; the extra rows
-    only buy statistical resolution for downstream estimates.
-    """
-    if r < 1:
-        raise InputError(f"expansion factor must be >= 1, got {r}")
-    if r == 1:
-        return d
-    return Dataset(d.schema, _lock(np.repeat(d.records, r, axis=0)))
 
 
 def empirical_joint(d: Dataset, i: int, j: int) -> JointDistribution:

@@ -477,11 +477,11 @@ def _she_payload(column: PerturbedColumn) -> np.ndarray:
     return y
 
 
-def decode_column(spec: MechanismSpec, column: PerturbedColumn, rng: np.random.Generator,
-                  prior=None) -> np.ndarray:
+def decode_column(spec: MechanismSpec, column: PerturbedColumn,
+                  rng: np.random.Generator) -> np.ndarray:
     """Decode a perturbed column into symbol indices."""
     _check_column(spec, column)
-    kind, k = spec.kind, spec.k
+    kind = spec.kind
 
     if kind in ("grr", "exp"):
         # Output domain equals input domain: take the report as the value.
@@ -496,18 +496,10 @@ def decode_column(spec: MechanismSpec, column: PerturbedColumn, rng: np.random.G
         raise InputError("she decoding undefined at epsilon = 0 (no likelihood scale)")
     # With b = 2/eps, log p(y | v) = -||y - onehot(v)||_1 / b + const and
     # ||y - onehot(v)||_1 = sum|y| + 1 - 2 clip(y_v, 0, 1), so the posterior
-    # ranks symbols by eps clip(y_v, 0, 1) + log prior(v). clip is exact, so
-    # without a prior the ties are exactly those of exact arithmetic. Scores
-    # are symbol-major, (k, N), so the max and the draw run as k passes over N.
+    # under a uniform prior ranks symbols by clip(y_v, 0, 1). clip is exact,
+    # so the ties are exactly those of exact arithmetic. Scores are
+    # symbol-major, (k, N), so the max and the draw run as k passes over N.
     scores = np.clip(_she_payload(column).T, 0.0, 1.0, order="C")
-    if prior is not None:
-        prior = np.asarray(prior, dtype=np.float64)
-        if (prior.shape != (k,) or not np.isfinite(prior).all() or (prior < 0).any()
-                or abs(prior.sum() - 1.0) > PROB_TOL):
-            raise InputError("prior must be a length-k probability vector")
-        scores *= spec.epsilon
-        with np.errstate(divide="ignore"):
-            scores += np.log(prior)[:, None]
     return _uniform_over_mask(scores == scores.max(axis=0), rng)
 
 

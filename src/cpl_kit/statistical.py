@@ -2,22 +2,21 @@
 
 Three stages: expand the dataset by replication, perturb every attribute of
 every expanded record independently, and decode each report back into the
-input alphabet. The leakage of a target attribute caused by a neighbor set
-is then the log of the largest conditional-probability ratio observed across
-decoded neighbor tuples, restricted to cells witnessed under both
-conditioning symbols.
+input alphabet. The leakage of a target attribute caused by a tuple of
+attributes is then the log of the largest conditional-probability ratio
+observed across decoded tuples, restricted to cells witnessed under both
+conditioning symbols. With neighbors alone in the tuple this is the
+correlation leakage; with the target's own report in it, the total leakage.
 
 The expanded rows are only ever counted, so the stages run on blocks of
 ``BLOCK_ROWS`` expanded rows and the counts add up across blocks: memory
 stays flat in the expansion factor. One walker streams one attribute's
 column through the stages, from that attribute's own two streams.
-``estimate_cpl`` walks only the neighbors, in step, and keeps only the count
-table; ``perturb_dataset`` walks every column in turn and joins the decoded
-symbols for callers that want the rows; the utility benchmark walks each
-column alone.
+``estimate_cpl`` walks the tuple's members in step and keeps only the count
+table; the utility benchmark walks each column alone.
 
-Significance comes from permutation surrogates: shuffling each neighbor
-column independently keeps every one-way margin and destroys the
+Significance comes from permutation surrogates: shuffling each member
+column of the tuple independently keeps every one-way margin and destroys the
 cross-attribute correlation. That null depends on the margins alone, so each
 surrogate is drawn directly as a count table with the observed table's
 margins.
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, _lock
+from .data_model import Dataset
 from .errors import InputError, InsufficientDataError
 from .mechanisms import MechanismSpec, decode_column, perturb_column, support_counts
 from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, derive_rng
@@ -120,30 +119,6 @@ def _decoded_column(spec: MechanismSpec, values: np.ndarray, r: int, seed: int,
         yield (block, *_block_stats(spec, block, perturb_rng, decode_rng))
 
 
-def perturb_dataset(d: Dataset, specs: list[MechanismSpec], cfg: EstimationConfig) -> Dataset:
-    """Expand, perturb and decode every attribute; returns the decoded dataset.
-
-    Row i of the result is aligned with row i of ``expand_dataset(d,
-    cfg.expansion)``. Every expanded record is perturbed with fresh
-    randomness; per-attribute streams are derived from the config seed.
-    """
-    if len(specs) != d.n_attributes:
-        raise InputError(f"need one mechanism spec per attribute ({d.n_attributes})")
-    _check_specs(d, specs, range(d.n_attributes))
-    decoded = np.empty((d.n_records * cfg.expansion, d.n_attributes), dtype=np.int64)
-    for j, spec in enumerate(specs):
-        row = 0
-        for block, _, symbols in _decoded_column(spec, d.column(j), cfg.expansion, cfg.seed, (), j):
-            decoded[row:row + len(block), j] = symbols
-            row += len(block)
-    return Dataset(d.schema, _lock(decoded))
-
-
-def _check_indices(n_attributes: int, indices) -> None:
-    if not all(0 <= z < n_attributes for z in indices):
-        raise InputError(f"attribute indices must lie in [0, {n_attributes})")
-
-
 def _check_attributes(n_attributes: int, target: int, neighbors) -> list[int]:
     neighbors = list(neighbors)
     if not neighbors:
@@ -152,9 +127,8 @@ def _check_attributes(n_attributes: int, target: int, neighbors) -> list[int]:
         # A repeated neighbor would be permuted as an independent copy of
         # itself by the surrogates, which breaks the null.
         raise InputError(f"neighbor indices must be distinct, got {neighbors}")
-    if target in neighbors:
-        raise InputError("target attribute cannot be its own neighbor")
-    _check_indices(n_attributes, (target, *neighbors))
+    if not all(0 <= z < n_attributes for z in (target, *neighbors)):
+        raise InputError(f"attribute indices must lie in [0, {n_attributes})")
     return neighbors
 
 
@@ -241,35 +215,15 @@ def _observed_and_null(table: np.ndarray, sizes: list[int],
     return StatisticalCplResult(leakage, p_value, p_value < cfg.alpha, excluded)
 
 
-def _decoded_table(perturbed: Dataset, original: Dataset, target: int,
-                   neighbors: list[int]) -> tuple[np.ndarray, list[int]]:
-    """Count table of original ``target`` against the decoded ``neighbors``
-    tuple, with the neighbors' alphabet sizes."""
-    if perturbed.n_records != original.n_records:
-        raise InputError("perturbed and original datasets are not row-aligned")
-    if perturbed.n_attributes != original.n_attributes:
-        raise InputError("perturbed and original datasets have different schemas")
-    sizes = [perturbed.alphabet(z).size for z in neighbors]
-    n_w = _tuple_cells(sizes)
-    w_codes = np.ravel_multi_index(tuple(perturbed.column(z) for z in neighbors), dims=tuple(sizes))
-    return count_table(original.column(target), w_codes, original.alphabet(target).size, n_w), sizes
-
-
-def statistical_cpl(perturbed: Dataset, original: Dataset, target: int,
-                    neighbors: list[int], cfg: EstimationConfig) -> StatisticalCplResult:
-    """Leakage of ``target`` caused by the decoded ``neighbors`` tuple."""
-    neighbors = _check_attributes(original.n_attributes, target, neighbors)
-    return _observed_and_null(*_decoded_table(perturbed, original, target, neighbors), cfg)
-
-
 def estimate_cpl(d: Dataset, specs, target: int, neighbors: list[int],
                  cfg: EstimationConfig) -> StatisticalCplResult:
-    """``statistical_cpl(perturb_dataset(d, specs, cfg), expand_dataset(d,
-    cfg.expansion), target, neighbors, cfg)``, bit for bit, without building
-    either dataset: only the neighbors are perturbed and decoded, each by its
-    own column walker, in step block by block, and only their (m, n_w) count
-    table is kept. ``specs[z]`` is attribute z's mechanism; only the
-    neighbors' are read, so a mapping of the neighbors alone will do."""
+    """Leakage of ``target`` caused by the decoded ``neighbors`` tuple, with
+    its permutation p-value. The tuple may hold the target itself: its column
+    then counts once as the original and once, decoded, as a member, so the
+    result is the total leakage. Only the members are perturbed and decoded,
+    each by its own column walker, in step block by block, and only their
+    (m, n_w) count table is kept. ``specs[z]`` is attribute z's mechanism;
+    only the members' are read, so a mapping of the members alone will do."""
     neighbors = _check_attributes(d.n_attributes, target, neighbors)
     _check_specs(d, specs, neighbors)
     sizes = [d.alphabet(z).size for z in neighbors]
@@ -282,16 +236,3 @@ def estimate_cpl(d: Dataset, specs, target: int, neighbors: list[int],
         w_codes = np.ravel_multi_index(tuple(symbols for _, _, symbols in reports), dims=tuple(sizes))
         table += count_table(block, w_codes, m, n_w)
     return _observed_and_null(table, sizes, cfg)
-
-
-def statistical_tpl(perturbed: Dataset, original: Dataset, target: int,
-                    cfg: EstimationConfig, neighbors: list[int] | None = None) -> StatisticalCplResult:
-    """Total leakage of ``target``: the decoded tuple includes its own report.
-
-    ``neighbors`` defaults to every other attribute.
-    """
-    if neighbors is None:
-        neighbors = [j for j in range(original.n_attributes) if j != target]
-    w_set = sorted(set(neighbors) | {target})
-    _check_indices(original.n_attributes, w_set)
-    return _observed_and_null(*_decoded_table(perturbed, original, target, w_set), cfg)

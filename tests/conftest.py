@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,9 +6,13 @@ import pytest
 
 from cpl_kit import ConditionalDistribution, JointDistribution, conditional_from_joint
 from cpl_kit.cpl_bound import _ZERO, BoundedCplResult, BudgetParams, _iter_pairs
+from cpl_kit.cpl_exact import ExactCplResult, cpl_exact
 from cpl_kit.errors import InputError
 from cpl_kit.fixtures import MAXLEAK_JOINT
-from cpl_kit.mechanisms import TransitionMatrix
+from cpl_kit.mechanisms import TransitionMatrix, transition_matrix
+from cpl_kit.statistical import (
+    StatisticalCplResult, _decoded_column, _observed_and_null, count_table,
+)
 
 LABELS4 = ("s0", "s1", "s2", "s3")
 
@@ -98,3 +103,41 @@ def evaluate_witness(cond: ConditionalDistribution, trans: TransitionMatrix,
     if den == 0:
         return math.inf
     return math.log(num / den)
+
+
+def decode_rows(d, specs, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Row-level reference for ``estimate_cpl``: the records expanded by
+    ``cfg.expansion`` (record i becomes rows i*r..i*r+r-1) and, aligned with
+    them, every attribute decoded by its own column walker."""
+    r = cfg.expansion
+    decoded = [np.concatenate([symbols for *_, symbols in
+                               _decoded_column(spec, d.column(j), r, cfg.seed, (), j)])
+               for j, spec in enumerate(specs)]
+    return np.repeat(d.records, r, axis=0), np.column_stack(decoded)
+
+
+def row_leakage(d, expanded, decoded, target, tuple_, cfg) -> StatisticalCplResult:
+    """Leakage of ``target``'s expanded column caused by the decoded
+    ``tuple_``, counted from whole rows; with the target in ``tuple_`` it is
+    the total leakage."""
+    sizes = [d.alphabet(z).size for z in tuple_]
+    codes = np.ravel_multi_index(tuple(decoded[:, z] for z in tuple_), dims=tuple(sizes))
+    table = count_table(expanded[:, target], codes, d.alphabet(target).size, math.prod(sizes))
+    return _observed_and_null(table, sizes, cfg)
+
+
+def exact_set_leakage(d, specs, target, tuple_) -> ExactCplResult:
+    """Exact leakage of ``target`` caused by releasing every member of
+    ``tuple_`` through its own decoded channel: P(tuple | target) counted from
+    the records, sent through the Kronecker product of the members' channels,
+    a channel at the summed budget. ``tuple_`` may hold the target."""
+    sizes = [d.alphabet(z).size for z in tuple_]
+    n_w = math.prod(sizes)
+    codes = np.ravel_multi_index(tuple(d.column(z) for z in tuple_), dims=tuple(sizes))
+    counts = count_table(d.column(target), codes, d.alphabet(target).size, n_w)
+    labels = tuple(str(c) for c in range(n_w))
+    cond = conditional_from_joint(
+        JointDistribution(d.alphabet(target).symbols, labels, counts / d.n_records))
+    channel = functools.reduce(np.kron, (transition_matrix(specs[z]).matrix for z in tuple_))
+    trans = TransitionMatrix(labels, labels, channel, sum(specs[z].epsilon for z in tuple_))
+    return cpl_exact(cond, trans)

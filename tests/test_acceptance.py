@@ -21,13 +21,10 @@ from cpl_kit import (
     calibrate,
     conditional_from_joint,
     empirical_joint,
-    expand_dataset,
+    estimate_cpl,
     is_max_attainable,
     metrics,
     nmse_cpl,
-    perturb_dataset,
-    statistical_cpl,
-    statistical_tpl,
     transition_matrix,
     worst_tpl,
 )
@@ -37,7 +34,7 @@ from cpl_kit.cli import main
 from cpl_kit.fixtures import MAXLEAK_JOINT, chain_five, latent_five, maxleak_pair, mixed_five, weak_ten
 from cpl_kit.rng import derive_rng
 from cpl_kit.statistical import count_table, sup_ratio_leakage
-from conftest import cpl_bound_bruteforce, random_conditional
+from conftest import cpl_bound_bruteforce, decode_rows, random_conditional
 
 REFERENCE_JOINT = JointDistribution(tuple("abcd"), tuple("wxyz"), MAXLEAK_JOINT)
 # theoretical and experimental leakage columns of the reference pair,
@@ -73,10 +70,8 @@ def test_02_reference_table_experimental_reproduction():
     for eps, (want_fwd, want_rev) in EXPERIMENT.items():
         cfg = EstimationConfig(expansion=5, surrogates=200, seed=42)
         specs = [MechanismSpec("grr", eps, 4), MechanismSpec("grr", eps, 4)]
-        pert = perturb_dataset(d, specs, cfg)
-        orig = expand_dataset(d, cfg.expansion)
-        got_fwd = statistical_cpl(pert, orig, 0, [1], cfg)
-        got_rev = statistical_cpl(pert, orig, 1, [0], cfg)
+        got_fwd = estimate_cpl(d, specs, 0, [1], cfg)
+        got_rev = estimate_cpl(d, specs, 1, [0], cfg)
         ok &= abs(got_fwd.leakage - want_fwd) <= 0.05
         ok &= abs(got_rev.leakage - want_rev) <= 0.05
         ok &= got_fwd.p_value < 0.05 and got_rev.p_value < 0.05
@@ -130,13 +125,12 @@ def test_05_statistical_vs_exact_error_at_desk_scale():
             cfg = EstimationConfig(expansion=50, surrogates=1, seed=17)
             specs = [MechanismSpec(kind, eps, d.alphabet(j).size)
                      for j in range(d.n_attributes)]
-            pert = perturb_dataset(d, specs, cfg)
-            orig = expand_dataset(d, cfg.expansion)
-            assert orig.n_records * orig.n_attributes >= 10 ** 6
+            orig, pert = decode_rows(d, specs, cfg)
+            assert orig.size >= 10 ** 6
             refs, ests = [], []
             for i, j in pairs:
                 refs.append(cpl_exact(conds[(i, j)], transition_matrix(specs[j])).leakage)
-                leak, _ = sup_ratio_leakage(count_table(orig.column(i), pert.column(j),
+                leak, _ = sup_ratio_leakage(count_table(orig[:, i], pert[:, j],
                                                         d.alphabet(i).size, d.alphabet(j).size))
                 ests.append(leak)
             err = nmse_cpl(ests, refs)
@@ -181,9 +175,7 @@ def test_07_composition_tightness_on_reference_fixture():
     for eps in (0.5, 1.0, 2.0):
         cfg = EstimationConfig(expansion=10, surrogates=1, seed=7)
         specs = [MechanismSpec("grr", eps, 4), MechanismSpec("grr", eps, 4)]
-        pert = perturb_dataset(d, specs, cfg)
-        orig = expand_dataset(d, cfg.expansion)
-        stat = statistical_tpl(pert, orig, 0, cfg).leakage
+        stat = estimate_cpl(d, specs, 0, [0, 1], cfg).leakage
         bound = eps + cpl_bound(cond_emp, BudgetParams(eps)).leakage
         ok &= stat <= bound + 0.05
         if eps == 1.0:

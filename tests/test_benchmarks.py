@@ -15,7 +15,6 @@ from cpl_kit import (
     MechanismSpec,
     cpl_bound,
     cpl_exact,
-    expand_dataset,
     nmse_cpl,
     transition_matrix,
     undershoot_overshoot,
@@ -237,7 +236,7 @@ def serial_utility(d, kinds, epsilons, r, seed):
     n_attr = d.n_attributes
     sizes = [d.alphabet(j).size for j in range(n_attr)]
     n_rows = d.n_records * r
-    expanded = expand_dataset(d, r).records
+    expanded = np.repeat(d.records, r, axis=0)
     pairs = ordered_pairs(n_attr)
     conds = pairwise_conditionals(d)
     true_freqs = [np.bincount(d.column(j), minlength=sizes[j]) / d.n_records

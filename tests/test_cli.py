@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from cpl_kit import conditional_from_joint
+from cpl_kit import EstimationConfig, MechanismSpec, conditional_from_joint, load_csv
 from cpl_kit.cli import main
 from cpl_kit.fixtures import MAXLEAK_JOINT
 from cpl_kit.mechanisms import KINDS
+from conftest import decode_rows, row_leakage
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,22 @@ class TestEstimate:
         assert res["leakage_nats"] == pytest.approx(1.0, abs=0.05)
         assert res["significant"] is True
         assert res["p_value"] < 0.05
+
+    def test_target_among_neighbors_gives_total_leakage(self, capsys, workdir):
+        data = workdir / "fx" / "maxleak_pair.csv"
+        code, out, err = run(capsys, [
+            "estimate", "--data", str(data), "--mechanism", "grr", "--epsilon", "1",
+            "--target", "0", "--neighbors", "0,1", "--r", "2", "--surrogates", "20",
+            "--seed", "4"])
+        assert code == 0, err
+        res = payload(out)["result"]
+        d = load_csv(data)
+        cfg = EstimationConfig(expansion=2, surrogates=20, seed=4)
+        specs = [MechanismSpec("grr", 1.0, d.alphabet(j).size) for j in range(d.n_attributes)]
+        want = row_leakage(d, *decode_rows(d, specs, cfg), 0, [0, 1], cfg)
+        assert (res["neighbors"], res["leakage_nats"], res["p_value"]) == (
+            [0, 1], want.leakage, want.p_value)
+        assert res["leakage_nats"] > 1.0  # the own report's budget and more
 
     def test_attribute_never_perturbed_cannot_fail_the_run(self, capsys, tmp_path):
         # c is constant, so it has no grr spec; it is neither the target nor
@@ -448,6 +465,17 @@ class TestErrors:
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "InputError" and "not a valid conditional table" in error["message"]
+
+    @pytest.mark.parametrize("command", [["bound"], ["exact", "--mechanism", "grr"]])
+    def test_zero_column_conditional_exits_two(self, capsys, tmp_path, command):
+        path = tmp_path / "cond.json"
+        path.write_text('{"row_labels": ["a", "b"], "col_labels": [], "matrix": [[], []]}',
+                        encoding="utf-8")
+        code, out, err = run(capsys, ["analyze", command[0], "--cond", str(path),
+                                      "--epsilon", "1", *command[1:]])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and "sum to 1" in error["message"]
 
     @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
     @pytest.mark.parametrize("command", [["bound"], ["exact", "--mechanism", "grr"]])

@@ -16,7 +16,6 @@ from cpl_kit import (
     bin_numeric,
     conditional_from_joint,
     empirical_joint,
-    expand_dataset,
     load_csv,
     write_csv,
 )
@@ -28,6 +27,7 @@ from cpl_kit.fixtures import (
     sample_pair_from_joint,
 )
 from cpl_kit.rng import derive_rng
+from cpl_kit.statistical import _expanded_blocks
 
 
 def write_lines(path, lines):
@@ -273,24 +273,29 @@ class TestBinNumeric:
         assert idx.tolist() == [0, 3]
 
 
+def expand(d: Dataset, r: int) -> Dataset:
+    """The expanded dataset that the statistical path walks block by block."""
+    return Dataset(d.schema, np.concatenate(list(_expanded_blocks(d.records, r))))
+
+
 class TestExpand:
     def test_record_count(self):
         d = independent_pair(n=3, seed=1)
-        assert expand_dataset(d, 50).n_records == 150
+        assert expand(d, 50).n_records == 150
 
     def test_identity_at_one(self):
         d = independent_pair(n=10, seed=1)
-        assert expand_dataset(d, 1) is d
+        assert (expand(d, 1).records == d.records).all()
 
     def test_each_record_repeated(self):
         d = independent_pair(n=4, seed=2)
-        e = expand_dataset(d, 3)
+        e = expand(d, 3)
         assert (e.records == np.repeat(d.records, 3, axis=0)).all()
 
     def test_joint_exactly_invariant(self):
         d = independent_pair(n=500, seed=3)
         j1 = empirical_joint(d, 0, 1)
-        j2 = empirical_joint(expand_dataset(d, 7), 0, 1)
+        j2 = empirical_joint(expand(d, 7), 0, 1)
         assert (j1.matrix == j2.matrix).all()
 
 
@@ -314,16 +319,6 @@ class TestDatasetRecords:
         rec = np.array([[0, 1], [1, 0]], dtype=np.int64)
         rec.setflags(write=False)
         assert Dataset(self.SCHEMA, rec).records is rec
-
-    def test_expand_allocates_its_records_once(self):
-        d = independent_pair(n=20_000, seed=1)
-        tracemalloc.start()
-        try:
-            e = expand_dataset(d, 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * e.records.nbytes
 
     def test_loaded_records_locked_in_place(self, fixture_dir):
         rec = load_csv(fixture_dir / "maxleak_pair.csv").records
@@ -395,6 +390,11 @@ class TestConditional:
         c = conditional_from_joint(j)
         assert c.valid.tolist() == [True, True, False]
         assert c.valid_rows().tolist() == [0, 1]
+
+    def test_zero_columns_rejected(self):
+        # an (m, 0) table has no entries, yet each of its m rows sums to 0
+        with pytest.raises(InputError, match="sum to 1"):
+            ConditionalDistribution(("a", "b"), (), np.zeros((2, 0)))
 
     def test_rows_sum_to_one(self):
         rng = derive_rng(7, 3)

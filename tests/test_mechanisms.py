@@ -230,14 +230,6 @@ class TestDecode:
         y = np.array([[0.01, -0.02, 0.97, 0.03]])
         assert decode_column(spec, PerturbedColumn(spec, y), derive_rng(9, 0))[0] == 2
 
-    @pytest.mark.parametrize("prior", [[math.nan, 0.5, 0.5], [math.inf, 0.5, 0.5],
-                                       [0.5, 0.6, -0.1], [0.5, 0.5]])
-    def test_she_bad_prior_rejected(self, prior):
-        spec = spec_for("she", epsilon=1.0, k=3)
-        col = perturb_column(spec, np.arange(3), derive_rng(9, 2))
-        with pytest.raises(InputError, match="prior"):
-            decode_column(spec, col, derive_rng(9, 3), prior=prior)
-
     def test_she_ties_broken_uniformly(self):
         spec = spec_for("she", epsilon=1.0, k=4)
         saturated = np.full((20_000, 4), 2.0)  # every symbol scores the clip ceiling
@@ -534,15 +526,12 @@ def ref_uniform_over_mask(mask, rng):
     return np.where(counts > 0, from_mask, fallback).astype(np.int64)
 
 
-def ref_decode(spec, payload, rng, prior=None):
+def ref_decode(spec, payload, rng):
     if spec.kind in ("grr", "exp"):
         return np.asarray(payload, dtype=np.int64)
     if spec.kind != "she":
         return ref_uniform_over_mask(ref_support_set(spec, payload), rng)
     scores = np.clip(np.asarray(payload, dtype=np.float64), 0.0, 1.0)
-    if prior is not None:
-        with np.errstate(divide="ignore"):
-            scores = scores * spec.epsilon + np.log(np.asarray(prior, dtype=np.float64))[None, :]
     return ref_uniform_over_mask(scores == scores.max(axis=1, keepdims=True), rng)
 
 
@@ -634,15 +623,6 @@ class TestBitIdenticalToRowMajorKernels:
         for payload in (bits, np.zeros_like(bits)):
             assert_bitwise(decode_column(spec, PerturbedColumn(spec, payload), derive_rng(21, 1)),
                            ref_decode(spec, payload, derive_rng(21, 1)))
-
-    @pytest.mark.parametrize("prior", [[0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0],
-                                       [0.1, 0.2, 0.3, 0.4]])
-    def test_she_prior_with_zero_entries(self, prior):
-        spec = spec_for("she", epsilon=1.0, k=4)
-        values = derive_rng(22, 0).integers(0, 4, 3000)
-        col = perturb_column(spec, values, derive_rng(22, 1))
-        assert_bitwise(decode_column(spec, col, derive_rng(22, 2), prior=prior),
-                       ref_decode(spec, col.payload, derive_rng(22, 2), prior=prior))
 
     def test_hash_bucket_matches_on_every_block_layout(self):
         seeds = _random_seeds(derive_rng(23, 0), 40_000)  # 2 to 49 blocks

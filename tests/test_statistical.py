@@ -14,11 +14,7 @@ from cpl_kit import (
     cpl_bound,
     cpl_exact,
     estimate_cpl,
-    expand_dataset,
     nmse_cpl,
-    perturb_dataset,
-    statistical_cpl,
-    statistical_tpl,
     transition_matrix,
 )
 from cpl_kit.benchmarks import ordered_pairs, pairwise_conditionals
@@ -30,6 +26,7 @@ from cpl_kit.statistical import (
     BLOCK_ROWS, _decoded_column, _expanded_blocks, _surrogate_table, count_table,
     sup_ratio_leakage,
 )
+from conftest import decode_rows, exact_set_leakage, row_leakage
 
 
 def grr_specs(d, epsilon):
@@ -37,67 +34,72 @@ def grr_specs(d, epsilon):
 
 
 def pipeline(d, epsilon, cfg, kind="grr"):
+    """Expanded records and, aligned with them, every decoded attribute."""
     specs = [MechanismSpec(kind, epsilon, d.alphabet(j).size) for j in range(d.n_attributes)]
-    return perturb_dataset(d, specs, cfg), expand_dataset(d, cfg.expansion)
+    return decode_rows(d, specs, cfg)
 
 
 class TestPerturbDataset:
+    """Every attribute of the expanded dataset, perturbed and decoded by its
+    column walker."""
+
     def test_row_count(self):
         d = independent_pair(n=1000, seed=0)
-        cfg = EstimationConfig(expansion=50, surrogates=1, seed=0)
-        assert perturb_dataset(d, grr_specs(d, 1.0), cfg).n_records == 50_000
+        walker = _decoded_column(grr_specs(d, 1.0)[0], d.column(0), 50, 0, (), 0)
+        assert sum(len(symbols) for *_, symbols in walker) == 50_000
 
     def test_high_budget_is_identity(self):
         d = independent_pair(n=2000, seed=1, k=4)
         cfg = EstimationConfig(expansion=2, surrogates=1, seed=1)
-        pert, orig = pipeline(d, 20.0, cfg)
-        assert (pert.records == orig.records).all()
+        orig, pert = pipeline(d, 20.0, cfg)
+        assert (pert == orig).all()
 
     def test_zero_budget_uniformizes(self):
         d = perfect_copy(n=50_000, seed=2, k=4)
         cfg = EstimationConfig(expansion=1, surrogates=1, seed=2)
-        pert, _ = pipeline(d, 0.0, cfg)
-        sigma = math.sqrt(0.25 * 0.75 / pert.n_records)
+        _, pert = pipeline(d, 0.0, cfg)
+        sigma = math.sqrt(0.25 * 0.75 / len(pert))
         for j in range(2):
-            freq = np.bincount(pert.column(j), minlength=4) / pert.n_records
+            freq = np.bincount(pert[:, j], minlength=4) / len(pert)
             assert np.abs(freq - 0.25).max() <= 4 * sigma
 
     def test_spec_alphabet_mismatch_rejected(self):
+        # the target's own spec is read once the target joins the tuple
         d = independent_pair(n=100, seed=3, k=2)
         cfg = EstimationConfig(expansion=1, surrogates=1, seed=0)
+        specs = {0: MechanismSpec("grr", 1.0, 3), 1: MechanismSpec("grr", 1.0, 2)}
+        estimate_cpl(d, specs, 0, [1], cfg)
         with pytest.raises(InputError, match="alphabet size"):
-            perturb_dataset(d, [MechanismSpec("grr", 1.0, 3)] * 2, cfg)
+            estimate_cpl(d, specs, 0, [0, 1], cfg)
 
     def test_rows_aligned_across_blocks(self):
         d = perfect_copy(n=30_001, seed=3, k=4)  # 90_003 rows: one full block and a partial one
         cfg = EstimationConfig(expansion=3, surrogates=1, seed=4)
-        pert, orig = pipeline(d, 40.0, cfg)
-        assert orig.n_records > BLOCK_ROWS
-        assert (pert.records == orig.records).all()
+        orig, pert = pipeline(d, 40.0, cfg)
+        assert len(orig) > BLOCK_ROWS
+        assert (pert == orig).all()
 
     def test_deterministic_given_seed(self):
         d = independent_pair(n=3000, seed=4, k=2)
         cfg = EstimationConfig(expansion=2, surrogates=1, seed=11)
-        a = perturb_dataset(d, grr_specs(d, 1.0), cfg)
-        b = perturb_dataset(d, grr_specs(d, 1.0), cfg)
-        assert (a.records == b.records).all()
+        _, a = pipeline(d, 1.0, cfg)
+        _, b = pipeline(d, 1.0, cfg)
+        assert (a == b).all()
 
 
 class TestStatisticalCpl:
     def test_independent_attributes_near_zero_and_insignificant(self):
         d = independent_pair(n=50_000, seed=3, k=2)
         cfg = EstimationConfig(expansion=2, surrogates=200, seed=7)
-        pert, orig = pipeline(d, 1.0, cfg)
-        res = statistical_cpl(pert, orig, 0, [1], cfg)
+        res = estimate_cpl(d, grr_specs(d, 1.0), 0, [1], cfg)
         assert res.leakage < 0.05
         assert not res.significant
 
     def test_reference_table_both_directions(self):
         d = maxleak_pair(n=100_000, seed=0)
         cfg = EstimationConfig(expansion=5, surrogates=200, seed=42)
-        pert, orig = pipeline(d, 1.0, cfg)
-        fwd = statistical_cpl(pert, orig, 0, [1], cfg)
-        rev = statistical_cpl(pert, orig, 1, [0], cfg)
+        fwd = estimate_cpl(d, grr_specs(d, 1.0), 0, [1], cfg)
+        rev = estimate_cpl(d, grr_specs(d, 1.0), 1, [0], cfg)
         assert fwd.leakage == pytest.approx(0.9985, abs=0.05)
         assert rev.leakage == pytest.approx(0.6222, abs=0.05)
         assert fwd.p_value < 0.05 and rev.p_value < 0.05
@@ -106,8 +108,7 @@ class TestStatisticalCpl:
     def test_perfect_copy_matches_exact_path(self):
         d = perfect_copy(n=100_000, seed=5, k=4)
         cfg = EstimationConfig(expansion=1, surrogates=50, seed=9)
-        pert, orig = pipeline(d, 2.0, cfg)
-        res = statistical_cpl(pert, orig, 0, [1], cfg)
+        res = estimate_cpl(d, grr_specs(d, 2.0), 0, [1], cfg)
         cond = conditional_from_joint(empirical_joint(d, 0, 1))
         exact = cpl_exact(cond, transition_matrix(MechanismSpec("grr", 2.0, 4))).leakage
         assert res.leakage == pytest.approx(exact, abs=0.05)
@@ -115,19 +116,15 @@ class TestStatisticalCpl:
     def test_determinism_bit_identical(self):
         d = maxleak_pair(n=5000, seed=1)
         cfg = EstimationConfig(expansion=2, surrogates=99, seed=123)
-        pert, orig = pipeline(d, 1.0, cfg)
-        a = statistical_cpl(pert, orig, 0, [1], cfg)
-        b = statistical_cpl(pert, orig, 0, [1], cfg)
+        a = estimate_cpl(d, grr_specs(d, 1.0), 0, [1], cfg)
+        b = estimate_cpl(d, grr_specs(d, 1.0), 0, [1], cfg)
         assert a == b
 
     def test_input_validation(self):
         d = independent_pair(n=100, seed=6)
         cfg = EstimationConfig(expansion=1, surrogates=1, seed=0)
-        pert, orig = pipeline(d, 1.0, cfg)
         with pytest.raises(InputError, match="nonempty"):
-            statistical_cpl(pert, orig, 0, [], cfg)
-        with pytest.raises(InputError, match="own neighbor"):
-            statistical_cpl(pert, orig, 0, [0, 1], cfg)
+            estimate_cpl(d, grr_specs(d, 1.0), 0, [], cfg)
 
     def test_joint_neighbor_alphabet_cap(self):
         k = 101  # three neighbors: 101^3 cells exceeds the 1e6 cap
@@ -138,7 +135,7 @@ class TestStatisticalCpl:
         d = Dataset(schema, records)
         cfg = EstimationConfig(expansion=1, surrogates=1, seed=0)
         with pytest.raises(InputError, match="cells"):
-            statistical_cpl(d, d, 0, [1, 2, 3], cfg)
+            estimate_cpl(d, grr_specs(d, 1.0), 0, [1, 2, 3], cfg)
 
     def test_insufficient_data_when_target_constant(self):
         records = np.column_stack([np.zeros(200, dtype=np.int64),
@@ -146,9 +143,8 @@ class TestStatisticalCpl:
         schema = (("t", Alphabet(("u", "v"))), ("n", Alphabet(("x", "y"))))
         d = Dataset(schema, records)
         cfg = EstimationConfig(expansion=1, surrogates=1, seed=0)
-        pert, orig = pipeline(d, 1.0, cfg)
         with pytest.raises(InsufficientDataError):
-            statistical_cpl(pert, orig, 0, [1], cfg)
+            estimate_cpl(d, grr_specs(d, 1.0), 0, [1], cfg)
 
 
 class TestPermutationSignificance:
@@ -158,16 +154,14 @@ class TestPermutationSignificance:
         schema = (("t", Alphabet(("u", "v"))), ("n", Alphabet(("x",))))
         d = Dataset(schema, records)
         cfg = EstimationConfig(expansion=1, surrogates=99, seed=0)
-        orig = d
-        res = statistical_cpl(d, orig, 0, [1], cfg)  # no perturbation needed
+        res = row_leakage(d, d.records, d.records, 0, [1], cfg)  # no perturbation needed
         assert res.leakage == 0.0
         assert res.p_value == 1.0
 
     def test_correlated_data_significant(self):
         d = maxleak_pair(n=20_000, seed=2)
         cfg = EstimationConfig(expansion=1, surrogates=199, seed=3)
-        pert, orig = pipeline(d, 1.0, cfg)
-        assert statistical_cpl(pert, orig, 0, [1], cfg).p_value < 0.05
+        assert estimate_cpl(d, grr_specs(d, 1.0), 0, [1], cfg).p_value < 0.05
 
     def test_null_calibration_reject_rate(self):
         # correlation destroyed up front: rejections should track alpha
@@ -180,8 +174,7 @@ class TestPermutationSignificance:
             rec[:, 1] = rec[shuffler.permutation(len(rec)), 1]
             broken = Dataset(d.schema, rec)
             cfg = EstimationConfig(expansion=1, surrogates=199, seed=s)
-            pert, orig = pipeline(broken, 1.0, cfg)
-            res = statistical_cpl(pert, orig, 0, [1], cfg)
+            res = estimate_cpl(broken, grr_specs(broken, 1.0), 0, [1], cfg)
             p_values.append(res.p_value)
             rejects += res.significant
         assert rejects <= 12
@@ -242,18 +235,18 @@ class TestSurrogateTables:
 
 
 class TestStatisticalTpl:
+    """Total leakage: the target's own report joins the tuple."""
+
     def test_single_attribute_tpl_equals_budget(self):
         d = independent_pair(n=100_000, seed=7, k=2)
         cfg = EstimationConfig(expansion=1, surrogates=50, seed=8)
-        pert, orig = pipeline(d, 1.0, cfg)
-        res = statistical_tpl(pert, orig, 0, cfg, neighbors=[])
+        res = estimate_cpl(d, grr_specs(d, 1.0), 0, [0], cfg)
         assert res.leakage == pytest.approx(1.0, abs=0.05)
 
     def test_tpl_below_composition_bound(self):
         d = maxleak_pair(n=50_000, seed=8)
         cfg = EstimationConfig(expansion=2, surrogates=50, seed=9)
-        pert, orig = pipeline(d, 1.0, cfg)
-        res = statistical_tpl(pert, orig, 0, cfg)
+        res = estimate_cpl(d, grr_specs(d, 1.0), 0, [0, 1], cfg)
         cond = conditional_from_joint(empirical_joint(d, 0, 1))
         bound = 1.0 + cpl_bound(cond, BudgetParams(1.0)).leakage
         assert res.leakage <= bound + 0.05
@@ -261,15 +254,14 @@ class TestStatisticalTpl:
     def test_attribute_out_of_range_rejected(self):
         d = maxleak_pair(n=200, seed=0)
         cfg = EstimationConfig(expansion=1, surrogates=2, seed=0)
-        for target, neighbors in ((5, None), (0, [7]), (0, [-1])):
+        for target, tuple_ in ((5, [0, 1, 5]), (0, [0, 7]), (0, [-1, 0])):
             with pytest.raises(InputError, match="attribute indices"):
-                statistical_tpl(d, d, target, cfg, neighbors=neighbors)
+                estimate_cpl(d, grr_specs(d, 1.0), target, tuple_, cfg)
 
     def test_zero_budget_tpl_insignificant(self):
         d = independent_pair(n=100_000, seed=9, k=2)
         cfg = EstimationConfig(expansion=2, surrogates=99, seed=10)
-        pert, orig = pipeline(d, 0.0, cfg)
-        res = statistical_tpl(pert, orig, 0, cfg)
+        res = estimate_cpl(d, grr_specs(d, 0.0), 0, [0, 1], cfg)
         assert res.leakage < 0.05
         assert not res.significant
 
@@ -288,7 +280,17 @@ class TestEstimateCpl:
         ("olh", lambda: latent_five(n=70_001, seed=4), 0, [1, 2, 3, 4], 1),
         ("olh", lambda: latent_five(n=30_001, seed=4), 2, [4, 0, 1, 3], 3),
         ("grr", four_records_pair, 0, [1], BLOCK_ROWS + 5),
-    ], ids=["grr-r1", "grr-r3", "olh-r1", "olh-r3", "grr-r-above-block"])
+        # the target in the tuple: the total leakage, with the target's
+        # column counted once as the original and once decoded
+        ("grr", lambda: maxleak_pair(n=30_001, seed=3), 0, [0], 3),
+        ("grr", lambda: maxleak_pair(n=30_001, seed=3), 1, [0, 1], 1),
+        ("olh", lambda: latent_five(n=30_001, seed=4), 2, [0, 1, 2, 3, 4], 3),
+        ("she", lambda: latent_five(n=30_001, seed=4), 3, [4, 3, 0], 2),
+        ("oue", lambda: latent_five(n=30_001, seed=4), 0, [2, 0], 3),
+        ("grr", four_records_pair, 1, [1, 0], BLOCK_ROWS + 5),
+    ], ids=["grr-r1", "grr-r3", "olh-r1", "olh-r3", "grr-r-above-block",
+            "tpl-grr-target-only", "tpl-grr-pair", "tpl-olh-all", "tpl-she-unsorted",
+            "tpl-oue-unsorted", "tpl-grr-r-above-block"])
     def test_one_stream_two_paths(self, kind, data, target, neighbors, r):
         # every n*r here leaves a partial last block
         d = data()
@@ -296,8 +298,7 @@ class TestEstimateCpl:
         cfg = EstimationConfig(expansion=r, surrogates=30, seed=5)
         specs = [MechanismSpec(kind, 1.0, d.alphabet(j).size) for j in range(d.n_attributes)]
         got = estimate_cpl(d, specs, target, neighbors, cfg)
-        want = statistical_cpl(perturb_dataset(d, specs, cfg), expand_dataset(d, r),
-                               target, neighbors, cfg)
+        want = row_leakage(d, *decode_rows(d, specs, cfg), target, neighbors, cfg)
         assert got.leakage.hex() == want.leakage.hex()
         assert got.p_value.hex() == want.p_value.hex()
         assert (got.significant, got.excluded_cells) == (want.significant, want.excluded_cells)
@@ -308,15 +309,11 @@ class TestEstimateCpl:
         specs = grr_specs(d, 1.0)
         with pytest.raises(InputError, match="nonempty"):
             estimate_cpl(d, specs, 0, [], cfg)
-        with pytest.raises(InputError, match="own neighbor"):
-            estimate_cpl(d, specs, 0, [0, 1], cfg)
         with pytest.raises(InputError, match="alphabet size"):
             estimate_cpl(d, [MechanismSpec("grr", 1.0, 3)] * 2, 0, [1], cfg)
         for target, neighbors in ((2, [1]), (0, [-1]), (0, [2])):
             with pytest.raises(InputError, match="attribute indices"):
                 estimate_cpl(d, specs, target, neighbors, cfg)
-            with pytest.raises(InputError, match="attribute indices"):
-                statistical_cpl(d, d, target, neighbors, cfg)
 
     @pytest.mark.parametrize("neighbors", [[1, 1], [2, 1, 2]])
     def test_repeated_neighbor_rejected(self, neighbors):
@@ -326,8 +323,6 @@ class TestEstimateCpl:
         specs = grr_specs(d, 1.0)
         with pytest.raises(InputError, match="distinct"):
             estimate_cpl(d, specs, 0, neighbors, cfg)
-        with pytest.raises(InputError, match="distinct"):
-            statistical_cpl(d, d, 0, neighbors, cfg)
 
     @pytest.mark.parametrize("r", [1, 3, BLOCK_ROWS + 5])
     def test_blocks_concatenate_to_the_expanded_records(self, r):
@@ -335,17 +330,18 @@ class TestEstimateCpl:
         assert d.n_records * r % BLOCK_ROWS != 0
         blocks = list(_expanded_blocks(d.records, r))
         assert max(len(block) for block in blocks) <= BLOCK_ROWS
-        np.testing.assert_array_equal(np.concatenate(blocks), expand_dataset(d, r).records)
+        np.testing.assert_array_equal(np.concatenate(blocks), np.repeat(d.records, r, axis=0))
 
     @pytest.mark.parametrize("kind", ["grr", "olh", "she"])
     def test_column_walked_alone_equals_column_in_step(self, kind):
-        # perturb_dataset walks one column after another and estimate_cpl
-        # walks its neighbors in step; either way attribute j's symbols agree
+        # the row-level oracle walks one column after another and
+        # estimate_cpl walks its tuple in step; either way attribute j's
+        # symbols agree
         d = latent_five(n=30_001, seed=4)
         r, seed, cols = 3, 8, (0, 3)
         assert BLOCK_ROWS < d.n_records * r < 2 * BLOCK_ROWS
         specs = [MechanismSpec(kind, 1.0, d.alphabet(j).size) for j in range(d.n_attributes)]
-        pert = perturb_dataset(d, specs, EstimationConfig(expansion=r, surrogates=1, seed=seed))
+        orig, pert = decode_rows(d, specs, EstimationConfig(expansion=r, surrogates=1, seed=seed))
         stepped = {j: [] for j in cols}
         for blocks in zip(*(_decoded_column(specs[j], d.column(j), r, seed, (), j) for j in cols)):
             for j, (_, _, symbols) in zip(cols, blocks):
@@ -354,10 +350,10 @@ class TestEstimateCpl:
             alone = list(_decoded_column(specs[j], d.column(j), r, seed, (), j))
             assert len(alone) == len(stepped[j]) == 2
             np.testing.assert_array_equal(np.concatenate([block for block, _, _ in alone]),
-                                          expand_dataset(d, r).column(j))
+                                          orig[:, j])
             np.testing.assert_array_equal(
-                np.concatenate([symbols for _, _, symbols in alone]), pert.column(j))
-            np.testing.assert_array_equal(np.concatenate(stepped[j]), pert.column(j))
+                np.concatenate([symbols for _, _, symbols in alone]), pert[:, j])
+            np.testing.assert_array_equal(np.concatenate(stepped[j]), pert[:, j])
 
     def test_only_the_neighbors_specs_are_read(self):
         # a constant attribute has no valid grr spec; it is neither a
@@ -409,3 +405,32 @@ class TestStatisticalMatchesExact:
             refs.append(cpl_exact(conds[(i, j)], transition_matrix(specs[j])).leakage)
             ests.append(estimate_cpl(d, specs, i, [j], cfg).leakage)
         assert nmse_cpl(ests, refs) < self.NMSE_MAX.get(kind, 1e-2)
+
+
+class TestSetLeakageMatchesExact:
+    """For a tuple of attributes, with or without the target, ``estimate_cpl``
+    converges to the exact leakage through the product of the members'
+    decoded channels as the expansion factor grows."""
+
+    @pytest.mark.parametrize("kind, target, tuple_", [
+        ("grr", 0, [1, 2]), ("grr", 2, [0, 2, 4]), ("oue", 0, [1, 2]), ("oue", 3, [0, 3, 4]),
+    ])
+    def test_error_falls_with_expansion(self, kind, target, tuple_):
+        d = latent_five(n=10_000, seed=0)
+        specs = [MechanismSpec(kind, 1.0, d.alphabet(j).size) for j in range(d.n_attributes)]
+        exact = exact_set_leakage(d, specs, target, tuple_).leakage
+
+        def mean_error(r):
+            return np.mean([abs(estimate_cpl(d, specs, target, tuple_, EstimationConfig(
+                expansion=r, surrogates=1, seed=seed)).leakage - exact) for seed in range(5)])
+
+        coarse, fine = mean_error(5), mean_error(50)
+        assert fine < coarse
+        assert fine < 0.05
+
+    def test_single_member_is_the_pairwise_exact_leakage(self):
+        d = latent_five(n=10_000, seed=0)
+        specs = [MechanismSpec("oue", 1.0, d.alphabet(j).size) for j in range(d.n_attributes)]
+        cond = pairwise_conditionals(d)[(0, 3)]
+        pairwise = cpl_exact(cond, transition_matrix(specs[3])).leakage
+        assert exact_set_leakage(d, specs, 0, [3]).leakage == pytest.approx(pairwise, abs=1e-12)
