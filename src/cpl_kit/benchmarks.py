@@ -25,9 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import _leakage_table
+from .calibration import _LeakageTable
 from .correlation_metrics import metrics
-from .data_model import ConditionalDistribution, Dataset, conditional_from_joint, empirical_joint
+from .data_model import (
+    ConditionalDistribution, Dataset, _joint_from_counts, _pair_counts, conditional_from_joint,
+    empirical_joint,
+)
 from .errors import DimensionMismatchError, InputError
 from .mechanisms import MechanismSpec, debias_counts
 from .statistical import _decoded_column
@@ -128,10 +131,20 @@ def baseline_grf(abs_pcc: np.ndarray, threshold: float, epsilon: float) -> list[
 
 
 def pairwise_conditionals(d: Dataset) -> dict[tuple[int, int], ConditionalDistribution]:
-    """Empirical P(attr j | attr i) for every ordered pair."""
+    """Empirical P(attr j | attr i) for every ordered pair.
+
+    Each unordered pair is counted once: (j, i) takes the transpose of the
+    counts of (i, j), copied to C order first, as its own count would be, since
+    a row sum over an F-ordered array can round differently.
+    """
     conds = {}
+    counts: dict[tuple[int, int], np.ndarray] = {}
     for i, j in ordered_pairs(d.n_attributes):
-        conds[(i, j)] = conditional_from_joint(empirical_joint(d, i, j), given="rows")
+        if i < j:
+            table = counts[(i, j)] = _pair_counts(d, i, j)
+        else:
+            table = np.ascontiguousarray(counts.pop((j, i)).T)
+        conds[(i, j)] = conditional_from_joint(_joint_from_counts(d, i, j, table), given="rows")
     return conds
 
 
@@ -150,32 +163,38 @@ def reference_leakages(d: Dataset, epsilon: float, method: str = "bound") -> lis
     """Per-pair reference leakage: the budget-only bound (``bound``), or the
     exact value through the decoded channel of a mechanism (``exact-<kind>``
     for any kind, see ``EXACT_ENGINES``), from calibration's leakage table."""
-    return _leakage_table(list(pairwise_conditionals(d).values()), method)(epsilon)
+    return _LeakageTable(list(pairwise_conditionals(d).values()), method)([epsilon])[0].tolist()
 
 
-def analyzer_benchmark(d: Dataset, epsilon: float, thresholds=(0.2, 0.4),
-                       reference="bound") -> dict[str, BenchmarkPoint]:
-    """Score the built-in analyzers on one dataset at one budget.
+def analyzer_benchmark(d: Dataset, epsilons, thresholds=(0.2, 0.4),
+                       reference="bound") -> list[dict[str, BenchmarkPoint]]:
+    """Score the built-in analyzers on one dataset at each budget.
 
     ``reference`` is a method name accepted by :func:`reference_leakages` or
-    a precomputed per-pair list (e.g. statistical estimates).
+    a precomputed per-pair list (e.g. statistical estimates) used at every
+    budget. The conditionals, the |PCC| matrix and the leakage tables do
+    not depend on the budget and are built once.
     """
     conds = list(pairwise_conditionals(d).values())
     if isinstance(reference, str):
-        ref = _leakage_table(conds, reference)(epsilon)
+        refs = _LeakageTable(conds, reference)(epsilons).tolist()
     else:
-        ref = list(reference)
+        refs = [list(reference)] * len(epsilons)
     n = d.n_attributes
     pcc = pairwise_abs_pcc(d)
-    points = {
-        "spl-anl": undershoot_overshoot(ref, baseline_spl_anl(n, epsilon), epsilon),
-        "grr-anl": undershoot_overshoot(ref, _leakage_table(conds, "exact-grr")(epsilon), epsilon),
-        "exp-anl": undershoot_overshoot(ref, _leakage_table(conds, "exact-exp")(epsilon), epsilon),
-    }
-    for thr in thresholds:
-        points[f"grf-{thr:g}"] = undershoot_overshoot(
-            ref, baseline_grf(pcc, thr, epsilon), epsilon)
-    return points
+    grr = _LeakageTable(conds, "exact-grr")(epsilons).tolist()
+    exp = _LeakageTable(conds, "exact-exp")(epsilons).tolist()
+    runs = []
+    for eps, ref, grr_eps, exp_eps in zip(epsilons, refs, grr, exp):
+        points = {
+            "spl-anl": undershoot_overshoot(ref, baseline_spl_anl(n, eps), eps),
+            "grr-anl": undershoot_overshoot(ref, grr_eps, eps),
+            "exp-anl": undershoot_overshoot(ref, exp_eps, eps),
+        }
+        for thr in thresholds:
+            points[f"grf-{thr:g}"] = undershoot_overshoot(ref, baseline_grf(pcc, thr, eps), eps)
+        runs.append(points)
+    return runs
 
 
 def nmse_cpl(estimates, references) -> float:
@@ -240,6 +259,7 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
                   for j in range(n_attr)]
     freq_denom = sum(float((f ** 2).sum()) for f in true_freqs)
     grid = [(k, e) for k in kinds for e in epsilons]
+    tables: dict[str, _LeakageTable] = {}  # by engine, each built at its first cell
 
     pool = ThreadPoolExecutor(_workers(len(grid) * n_attr))
     try:
@@ -260,8 +280,11 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
 
             # Built after the cell's specs: a constant column fails on its
             # spec first, as in a serial run, not on its table.
-            tcpl_star = sum(_leakage_table(conds, "bound")(eps))
-            tcpl_prime = sum(_leakage_table(conds, f"exact-{kind}")(eps))
+            for engine in ("bound", f"exact-{kind}"):
+                if engine not in tables:
+                    tables[engine] = _LeakageTable(conds, engine)
+            tcpl_star = sum(tables["bound"]([eps])[0].tolist())
+            tcpl_prime = sum(tables[f"exact-{kind}"]([eps])[0].tolist())
             norm_tcpl = tcpl_prime / tcpl_star if tcpl_star > 0 else 0.0
             rows.append(UtilityRow(kind, eps, UtilityReport(freq_nmse, zero_one, norm_tcpl)))
     finally:

@@ -14,11 +14,14 @@ place that total is computed. The sum is not a bound on the leakage of all
 neighbors at once: when the neighbors depend on each other given the target,
 their joint leakage can exceed it. The budget-independent part of every
 leakage computation is built once per calibration and shared by all probes.
-The analyzer and utility benchmarks take their per-pair leakages from the
-same table.
+The probes are evaluated in chunks, many budgets per array operation, and
+then walked in order; each value is the one a probe alone gives, so the
+trace is that of a probe-by-probe walk. The analyzer and utility benchmarks
+take their per-pair leakages from the same table.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,14 +29,17 @@ import numpy as np
 
 # Calibration evaluates the bound through ``_BoundTable``; ``cpl_bound`` stays
 # importable from here because perfbench's tracer tests rebind it in this module.
-from .cpl_bound import BudgetParams, _BoundTable, cpl_bound  # noqa: F401
+from .cpl_bound import _BoundTable, _log_each, cpl_bound  # noqa: F401
 from .cpl_exact import EXACT_ENGINES, _output_ratios
 from .data_model import ConditionalDistribution, JointDistribution, conditional_from_joint
-from .errors import InfeasibleBudgetError, InputError, InsufficientDataError
-from .mechanisms import MechanismSpec, transition_matrix
+from .errors import CplKitError, InfeasibleBudgetError, InputError, InsufficientDataError
+from .mechanisms import _EPSILON_MAX, MechanismSpec, _channel
 
 _FEAS_TOL = 1e-9
 _MAX_PROBES = 10 ** 6
+#: Float64 entries a leakage table's temporaries may hold at once, which
+#: bounds how many budgets it evaluates together.
+_BLOCK_CELLS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -72,58 +78,71 @@ def _as_conditionals(joints: dict) -> tuple[int, dict]:
     return n, conds
 
 
-def _leakage_table(conds: list[ConditionalDistribution], engine: str):
+class _LeakageTable:
     """Leakage of every conditional as a function of the shared budget.
 
     Everything that does not depend on the budget is computed here, once:
     the bound's greedy orders and prefix masses, or for ``exact-<kind>`` the
     usable rows stacked by (row count, domain size), so that a probe builds
-    one transition matrix per domain size and does one matmul per stack.
+    one channel per domain size and does one matmul per stack. A call maps E
+    budgets to an (E, C) array, ``block`` budgets at a time: that many keep
+    the temporaries within about ``_BLOCK_CELLS`` float64 entries. Every
+    value is the one a call with its budget alone gives.
     """
-    if engine == "bound":
-        table = _BoundTable.build(conds)
-        return lambda eps: table.leakages(BudgetParams(eps, 0.0))
-    if engine not in EXACT_ENGINES:
-        raise InputError(f"unknown leakage engine {engine!r}")
-    kind = EXACT_ENGINES[engine]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for c, cond in enumerate(conds):
-        rows = cond.valid_rows()
-        if rows.size < 2:
-            raise InsufficientDataError("need at least 2 usable conditioning symbols")
-        groups.setdefault((rows.size, cond.n_cols), []).append(c)
-    stacks = [(k, members, np.stack([conds[c].matrix[conds[c].valid_rows()] for c in members]))
-              for (_, k), members in groups.items()]
 
-    def leakages(eps: float) -> list[float]:
-        out = [0.0] * len(conds)
-        trans: dict[int, np.ndarray] = {}
-        for k, members, stack in stacks:
-            if k not in trans:
-                trans[k] = transition_matrix(MechanismSpec(kind, eps, k)).matrix
-            best = _output_ratios(stack @ trans[k])[0].max(axis=1)
-            for c, ratio in zip(members, best.tolist()):
-                out[c] = math.log(ratio)
+    def __init__(self, conds: list[ConditionalDistribution], engine: str):
+        self._n = len(conds)
+        if engine == "bound":
+            self._bound = _BoundTable.build(conds)
+            cells = self._bound.q.size
+        elif engine in EXACT_ENGINES:
+            self._bound = None
+            self._kind = EXACT_ENGINES[engine]
+            groups: dict[tuple[int, int], list[int]] = {}
+            for c, cond in enumerate(conds):
+                rows = cond.valid_rows()
+                if rows.size < 2:
+                    raise InsufficientDataError("need at least 2 usable conditioning symbols")
+                groups.setdefault((rows.size, cond.n_cols), []).append(c)
+            self._stacks = [
+                (k, members, np.stack([conds[c].matrix[conds[c].valid_rows()] for c in members]))
+                for (_, k), members in groups.items()]
+            self._sizes = list(dict.fromkeys(k for k, *_ in self._stacks))
+            cells = sum(stack.size for *_, stack in self._stacks)
+        else:
+            raise InputError(f"unknown leakage engine {engine!r}")
+        self.block = max(1, _BLOCK_CELLS // max(cells, 1))
+
+    def __call__(self, epsilons) -> np.ndarray:
+        parts = [self._evaluate(epsilons[lo:lo + self.block])
+                 for lo in range(0, len(epsilons), self.block)]
+        return np.concatenate(parts) if parts else np.empty((0, self._n))
+
+    def _evaluate(self, epsilons) -> np.ndarray:
+        if self._bound is not None:
+            return self._bound.leakages(epsilons)
+        # Every budget is checked before any is evaluated.
+        channels = [{k: _channel(MechanismSpec(self._kind, eps, k)) for k in self._sizes}
+                    for eps in epsilons]
+        out = np.empty((len(epsilons), self._n))
+        for k, members, stack in self._stacks:
+            chan = np.stack([stack @ trans[k] for trans in channels])
+            out[:, members] = _log_each(_output_ratios(chan)[0].max(axis=-1))
         return out
 
-    return leakages
 
-
-def _worst(leaks: list[float], n: int, eps_tilde: float) -> tuple[float, int]:
+def _worst(leaks: np.ndarray, n: int, epsilons) -> tuple[np.ndarray, np.ndarray]:
     """Largest total of own budget plus the n - 1 neighbor leakages of an
-    attribute, summed in neighbor order, with the first attribute attaining it.
+    attribute at each budget, with the first attribute attaining it.
 
-    The sums run in sequence on purpose: numpy's unrolled summation can
-    change the last bit.
+    The neighbors are added one at a time, in order, for every attribute and
+    budget at once: numpy's unrolled summation can change the last bit.
     """
-    worst, worst_idx = -1.0, 0
-    for i in range(n):
-        total = eps_tilde
-        for leak in leaks[i * (n - 1):(i + 1) * (n - 1)]:
-            total += leak
-        if total > worst:
-            worst, worst_idx = total, i
-    return worst, worst_idx
+    per = leaks.reshape(len(epsilons), n, n - 1)
+    total = np.repeat(np.array(epsilons, dtype=np.float64)[:, None], n, axis=1)
+    for k in range(n - 1):
+        total += per[:, :, k]
+    return total.max(axis=1), total.argmax(axis=1)
 
 
 def _ordered(conds: dict, n: int) -> list[ConditionalDistribution]:
@@ -135,7 +154,33 @@ def worst_tpl(conds: dict, n: int, eps_tilde: float, engine: str = "bound") -> t
 
     An attribute's own leakage toward itself is zero and skipped.
     """
-    return _worst(_leakage_table(_ordered(conds, n), engine)(eps_tilde), n, eps_tilde)
+    worst, idx = _worst(_LeakageTable(_ordered(conds, n), engine)([eps_tilde]), n, [eps_tilde])
+    return worst.item(), idx.item()
+
+
+def _candidates(start: float, step: float, limit: float):
+    """The budgets the walk probes after ``start``, in order: up to the first
+    past ``limit``, and none past the largest budget a probe can take."""
+    for i in itertools.count():
+        candidate = start + (i + 1) * step
+        if candidate > _EPSILON_MAX:
+            return
+        yield candidate
+        if candidate > limit:
+            return
+
+
+def _probed(table: _LeakageTable, n: int, chunk: list[float]):
+    """(budget, worst total, worst attribute) of each budget of a chunk."""
+    try:
+        worst, idx = _worst(table(chunk), n, chunk)
+    except (CplKitError, ArithmeticError, ValueError):
+        if len(chunk) == 1:
+            raise
+        # Some budget of the chunk cannot be probed. Probe one at a time, so
+        # that its error is raised only if the walk reaches it.
+        return itertools.chain.from_iterable(_probed(table, n, [eps]) for eps in chunk)
+    return zip(chunk, worst.tolist(), idx.tolist())
 
 
 def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
@@ -149,7 +194,9 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
     its own budget plus its pairwise leakages, which neighbors that depend on
     each other given the attribute can exceed. The equal split is feasible
     by construction (each neighbor leaks at most the shared budget); a
-    numerical violation of that is an error.
+    numerical violation of that is an error. The probes are evaluated a
+    chunk at a time and walked in order; the walk never passes the first
+    budget above the ceiling, so no chunk reaches past it.
     """
     if not 0 < epsilon_bar < math.inf:
         raise InputError("total budget must be finite and positive")
@@ -157,26 +204,25 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
         raise InputError("step must be finite and positive")
     n, conds = _as_conditionals(joints)
     start = epsilon_bar / n
+    limit = epsilon_bar + _FEAS_TOL
     # A probe's worst TPL is at least its budget, so the walk ends past the
     # ceiling. n >= 2, so a step lost in rounding (start + step == start) fails too.
-    if (epsilon_bar + _FEAS_TOL - start) / step > _MAX_PROBES:
+    if (limit - start) / step > _MAX_PROBES:
         raise InputError(f"step {step} is too small: over {_MAX_PROBES} probes to the ceiling")
-    leakages = _leakage_table(_ordered(conds, n), engine)
-    worst, idx = _worst(leakages(start), n, start)
-    if worst > epsilon_bar + _FEAS_TOL:
+    table = _LeakageTable(_ordered(conds, n), engine)
+    (_, worst, idx), = _probed(table, n, [start])
+    if worst > limit:
         raise InfeasibleBudgetError(
             f"equal split should satisfy the ceiling but worst TPL {worst} > {epsilon_bar}"
         )
     trace = [(start, worst)]
-    best = CalibrationResult(start, idx, worst, 0, ())
-    i = 0
-    while True:
-        candidate = start + (i + 1) * step
-        worst, idx = _worst(leakages(candidate), n, candidate)
-        trace.append((candidate, worst))
-        if worst > epsilon_bar + _FEAS_TOL:
-            break
-        i += 1
-        best = CalibrationResult(candidate, idx, worst, i, ())
-    return CalibrationResult(best.epsilon_star, best.worst_attribute, best.worst_tpl,
-                             best.iterations, tuple(trace))
+    best = (start, idx, worst)
+    probes = _candidates(start, step, limit)
+    while chunk := list(itertools.islice(probes, table.block)):
+        for candidate, worst, idx in _probed(table, n, chunk):
+            trace.append((candidate, worst))
+            if worst > limit:
+                return CalibrationResult(*best, len(trace) - 2, tuple(trace))
+            best = (candidate, idx, worst)
+    raise InputError(f"the walk reached the largest budget a probe can take ({_EPSILON_MAX:.2f}) "
+                     f"with every worst total leakage still within the ceiling {epsilon_bar}")

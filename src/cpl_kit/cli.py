@@ -210,17 +210,15 @@ def _cmd_estimate(args) -> dict:
 
 def _cmd_benchmark_analyzers(args) -> dict:
     d = load_csv(args.data)
-    runs = []
-    for eps in _float_list(args.epsilons):
-        points = analyzer_benchmark(d, eps, thresholds=tuple(_float_list(args.thresholds)),
-                                    reference=args.reference)
-        runs.append({
-            "epsilon": eps,
-            "reference": args.reference,
-            "points": {name: {"undershoot": p.undershoot, "overshoot": p.overshoot,
-                              "region": p.region} for name, p in sorted(points.items())},
-        })
-    return {"runs": runs}
+    epsilons = _float_list(args.epsilons)
+    runs = analyzer_benchmark(d, epsilons, thresholds=tuple(_float_list(args.thresholds)),
+                              reference=args.reference)
+    return {"runs": [{
+        "epsilon": eps,
+        "reference": args.reference,
+        "points": {name: {"undershoot": p.undershoot, "overshoot": p.overshoot,
+                          "region": p.region} for name, p in sorted(points.items())},
+    } for eps, points in zip(epsilons, runs)]}
 
 
 def _cmd_benchmark_utility(args) -> dict:

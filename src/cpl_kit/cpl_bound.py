@@ -96,7 +96,7 @@ class _BoundTable:
     q: np.ndarray  # (P, t + 1)
     a: np.ndarray  # (P, t + 1)
     b: np.ndarray  # (P, t + 1)
-    disjoint: tuple[bool, ...]
+    disjoint: np.ndarray  # (P,) bool
 
     @classmethod
     def build(cls, conds: list[ConditionalDistribution]) -> "_BoundTable":
@@ -126,27 +126,39 @@ class _BoundTable:
         b = np.zeros((len(pairs), t + 1))
         np.cumsum(g[sorted_at], axis=1, out=a[:, 1:])
         np.cumsum(gp[sorted_at], axis=1, out=b[:, 1:])
-        disjoint = tuple(bool(d) for d in ~(positive & positive_p).any(axis=1))
+        disjoint = ~(positive & positive_p).any(axis=1)
         return cls(tuple(pairs), tuple(slices), order, q, a, b, disjoint)
 
-    def evaluate(self, budget: BudgetParams) -> tuple[np.ndarray, list[float]]:
-        """Greedy stop and leakage of every pair.
+    def evaluate(self, epsilons) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy stop and leakage of every pair at each of E budgets, as
+        (E, P) arrays.
 
         The greedy admits index k exactly when q[k] >= H of the first k
         indices; since q descends, the first rejection ends the admitted
         prefix. Disjoint pairs attain H = e^eps analytically, so they report
-        the exact budget rather than round-tripping through exp/log.
+        the exact budget rather than round-tripping through exp/log. Each
+        e^eps - 1 and each log is taken on a Python float, so a value does
+        not depend on how many budgets share the call.
         """
-        lam = math.expm1(budget.epsilon)
+        for eps in epsilons:
+            _check_epsilon(eps)
+        lam = np.array([math.expm1(eps) for eps in epsilons])[:, None, None]
         h = (1.0 + self.a * lam) / (1.0 + self.b * lam)
-        stop = np.argmin(self.q >= h, axis=1)
-        h_stop = h[np.arange(len(stop)), stop].tolist()
-        return stop, [budget.epsilon if d else math.log(v) for v, d in zip(h_stop, self.disjoint)]
+        stop = np.argmin(self.q >= h, axis=-1)
+        h_stop = np.take_along_axis(h, stop[..., None], axis=-1)[..., 0]
+        eps_col = np.array(epsilons, dtype=np.float64)[:, None]
+        return stop, np.where(self.disjoint, eps_col, _log_each(h_stop))
 
-    def leakages(self, budget: BudgetParams) -> list[float]:
-        """Bound of each conditional."""
-        leaks = self.evaluate(budget)[1]
-        return [max(leaks[sl]) for sl in self.slices]
+    def leakages(self, epsilons) -> np.ndarray:
+        """(E, C) bound of each conditional at each of E budgets."""
+        starts = np.array([sl.start for sl in self.slices], dtype=np.intp)
+        return np.maximum.reduceat(self.evaluate(epsilons)[1], starts, axis=1)
+
+
+def _log_each(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of every entry: numpy's log can differ from the C
+    library's in the last bit."""
+    return np.fromiter(map(math.log, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def cpl_bound(cond: ConditionalDistribution, budget: BudgetParams) -> BoundedCplResult:
@@ -156,9 +168,10 @@ def cpl_bound(cond: ConditionalDistribution, budget: BudgetParams) -> BoundedCpl
     The witness is the first row pair with the largest leakage.
     """
     table = _BoundTable.build([cond])
-    stop, leaks = table.evaluate(budget)
+    stop, leaks = table.evaluate([budget.epsilon])
+    leaks = leaks[0].tolist()
     p = max(range(len(leaks)), key=leaks.__getitem__)
-    k = int(stop[p])
+    k = int(stop[0, p])
     a, b = float(table.a[p, k]), float(table.b[p, k])
     subset = tuple(table.order[p, :k].tolist())
     return BoundedCplResult(leaks[p], budget.delta * a, subset, a, b, table.pairs[p])

@@ -244,17 +244,19 @@ def load_csv(path, schema_hints: dict | None = None) -> Dataset:
     column name either to an int (treat as numeric, equal-width bin into that
     many bins) or to a list of labels (declared alphabet and ordering).
 
-    Each distinct row is parsed and coded once and repeats are not kept, so
-    time and memory scale with the number of distinct rows, plus one int64
-    per record. A file that is not UTF-8 text, that ``csv`` cannot parse,
-    whose rows differ in width or whose header repeats a name raises
-    ``InputError`` naming the file, and the line where a row is at fault.
+    Each distinct line is parsed and each distinct row coded once, and
+    repeats are not kept, so time and memory scale with the number of
+    distinct lines, plus one int64 per record; a file that contains a quote
+    character is read record by record. A file that is not UTF-8 text, that
+    ``csv`` cannot parse, whose rows differ in width or whose header repeats
+    a name raises ``InputError`` naming the file, and the line where a row
+    is at fault.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
     hints = dict(schema_hints or {})
-    header, rows, ordinal = _read_distinct_rows(path)
+    header, rows, ordinal = _read_distinct_lines(path) or _read_distinct_records(path)
     if header is None:
         raise InputError(f"{path}: empty file, header row required")
     if set(map(len, rows)) - {len(header)}:
@@ -293,14 +295,44 @@ def load_csv(path, schema_hints: dict | None = None) -> Dataset:
     return Dataset(tuple(schema), _lock(codes.take(ordinal, axis=0)))
 
 
-def _read_distinct_rows(path: Path) -> tuple[list[str] | None, list[tuple[str, ...]], np.ndarray]:
+def _read_distinct_lines(path: Path):
     """Header, distinct rows in order of first appearance, and each record's
-    index into those rows.
+    index into those rows, parsing each distinct line of the file once; None
+    if the file has a quote character or bytes that are not UTF-8.
 
     Taken in this order the distinct rows meet every symbol and every bad
-    cell in record order. The row -> index dict is dropped on return, so it
-    and its int values never coexist with the coded columns.
+    cell in record order. ``csv.reader`` pulls one line at a time from a
+    file opened with ``newline=""``, and a line without a quote character
+    is exactly one record. So parsing each distinct line gives the rows, the
+    line numbers and the errors of reading the file record by record.
     """
+    first: dict[str, int] = {}  # distinct line -> index of its first record
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(fh, None)
+            record_first = np.fromiter(map(first.setdefault, fh, itertools.count()), np.int64)
+    except UnicodeDecodeError:
+        return None
+    if header is None:
+        return None, [], record_first
+    lines = [header, *first]
+    if any('"' in line for line in lines):
+        return None
+    firsts = np.fromiter(first.values(), np.int64, len(first))
+    reader = csv.reader(lines)
+    try:
+        header, *rows = reader
+    except csv.Error as exc:
+        # Line k > 1 of ``lines`` is the first record of its text.
+        k = reader.line_num
+        raise InputError(f"{path}:{1 if k == 1 else firsts[k - 2] + 2}: {exc}") from None
+    return header, rows, np.searchsorted(firsts, record_first)
+
+
+def _read_distinct_records(path: Path) -> tuple[list[str] | None, list, np.ndarray]:
+    """``_read_distinct_lines`` record by record, for any file. The row ->
+    index dict is dropped on return, so it and its int values never coexist
+    with the coded columns."""
     first: dict[tuple[str, ...], int] = {}  # distinct row -> index of its first record
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -342,13 +374,21 @@ def write_csv(d: Dataset, path) -> None:
 
 def empirical_joint(d: Dataset, i: int, j: int) -> JointDistribution:
     """Empirical joint distribution of attributes i (rows) and j (cols)."""
+    return _joint_from_counts(d, i, j, _pair_counts(d, i, j))
+
+
+def _pair_counts(d: Dataset, i: int, j: int) -> np.ndarray:
+    """(m, t) record counts of every pair of symbols of attributes i and j."""
     if i == j:
         raise InputError("joint distribution requires two distinct attributes")
     if d.n_records == 0:
         raise InputError("empty dataset")
     m, t = d.alphabet(i).size, d.alphabet(j).size
-    counts = np.bincount(d.column(i) * t + d.column(j), minlength=m * t)
-    matrix = counts.reshape(m, t).astype(np.float64) / d.n_records
+    return np.bincount(d.column(i) * t + d.column(j), minlength=m * t).reshape(m, t)
+
+
+def _joint_from_counts(d: Dataset, i: int, j: int, counts: np.ndarray) -> JointDistribution:
+    matrix = counts.astype(np.float64) / d.n_records
     return JointDistribution(d.alphabet(i).symbols, d.alphabet(j).symbols, matrix)
 
 

@@ -162,11 +162,22 @@ class TransitionMatrix:
 def transition_matrix(spec: MechanismSpec) -> TransitionMatrix:
     """The decoded channel P(decoded symbol | true symbol) of ``spec``."""
     labels = tuple(str(i) for i in range(spec.k))
+    return TransitionMatrix(labels, labels, _channel(spec), spec.epsilon)
+
+
+def _channel(spec: MechanismSpec) -> np.ndarray:
+    """The matrix of ``transition_matrix(spec)``. Of the checks of a
+    ``TransitionMatrix``, a built channel can fail only its [0, 1] range,
+    and only with k = 1, where w + k - 1 can round below w; so only that
+    one is made here."""
     w = _channel_weight(spec)
     denom = w + spec.k - 1
+    diagonal = w / denom
+    if diagonal > 1.0:
+        raise InputError("transition probabilities must lie in [0, 1]")
     mat = np.full((spec.k, spec.k), 1.0 / denom)
-    np.fill_diagonal(mat, w / denom)
-    return TransitionMatrix(labels, labels, mat, spec.epsilon)
+    np.fill_diagonal(mat, diagonal)
+    return mat
 
 
 def _channel_weight(spec: MechanismSpec) -> float:

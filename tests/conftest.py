@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from cpl_kit import ConditionalDistribution, JointDistribution, conditional_from_joint
-from cpl_kit.cpl_bound import _ZERO, BoundedCplResult, BudgetParams, _iter_pairs
-from cpl_kit.cpl_exact import ExactCplResult, cpl_exact
+from cpl_kit.calibration import _as_conditionals
+from cpl_kit.cpl_bound import _ZERO, BoundedCplResult, BudgetParams, _iter_pairs, cpl_bound
+from cpl_kit.cpl_exact import EXACT_ENGINES, ExactCplResult, cpl_exact
 from cpl_kit.errors import InputError
 from cpl_kit.fixtures import MAXLEAK_JOINT
-from cpl_kit.mechanisms import TransitionMatrix, transition_matrix
+from cpl_kit.mechanisms import MechanismSpec, TransitionMatrix, transition_matrix
 from cpl_kit.statistical import (
     StatisticalCplResult, _decoded_column, _observed_and_null, count_table,
 )
@@ -141,3 +142,37 @@ def exact_set_leakage(d, specs, target, tuple_) -> ExactCplResult:
     channel = functools.reduce(np.kron, (transition_matrix(specs[z]).matrix for z in tuple_))
     trans = TransitionMatrix(labels, labels, channel, sum(specs[z].epsilon for z in tuple_))
     return cpl_exact(cond, trans)
+
+
+def calibrate_by_probe(joints, epsilon_bar, step, engine) -> list[tuple[float, float]]:
+    """Probe-by-probe reference for ``calibrate``'s trace: the same walk, one
+    budget at a time, each leakage from the public kernel (``cpl_bound``, or
+    ``cpl_exact`` through the kind's ``transition_matrix``) and each total
+    summed in neighbor order."""
+    n, conds = _as_conditionals(joints)
+
+    def leakage(cond, eps):
+        if engine == "bound":
+            return cpl_bound(cond, BudgetParams(eps, 0.0)).leakage
+        spec = MechanismSpec(EXACT_ENGINES[engine], eps, cond.n_cols)
+        return cpl_exact(cond, transition_matrix(spec)).leakage
+
+    def worst(eps):
+        totals = []
+        for i in range(n):
+            total = eps
+            for j in range(n):
+                if j != i:
+                    total += leakage(conds[(i, j)], eps)
+            totals.append(total)
+        return max(totals)
+
+    start = epsilon_bar / n
+    trace = [(start, worst(start))]
+    i = 0
+    while True:
+        candidate = start + (i + 1) * step
+        trace.append((candidate, worst(candidate)))
+        if trace[-1][1] > epsilon_bar + 1e-9:
+            return trace
+        i += 1

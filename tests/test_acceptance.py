@@ -187,7 +187,7 @@ def test_07_composition_tightness_on_reference_fixture():
 
 def test_08_benchmark_region_signatures():
     d = mixed_five(n=40_000, seed=0)
-    points = analyzer_benchmark(d, 1.0, thresholds=(0.2, 0.4), reference="bound")
+    points, = analyzer_benchmark(d, [1.0], thresholds=(0.2, 0.4), reference="bound")
     ok = points["spl-anl"].region == "R2"
     ok &= points["grf-0.2"].region in ("R2", "R3")
     ok &= points["grf-0.4"].region in ("R2", "R3")

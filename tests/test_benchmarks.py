@@ -9,12 +9,17 @@ import numpy as np
 import pytest
 
 from cpl_kit import (
+    Alphabet,
     BudgetParams,
+    Dataset,
     DimensionMismatchError,
     InputError,
+    InsufficientDataError,
     MechanismSpec,
+    conditional_from_joint,
     cpl_bound,
     cpl_exact,
+    empirical_joint,
     nmse_cpl,
     transition_matrix,
     undershoot_overshoot,
@@ -35,10 +40,13 @@ from cpl_kit.benchmarks import (
 from cpl_kit.fixtures import (
     MAXLEAK_JOINT,
     independent_pair,
+    latent_five,
     mixed_five,
     noisy_copy,
     sample_pair_from_joint,
+    weak_ten,
 )
+from cpl_kit.calibration import _LeakageTable
 from cpl_kit.mechanisms import KINDS, debias_counts, decode_column, perturb_column, support_counts
 from cpl_kit.rng import STAGE_DECODE, STAGE_PERTURB, derive_rng
 from cpl_kit.statistical import BLOCK_ROWS
@@ -112,7 +120,7 @@ class TestBaselines:
 class TestAnalyzerBenchmark:
     def test_region_signatures_on_mixed_data(self):
         d = mixed_five(n=40_000, seed=0)
-        points = analyzer_benchmark(d, 1.0)
+        points, = analyzer_benchmark(d, [1.0])
         assert points["spl-anl"].region == "R2"
         assert points["grf-0.2"].region in ("R2", "R3")
         assert points["grf-0.4"].region in ("R2", "R3")
@@ -138,12 +146,31 @@ class TestAnalyzerBenchmark:
 
     def test_exact_reference_puts_grr_at_origin(self):
         d = mixed_five(n=20_000, seed=1)
-        points = analyzer_benchmark(d, 1.0, reference="exact-grr")
+        points, = analyzer_benchmark(d, [1.0], reference="exact-grr")
         assert points["grr-anl"].region == "P1"
+
+    def test_budgets_scored_together_equal_one_at_a_time(self):
+        d = mixed_five(n=5_000, seed=1)
+        epsilons = [0.5, 2.0, 7.0]
+        for reference in ("bound", "exact-oue", [0.1] * 20):
+            runs = analyzer_benchmark(d, epsilons, reference=reference)
+            assert runs == [analyzer_benchmark(d, [eps], reference=reference)[0]
+                            for eps in epsilons]
+
+    def test_leakage_tables_built_once(self, monkeypatch):
+        built = []
+
+        def counted(conds, engine):
+            built.append(engine)
+            return _LeakageTable(conds, engine)
+
+        monkeypatch.setattr(benchmarks, "_LeakageTable", counted)
+        analyzer_benchmark(mixed_five(n=2_000, seed=1), [0.5, 1.0, 2.0], reference="exact-oue")
+        assert built == ["exact-oue", "exact-grr", "exact-exp"]
 
     def test_precomputed_reference_accepted(self):
         d = independent_pair(n=10_000, seed=2, k=2)
-        points = analyzer_benchmark(d, 1.0, reference=[0.0, 0.0])
+        points, = analyzer_benchmark(d, [1.0], reference=[0.0, 0.0])
         assert points["spl-anl"].region == "R2"
 
 
@@ -215,6 +242,30 @@ class TestUtilityBenchmark:
         # channel at eps_eff = ln(3a/(1-a)) = 0.580. Its exact tcpl' on this
         # data is 0.953 against tcpl* 1.649, so norm_tcpl = 0.578.
         assert rows["rappor"] == pytest.approx(0.578, abs=5e-4)
+
+    def test_leakage_tables_built_once_per_engine(self, monkeypatch):
+        built = []
+
+        def counted(conds, engine):
+            built.append(engine)
+            return _LeakageTable(conds, engine)
+
+        monkeypatch.setattr(benchmarks, "_LeakageTable", counted)
+        utility_benchmark(mixed_five(n=2_000, seed=1), ["grr", "oue", "grr"], [1.0, 3.0], 1, 5)
+        assert built == ["bound", "exact-grr", "exact-oue"]
+
+    @pytest.mark.parametrize("kinds, error, match", [
+        (["grr", "rappor"], InputError, "grr requires domain size k >= 2"),
+        (["rappor", "grr"], InsufficientDataError, "at least 2 usable conditioning symbols"),
+    ])
+    def test_constant_column_fails_on_its_first_cell(self, kinds, error, match):
+        # grr has no spec for a one-symbol column; rappor has, and fails on the
+        # conditionals given that column, which have one usable row
+        rng = derive_rng(40, 0)
+        records = np.column_stack([rng.integers(0, 3, 500), np.zeros(500, dtype=np.int64)])
+        d = Dataset((("a", Alphabet(("x", "y", "z"))), ("b", Alphabet(("c",)))), records)
+        with pytest.raises(error, match=match):
+            utility_benchmark(d, kinds, [1.0, 2.0], 1, 0)
 
     def test_deterministic(self):
         d = noisy_copy(n=5_000, seed=3, k=4)
@@ -331,3 +382,35 @@ class TestUtilityColumns:
 class TestOrderedPairs:
     def test_row_major(self):
         assert ordered_pairs(3) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+
+
+def wide_alphabets(n: int = 7_000, sizes=(30, 41, 17)) -> Dataset:
+    """Three attributes with alphabets of 17 to 41 symbols, driven by one
+    shared latent: rows long enough that a row sum's rounding depends on
+    the memory order of the table."""
+    rng = derive_rng(41, 0)
+    latent = rng.integers(0, 50, n)
+    columns = [(latent * (j + 3) + rng.integers(0, 7, n)) % k for j, k in enumerate(sizes)]
+    schema = tuple((f"a{j}", Alphabet(tuple(f"s{i}" for i in range(k))))
+                   for j, k in enumerate(sizes))
+    return Dataset(schema, np.column_stack(columns))
+
+
+class TestPairwiseConditionals:
+    @pytest.mark.parametrize("make", [
+        lambda: mixed_five(n=5_000, seed=1),
+        lambda: latent_five(n=5_000, seed=2),
+        lambda: weak_ten(n=3_000, seed=3),
+        wide_alphabets,
+    ])
+    def test_each_pair_equals_its_own_count(self, make):
+        # (j, i) comes from the transposed counts of (i, j): bit for bit the
+        # conditional of its own joint, row sums included
+        d = make()
+        conds = pairwise_conditionals(d)
+        assert list(conds) == ordered_pairs(d.n_attributes)
+        for (i, j), cond in conds.items():
+            own = conditional_from_joint(empirical_joint(d, i, j), given="rows")
+            assert cond.matrix.tobytes() == own.matrix.tobytes()
+            assert (cond.valid == own.valid).all()
+            assert (cond.row_labels, cond.col_labels) == (own.row_labels, own.col_labels)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,13 +18,15 @@ from cpl_kit import (
     transition_matrix,
     worst_tpl,
 )
-from cpl_kit.calibration import _as_conditionals, _leakage_table
+from cpl_kit import calibration
+from cpl_kit.calibration import _as_conditionals, _LeakageTable, _ordered
+from cpl_kit.errors import CplKitError
 from cpl_kit.mechanisms import KINDS
-from cpl_kit.fixtures import weak_ten
+from cpl_kit.fixtures import mixed_five, weak_ten
 from cpl_kit.benchmarks import ordered_pairs
 from cpl_kit.data_model import empirical_joint
 from cpl_kit.rng import derive_rng
-from conftest import random_conditional
+from conftest import calibrate_by_probe, exact_set_leakage, random_conditional
 
 
 def pair_labels(k):
@@ -173,27 +176,57 @@ class TestLeakageTable:
 
     def test_bound_table_equals_public_kernel(self):
         conds = self.mixed_conditionals()
-        table = _leakage_table(conds, "bound")
+        table = _LeakageTable(conds, "bound")
         for eps in self.EPSILONS:
             want = [cpl_bound(c, BudgetParams(eps, 0.0)).leakage for c in conds]
-            assert table(eps) == want
+            assert table([eps])[0].tolist() == want
 
     def test_exact_grr_table_equals_public_kernel(self):
         # and the table of every other kind's exact engine
         conds = self.mixed_conditionals()
         for kind in KINDS:
-            table = _leakage_table(conds, f"exact-{kind}")
+            table = _LeakageTable(conds, f"exact-{kind}")
             for eps in self.EPSILONS:
                 if kind == "she" and eps == 0:
                     continue  # she needs a positive budget
                 want = [cpl_exact(c, transition_matrix(MechanismSpec(kind, eps, c.n_cols))).leakage
                         for c in conds]
-                assert table(eps) == want
+                assert table([eps])[0].tolist() == want
+
+    def test_many_budgets_equal_one_at_a_time(self):
+        # more budgets than one block holds, so the call evaluates several blocks
+        conds = self.mixed_conditionals()
+        for engine in ("bound", "exact-grr", "exact-she"):
+            table = _LeakageTable(conds, engine)
+            epsilons = [0.01 * (i + 1) for i in range(2 * table.block + 3)]
+            many = table(epsilons)
+            assert many.shape == (len(epsilons), len(conds))
+            for eps, row in zip(epsilons, many.tolist()):
+                assert row == table([eps])[0].tolist()
+
+    @pytest.mark.parametrize("kind", ["rappor", "oue", "blh", "olh", "she"])
+    def test_one_symbol_channel_fails_where_transition_matrix_does(self, kind):
+        # With k = 1, w + k - 1 can round below w, so that the channel's one
+        # entry exceeds 1 at some budgets; the table must fail exactly there.
+        cond = ConditionalDistribution(("a", "b"), ("u",), np.ones((2, 1)))
+        table = _LeakageTable([cond], f"exact-{kind}")
+        outcomes = set()
+        for eps in np.linspace(0.05, 40.0, 200).tolist():
+            try:
+                transition_matrix(MechanismSpec(kind, eps, 1))
+            except CplKitError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    table([eps])
+                outcomes.add("fails")
+            else:
+                assert table([eps])[0].tolist() == [0.0]
+                outcomes.add("passes")
+        assert outcomes == {"fails", "passes"}
 
     def test_unknown_engine(self):
         for engine in ("exact-nope", "exact", "grr", "exact-grr-exp"):
             with pytest.raises(InputError, match="engine"):
-                _leakage_table(self.mixed_conditionals(), engine)
+                _LeakageTable(self.mixed_conditionals(), engine)
 
 
 class TestNonFiniteInputs:
@@ -218,3 +251,87 @@ class TestNonFiniteInputs:
     def test_overflowing_probe_is_an_input_error(self, engine):
         with pytest.raises(InputError, match="epsilon"):
             calibrate(independent_joints(2), 8000.0, step=1000.0, engine=engine)
+
+
+def trace_hex(trace):
+    return [(eps.hex(), worst.hex()) for eps, worst in trace]
+
+
+class TestChunkedWalk:
+    """The walk evaluates its probes a chunk at a time; its trace must be the
+    probe-by-probe walk's, bit for bit."""
+
+    @staticmethod
+    def joints(n_attributes):
+        d = mixed_five(n=3_000, seed=2)
+        return {(i, j): empirical_joint(d, i, j) for i, j in ordered_pairs(n_attributes)}
+
+    @pytest.mark.parametrize("engine", ["bound", "exact-grr", "exact-oue", "exact-she"])
+    def test_trace_equals_probe_by_probe_walk(self, engine):
+        joints = self.joints(4)
+        res = calibrate(joints, 8.0, step=0.005, engine=engine)
+        ref = calibrate_by_probe(joints, 8.0, 0.005, engine)
+        n, conds = _as_conditionals(joints)
+        assert len(ref) - 1 > 2 * _LeakageTable(_ordered(conds, n), engine).block
+        assert trace_hex(res.trace) == trace_hex(ref)
+        assert (res.epsilon_star, res.worst_tpl) == ref[-2]
+        assert res.iterations == len(ref) - 2
+
+    @pytest.mark.parametrize("engine", ["bound", "exact-grr"])
+    def test_walks_ending_on_a_chunk_edge(self, engine, monkeypatch):
+        # Small chunks, and steps that end walks on every position of a chunk,
+        # among them its last and its first probe.
+        monkeypatch.setattr(calibration, "_BLOCK_CELLS", 150)
+        joints = self.joints(3)
+        n, conds = _as_conditionals(joints)
+        block = _LeakageTable(_ordered(conds, n), engine).block
+        assert 1 < block < 10
+        ends = set()
+        for step in np.linspace(0.02, 0.2, 40).tolist():
+            res = calibrate(joints, 6.0, step=step, engine=engine)
+            assert trace_hex(res.trace) == trace_hex(calibrate_by_probe(joints, 6.0, step, engine))
+            ends.add((len(res.trace) - 1) % block)  # the stopping probe's place in its chunk
+        assert {0, 1} <= ends
+
+    def test_budget_no_probe_reaches_cannot_fail_the_walk(self):
+        # olh takes budgets below about 43.668 only. The walk from 22 stops at
+        # 43, but the chunk runs on to 44, one step past the ceiling.
+        joints = copy_joints(2)
+        res = calibrate(joints, 44.0, step=1.0, engine="exact-olh")
+        assert trace_hex(res.trace) == trace_hex(calibrate_by_probe(joints, 44.0, 1.0, "exact-olh"))
+        assert res.epsilon_star == 42.0
+        with pytest.raises(InputError, match="olh hash range"):
+            calibrate(joints, 44.5, step=1.0, engine="exact-olh")
+
+
+@pytest.fixture(scope="module")
+def mixed_forty_thousand():
+    return mixed_five(n=40_000, seed=1)
+
+
+class TestPairwiseTotalIsNotABound:
+    """An attribute's total is its own budget plus its pairwise leakages. When
+    the neighbors depend on each other given the target, the exact leakage
+    of releasing every attribute at once exceeds that sum (ROADMAP item 1)."""
+
+    @staticmethod
+    def totals(d, target, eps):
+        specs = [MechanismSpec("grr", eps, d.alphabet(z).size) for z in range(d.n_attributes)]
+        exact = exact_set_leakage(d, specs, target, list(range(d.n_attributes))).leakage
+        pairwise = eps
+        for j in range(d.n_attributes):
+            if j != target:
+                cond = conditional_from_joint(empirical_joint(d, target, j))
+                pairwise += cpl_exact(cond, transition_matrix(specs[j])).leakage
+        return exact, pairwise
+
+    @pytest.mark.parametrize("eps", [3.0, 6.0])
+    @pytest.mark.parametrize("target", [0, 3, 4])
+    def test_set_leakage_exceeds_pairwise_total(self, mixed_forty_thousand, target, eps):
+        exact, pairwise = self.totals(mixed_forty_thousand, target, eps)
+        assert exact > pairwise
+
+    def test_largest_excess(self, mixed_forty_thousand):
+        exact, pairwise = self.totals(mixed_forty_thousand, 3, 6.0)
+        assert exact == pytest.approx(12.2066, abs=5e-5)
+        assert pairwise == pytest.approx(12.0595, abs=5e-5)

@@ -190,6 +190,27 @@ class TestCalibrate:
         res = payload(out)["result"]
         assert res["epsilon_star"] >= 3.0
 
+    @pytest.mark.parametrize("engine", ["bound", "exact-grr"])
+    def test_walk_past_the_largest_probe_budget_exits_two(self, capsys, workdir, engine):
+        # every probe from 200 on meets the ceiling, up to 709 < 709.78 < 710
+        code, out, err = run(capsys, ["calibrate", "--data", str(workdir / "fx" / "weak_ten.csv"),
+                                      "--budget", "2000", "--step", "1", "--engine", engine])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert "largest budget a probe can take (709.78)" in error["message"]
+
+    def test_walk_ending_below_the_largest_probe_budget(self, capsys, workdir):
+        # the second probe, at 701, passes the ceiling; no budget past 709.78 is probed
+        code, out, _ = run(capsys, ["calibrate", "--data",
+                                    str(workdir / "fx" / "perfect_copy.csv"),
+                                    "--budget", "1400", "--step", "1"])
+        assert code == 0
+        res = payload(out)["result"]
+        assert res["epsilon_star"] == 700.0 and res["iterations"] == 0
+        assert res["trace"] == [{"epsilon": 700.0, "worst_tpl_nats": 1400.0},
+                                {"epsilon": 701.0, "worst_tpl_nats": 1402.0}]
+
 
 class TestDeterminism:
     SUBCOMMANDS = [

@@ -26,6 +26,7 @@ from cpl_kit.fixtures import (
     independent_pair,
     sample_pair_from_joint,
 )
+from cpl_kit.data_model import _read_distinct_lines
 from cpl_kit.rng import derive_rng
 from cpl_kit.statistical import _expanded_blocks
 
@@ -43,15 +44,16 @@ def ref_load_csv(path, schema_hints=None):
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise InputError(f"{path}: empty file, header row required") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
+        except csv.Error as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+        for lineno, row in enumerate(rows, start=2):
             if len(row) != len(header):
                 raise InputError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            rows.append(row)
     if not rows:
         raise InputError(f"{path}: no data rows")
     unknown = set(hints) - set(header)
@@ -188,11 +190,31 @@ class TestLoadCsvMatchesRowListLoader:
         pytest.param("u,v\n", None, id="header-only"),
         pytest.param("", None, id="empty"),
         pytest.param("u,v\r\na,x\r\nb,y\r\na,x\r\n", None, id="crlf"),
+        pytest.param("u,v\ra,x\rb,y\ra,x\r", None, id="bare-cr"),
+        pytest.param("u,v\na,x\nb,y\n\na,x\n", None, id="blank-line-mid-file"),
+        pytest.param("u,v\na,x\nb,y\na,x", None, id="no-trailing-newline"),
+        pytest.param("u,v\na,x\nb,y\r\na,x\r\nb,y\nc,z\n", None, id="row-with-lf-and-crlf"),
+        pytest.param("u,v\na\rx\nb,y\n", None, id="cr-inside-a-row"),
+        pytest.param('u,v\nab"c,x\na,y\nab"c,x\n', None, id="quote-inside-unquoted-field"),
+        pytest.param('"u",v\na,x\nb,y\na,x\n', None, id="quote-in-header-only"),
+        pytest.param("u,v\na,x\n" + ("x" * 131_073 + ",z\n" + "a,x\n") * 2, None,
+                     id="oversized-field-on-a-repeated-line"),
+        pytest.param("u," + "v" * 131_073 + "\na,x\n", None, id="oversized-field-in-header"),
     ])
     def test_edge_file(self, tmp_path, text, hints):
         path = tmp_path / "d.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert load_outcome(load_csv, path, hints) == load_outcome(ref_load_csv, path, hints)
+
+    @pytest.mark.parametrize("text, by_line", [
+        ("u,v\na,x\nb,y\na,x\n", True),
+        ('u,v\nab"c,x\na,y\n', False),
+        ('"u",v\na,x\n', False),
+    ])
+    def test_file_with_a_quote_read_record_by_record(self, tmp_path, text, by_line):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert (_read_distinct_lines(path) is not None) == by_line
 
     def test_peak_memory_bounded_by_records(self, tmp_path):
         path = tmp_path / "d.csv"

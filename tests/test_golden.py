@@ -73,6 +73,17 @@ GOLDEN = {
          "--engine", "exact-grr"],
         "43faada6701cf546ecbbbe5565fd662b675e54f81664c3a39f9b612fe178b721",
         "e395b055e817f5639865df44970e80ba821910c9b770e4d7db632209fdaa616e"),
+    # 829 probes each: the walk crosses many chunk boundaries
+    "calibrate-long-bound": (
+        ["calibrate", "--data", "fx/weak_ten.csv", "--budget", "10", "--step", "0.01",
+         "--engine", "bound"],
+        "e9300ac5f975a56c7ba79fa2935a9d5840e4aed716087c9a82bdb169a6be760e",
+        "9135ae8ceb46d51ccd9a19a503c0ac26b5e83c480eb802d96635c56a571e5a76"),
+    "calibrate-long-exact-grr": (
+        ["calibrate", "--data", "fx/weak_ten.csv", "--budget", "10", "--step", "0.01",
+         "--engine", "exact-grr"],
+        "3d948ea31dd9eb2f3f01d1a28f5c0ea0c0ef81dfd2fe80ca9864f203680a19eb",
+        "e0cdca43cc609cf29fe04cbba1a7c69ff6b910bca2aef4a463b958c9d0d924f3"),
 }
 
 
