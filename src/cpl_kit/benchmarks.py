@@ -28,8 +28,7 @@ import numpy as np
 from .calibration import _LeakageTable
 from .correlation_metrics import metrics
 from .data_model import (
-    ConditionalDistribution, Dataset, _joint_from_counts, _pair_counts, conditional_from_joint,
-    empirical_joint,
+    ConditionalDistribution, Dataset, JointDistribution, conditional_from_joint, empirical_joint,
 )
 from .errors import DimensionMismatchError, InputError
 from .mechanisms import MechanismSpec, debias_counts
@@ -134,17 +133,19 @@ def pairwise_conditionals(d: Dataset) -> dict[tuple[int, int], ConditionalDistri
     """Empirical P(attr j | attr i) for every ordered pair.
 
     Each unordered pair is counted once: (j, i) takes the transpose of the
-    counts of (i, j), copied to C order first, as its own count would be, since
+    joint of (i, j), copied to C order first, as its own joint would be, since
     a row sum over an F-ordered array can round differently.
     """
     conds = {}
-    counts: dict[tuple[int, int], np.ndarray] = {}
+    joints: dict[tuple[int, int], JointDistribution] = {}
     for i, j in ordered_pairs(d.n_attributes):
         if i < j:
-            table = counts[(i, j)] = _pair_counts(d, i, j)
+            joint = joints[(i, j)] = empirical_joint(d, i, j)
         else:
-            table = np.ascontiguousarray(counts.pop((j, i)).T)
-        conds[(i, j)] = conditional_from_joint(_joint_from_counts(d, i, j, table), given="rows")
+            rev = joints.pop((j, i))
+            joint = JointDistribution(rev.col_labels, rev.row_labels,
+                                      np.ascontiguousarray(rev.matrix.T))
+        conds[(i, j)] = conditional_from_joint(joint, given="rows")
     return conds
 
 

@@ -1,23 +1,23 @@
 """Correlation-aware privacy-budget calibration.
 
-Given a total leakage ceiling for every attribute, find the largest uniform
-per-attribute budget whose worst-attribute total leakage (own budget plus
-the correlation leakage caused by every neighbor at that same budget) stays
-within the ceiling. Naive equal splitting uses ceiling/n; weak correlations
-leave most of that slack unused, and stepping the shared budget upward while
-the constraint holds recovers it. Worst-attribute leakage is monotone in the
-shared budget, so the first infeasible step is final. The per-pair leakage
-engine is the budget-only bound or ``exact-<kind>``: the exact leakage
-through the decoded channel of any mechanism kind. An attribute's total is
-its own budget plus the sum of its pairwise leakages; this module is the one
-place that total is computed. The sum is not a bound on the leakage of all
-neighbors at once: when the neighbors depend on each other given the target,
-their joint leakage can exceed it. The budget-independent part of every
-leakage computation is built once per calibration and shared by all probes.
-The probes are evaluated in chunks, many budgets per array operation, and
-then walked in order; each value is the one a probe alone gives, so the
-trace is that of a probe-by-probe walk. The analyzer and utility benchmarks
-take their per-pair leakages from the same table.
+Given a total leakage ceiling for every attribute, step a uniform
+per-attribute budget up from the equal split, ceiling/n, into the slack
+that weak correlations leave unused. An attribute's total is its own budget plus the
+leakage each neighbor causes at that same budget, through the budget-only
+bound or ``exact-<kind>`` (the decoded channel of any mechanism kind); this
+module is the one place that total is computed. It is not a bound on the
+leakage of all neighbors at once, which can exceed it when the neighbors
+depend on each other given the target. The walk probes the grid start +
+i * step and returns the budget before the first one whose worst total is
+over the ceiling, so every grid budget up to the result keeps the ceiling.
+That is the largest such grid budget only if the worst total rises with the
+budget, as the bound's does. A kind's decoded weight can fall as the budget
+rises (olh's whenever its hash range steps up), so for ``exact-<kind>`` a
+later grid budget may keep the ceiling again. The budget-independent part
+of every leakage is built once per calibration and shared by all probes,
+which are evaluated in chunks and walked in order; each value is the one a
+probe alone gives. The analyzer and utility benchmarks take their per-pair
+leakages from the same table.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import numpy as np
 from .cpl_bound import _BoundTable, _log_each, cpl_bound  # noqa: F401
 from .cpl_exact import EXACT_ENGINES, _output_ratios
 from .data_model import ConditionalDistribution, JointDistribution, conditional_from_joint
-from .errors import CplKitError, InfeasibleBudgetError, InputError, InsufficientDataError
+from .errors import CplKitError, InfeasibleBudgetError, InputError
 from .mechanisms import _EPSILON_MAX, MechanismSpec, _channel
 
 _FEAS_TOL = 1e-9
@@ -44,7 +44,7 @@ _BLOCK_CELLS = 2 ** 14
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Largest feasible uniform budget with the binding attribute.
+    """The budget before the walk's first one over the ceiling, and its worst attribute.
 
     ``iterations`` counts accepted increments above the equal-split start;
     ``trace`` records every probed (budget, worst total leakage) pair.
@@ -99,14 +99,11 @@ class _LeakageTable:
             self._bound = None
             self._kind = EXACT_ENGINES[engine]
             groups: dict[tuple[int, int], list[int]] = {}
-            for c, cond in enumerate(conds):
-                rows = cond.valid_rows()
-                if rows.size < 2:
-                    raise InsufficientDataError("need at least 2 usable conditioning symbols")
-                groups.setdefault((rows.size, cond.n_cols), []).append(c)
-            self._stacks = [
-                (k, members, np.stack([conds[c].matrix[conds[c].valid_rows()] for c in members]))
-                for (_, k), members in groups.items()]
+            usable = [cond.matrix[cond.usable_rows()] for cond in conds]
+            for c, rows in enumerate(usable):
+                groups.setdefault(rows.shape, []).append(c)
+            self._stacks = [(k, members, np.stack([usable[c] for c in members]))
+                            for (_, k), members in groups.items()]
             self._sizes = list(dict.fromkeys(k for k, *_ in self._stacks))
             cells = sum(stack.size for *_, stack in self._stacks)
         else:
@@ -127,7 +124,7 @@ class _LeakageTable:
         out = np.empty((len(epsilons), self._n))
         for k, members, stack in self._stacks:
             chan = np.stack([stack @ trans[k] for trans in channels])
-            out[:, members] = _log_each(_output_ratios(chan)[0].max(axis=-1))
+            out[:, members] = _log_each(_output_ratios(chan).max(axis=-1))
         return out
 
 
@@ -159,10 +156,12 @@ def worst_tpl(conds: dict, n: int, eps_tilde: float, engine: str = "bound") -> t
 
 
 def _candidates(start: float, step: float, limit: float):
-    """The budgets the walk probes after ``start``, in order: up to the first
-    past ``limit``, and none past the largest budget a probe can take."""
-    for i in itertools.count():
-        candidate = start + (i + 1) * step
+    """The budgets the walk probes, in order: ``start``, then ``start + i *
+    step`` for i >= 1 up to the first past ``limit``, and none past the
+    largest budget a probe can take."""
+    yield start
+    for i in itertools.count(1):
+        candidate = start + i * step
         if candidate > _EPSILON_MAX:
             return
         yield candidate
@@ -186,7 +185,7 @@ def _probed(table: _LeakageTable, n: int, chunk: list[float]):
 def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
               engine: str = "bound") -> CalibrationResult:
     """Step the shared budget up from the equal split and return the last
-    feasible value.
+    budget before the first one over the ceiling.
 
     ``joints`` maps ordered attribute pairs (i, j) to the pairwise
     distribution of (attribute i, attribute j); the per-pair leakage engine
@@ -210,18 +209,15 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
     if (limit - start) / step > _MAX_PROBES:
         raise InputError(f"step {step} is too small: over {_MAX_PROBES} probes to the ceiling")
     table = _LeakageTable(_ordered(conds, n), engine)
-    (_, worst, idx), = _probed(table, n, [start])
-    if worst > limit:
-        raise InfeasibleBudgetError(
-            f"equal split should satisfy the ceiling but worst TPL {worst} > {epsilon_bar}"
-        )
-    trace = [(start, worst)]
-    best = (start, idx, worst)
+    trace = []
     probes = _candidates(start, step, limit)
     while chunk := list(itertools.islice(probes, table.block)):
         for candidate, worst, idx in _probed(table, n, chunk):
             trace.append((candidate, worst))
             if worst > limit:
+                if len(trace) == 1:
+                    raise InfeasibleBudgetError(f"equal split should satisfy the ceiling but "
+                                                f"worst TPL {worst} > {epsilon_bar}")
                 return CalibrationResult(*best, len(trace) - 2, tuple(trace))
             best = (candidate, idx, worst)
     raise InputError(f"the walk reached the largest budget a probe can take ({_EPSILON_MAX:.2f}) "

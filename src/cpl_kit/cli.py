@@ -163,12 +163,11 @@ def _cmd_analyze_exact(args) -> dict:
     cond = load_conditional_json(args.cond)
     spec = MechanismSpec(args.mechanism, args.epsilon, cond.n_cols)
     res = cpl_exact(cond, transition_matrix(spec))
+    keys, infinite = ("output", "x", "x_prime"), res.infinite_witness
     out = {
         "leakage_nats": res.leakage,
-        "witness": {"output": res.witness[0], "x": res.witness[1], "x_prime": res.witness[2]},
-        "infinite_witness": None if res.infinite_witness is None else
-            {"output": res.infinite_witness[0], "x": res.infinite_witness[1],
-             "x_prime": res.infinite_witness[2]},
+        "witness": dict(zip(keys, res.witness)),
+        "infinite_witness": None if infinite is None else dict(zip(keys, infinite)),
     }
     return _with_bits(out, args)
 
@@ -376,16 +375,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         result = args.func(args)
-    except InfeasibleBudgetError as exc:
-        json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 3
     except (CplKitError, OSError) as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
                   sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
-        return 2
+        return 3 if isinstance(exc, InfeasibleBudgetError) else 2
     _emit(args, result, started)
     return 0
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import ConditionalDistribution
-from .errors import InputError, InsufficientDataError
+from .errors import InputError
 from .mechanisms import _check_epsilon
 
 _ZERO = 1e-15  # below this a probability entry is treated as exactly zero
@@ -64,9 +64,7 @@ class BoundedCplResult:
 
 
 def _iter_pairs(cond: ConditionalDistribution):
-    rows = cond.valid_rows()
-    if rows.size < 2:
-        raise InsufficientDataError("need at least 2 usable conditioning symbols")
+    rows = cond.usable_rows()
     for x in rows:
         for xp in rows:
             if x != xp:
@@ -184,10 +182,7 @@ def cpl_limit(cond: ConditionalDistribution) -> float:
     columns and ordered usable row pairs; ``math.inf`` when some column has
     positive mass under one row and zero under another.
     """
-    rows = cond.valid_rows()
-    if rows.size < 2:
-        raise InsufficientDataError("need at least 2 usable conditioning symbols")
-    sub = cond.matrix[rows]
+    sub = cond.matrix[cond.usable_rows()]
     col_max = sub.max(axis=0)
     col_min = sub.min(axis=0)
     if ((col_max > _ZERO) & (col_min <= _ZERO)).any():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import ConditionalDistribution
-from .errors import DimensionMismatchError, InsufficientDataError
+from .errors import DimensionMismatchError
 from .mechanisms import KINDS, TransitionMatrix
 
 #: Exact leakage engine names, ``exact-<kind>``, and the mechanism kind each
@@ -55,33 +55,32 @@ def cpl_exact(cond: ConditionalDistribution, trans: TransitionMatrix) -> ExactCp
             f"conditional has {cond.n_cols} columns but transition matrix has "
             f"{trans.n_inputs} input rows"
         )
-    rows = cond.valid_rows()
-    if rows.size < 2:
-        raise InsufficientDataError("need at least 2 usable conditioning symbols")
+    rows = cond.usable_rows()
 
     # chan[x, y] = P(output y | target x) for every usable conditioning row.
     chan = cond.matrix[rows] @ trans.matrix
-    ratio, imax, imin = _output_ratios(chan)
+    ratio = _output_ratios(chan)
     y = int(np.argmax(ratio))
+    best, witness = 1.0, (0, int(rows[0]), int(rows[1]))
     if ratio[y] > 1.0:
-        best, witness = ratio[y], (y, int(rows[imax[y]]), int(rows[imin[y]]))
-    else:
-        best, witness = 1.0, (0, int(rows[0]), int(rows[1]))
+        # x: the first row with the output's largest entry; x': its smallest positive one.
+        col = chan[:, y]
+        x, xp = np.argmax(col), np.argmin(np.where(col > 0, col, np.inf))
+        best, witness = ratio[y], (y, int(rows[x]), int(rows[xp]))
     positive = chan > 0
     partial = positive.any(axis=0) & ~positive.all(axis=0)
     infinite = None
     if partial.any():
         y = int(np.argmax(partial))
-        infinite = (y, int(rows[imax[y]]), int(rows[np.argmax(~positive[:, y])]))
+        infinite = (y, int(rows[np.argmax(chan[:, y])]), int(rows[np.argmax(~positive[:, y])]))
     return ExactCplResult(math.log(best), witness, infinite)
 
 
-def _output_ratios(chan: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _output_ratios(chan: np.ndarray) -> np.ndarray:
     """Largest over smallest positive entry of every output column of
-    (stacks of) channels ``chan[..., x, y]``, with the first rows attaining
-    them. An output that is zero under every row has ratio 1.
+    (stacks of) channels ``chan[..., x, y]``. An output that is zero under
+    every row has ratio 1.
     """
     top = np.max(chan, axis=-2)
-    low = np.where(chan > 0, chan, np.inf)
-    ratio = np.divide(top, np.min(low, axis=-2), out=np.ones_like(top), where=top > 0)
-    return ratio, np.argmax(chan, axis=-2), np.argmin(low, axis=-2)
+    low = np.min(np.where(chan > 0, chan, np.inf), axis=-2)
+    return np.divide(top, low, out=np.ones_like(top), where=top > 0)

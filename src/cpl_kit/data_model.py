@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError
+from .errors import DimensionMismatchError, InputError, InsufficientDataError
 
 #: Tolerance used when checking that probability tables are normalized.
 PROB_TOL = 1e-9
@@ -42,12 +42,6 @@ class Alphabet:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.symbols)}
-
-    def index(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise InputError(f"symbol {symbol!r} not in alphabet") from None
 
     def indices(self, symbols) -> np.ndarray:
         """int64 index of every symbol in a sequence of labels."""
@@ -194,6 +188,13 @@ class ConditionalDistribution:
     def valid_rows(self) -> np.ndarray:
         return np.flatnonzero(self.valid)
 
+    def usable_rows(self) -> np.ndarray:
+        """``valid_rows()``, of which every leakage needs at least two."""
+        rows = self.valid_rows()
+        if rows.size < 2:
+            raise InsufficientDataError("need at least 2 usable conditioning symbols")
+        return rows
+
     def to_json(self) -> dict:
         return {
             "row_labels": list(self.row_labels),
@@ -298,7 +299,8 @@ def load_csv(path, schema_hints: dict | None = None) -> Dataset:
 def _read_distinct_lines(path: Path):
     """Header, distinct rows in order of first appearance, and each record's
     index into those rows, parsing each distinct line of the file once; None
-    if the file has a quote character or bytes that are not UTF-8.
+    if the file has a quote character. The whole file is read first, so
+    bytes that are not UTF-8 raise ``InputError`` here, for any file.
 
     Taken in this order the distinct rows meet every symbol and every bad
     cell in record order. ``csv.reader`` pulls one line at a time from a
@@ -311,8 +313,10 @@ def _read_distinct_lines(path: Path):
         with path.open(newline="", encoding="utf-8") as fh:
             header = next(fh, None)
             record_first = np.fromiter(map(first.setdefault, fh, itertools.count()), np.int64)
-    except UnicodeDecodeError:
-        return None
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead of the lines: find the bad bytes in the raw file.
+        raise InputError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: "
+                         f"{exc.reason}") from None
     if header is None:
         return None, [], record_first
     lines = [header, *first]
@@ -330,9 +334,9 @@ def _read_distinct_lines(path: Path):
 
 
 def _read_distinct_records(path: Path) -> tuple[list[str] | None, list, np.ndarray]:
-    """``_read_distinct_lines`` record by record, for any file. The row ->
-    index dict is dropped on return, so it and its int values never coexist
-    with the coded columns."""
+    """``_read_distinct_lines`` record by record, for any UTF-8 file. The row
+    -> index dict is dropped on return, so it and its int values never
+    coexist with the coded columns."""
     first: dict[tuple[str, ...], int] = {}  # distinct row -> index of its first record
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -342,11 +346,6 @@ def _read_distinct_records(path: Path) -> tuple[list[str] | None, list, np.ndarr
                 map(first.setdefault, map(tuple, reader), itertools.count()), np.int64)
         except csv.Error as exc:
             raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            # The decoder reads ahead of the parser, so locate the bad bytes
-            # in the raw file rather than trusting `reader.line_num`.
-            raise InputError(f"{path}:{_undecodable_line(path)}: not UTF-8 text: "
-                             f"{exc.reason}") from None
     firsts = np.fromiter(first.values(), np.int64, len(first))
     return header, list(first), np.searchsorted(firsts, record_first)
 
@@ -374,22 +373,14 @@ def write_csv(d: Dataset, path) -> None:
 
 def empirical_joint(d: Dataset, i: int, j: int) -> JointDistribution:
     """Empirical joint distribution of attributes i (rows) and j (cols)."""
-    return _joint_from_counts(d, i, j, _pair_counts(d, i, j))
-
-
-def _pair_counts(d: Dataset, i: int, j: int) -> np.ndarray:
-    """(m, t) record counts of every pair of symbols of attributes i and j."""
     if i == j:
         raise InputError("joint distribution requires two distinct attributes")
     if d.n_records == 0:
         raise InputError("empty dataset")
     m, t = d.alphabet(i).size, d.alphabet(j).size
-    return np.bincount(d.column(i) * t + d.column(j), minlength=m * t).reshape(m, t)
-
-
-def _joint_from_counts(d: Dataset, i: int, j: int, counts: np.ndarray) -> JointDistribution:
-    matrix = counts.astype(np.float64) / d.n_records
-    return JointDistribution(d.alphabet(i).symbols, d.alphabet(j).symbols, matrix)
+    counts = np.bincount(d.column(i) * t + d.column(j), minlength=m * t).reshape(m, t)
+    return JointDistribution(d.alphabet(i).symbols, d.alphabet(j).symbols,
+                             counts.astype(np.float64) / d.n_records)
 
 
 def conditional_from_joint(joint: JointDistribution, given: str = "rows") -> ConditionalDistribution:

@@ -47,8 +47,7 @@ def sample_pair_from_joint(joint: np.ndarray, n: int, rng: np.random.Generator,
 
 
 def maxleak_pair(n: int = 100_000, seed: int = 0) -> Dataset:
-    rng = derive_rng(seed, STAGE_FIXTURE, 0)
-    return Dataset(_pair_schema(4, 4), sample_pair_from_joint(MAXLEAK_JOINT, n, rng).records)
+    return sample_pair_from_joint(MAXLEAK_JOINT, n, derive_rng(seed, STAGE_FIXTURE, 0))
 
 
 def independent_pair(n: int = 50_000, seed: int = 0, k: int = 2) -> Dataset:

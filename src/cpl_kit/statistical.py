@@ -98,25 +98,22 @@ def _expanded_blocks(records: np.ndarray, r: int):
         yield records.take(np.arange(start, min(start + BLOCK_ROWS, n_rows)) // r, axis=0)
 
 
-def _block_stats(spec: MechanismSpec, values: np.ndarray, perturb_rng: np.random.Generator,
-                 decode_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Perturb and decode one block of one attribute and keep only its
-    support counts and decoded symbols, so no report outlives the block."""
-    col = perturb_column(spec, values, perturb_rng)
-    return support_counts(spec, col), decode_column(spec, col, decode_rng)
-
-
 def _decoded_column(spec: MechanismSpec, values: np.ndarray, r: int, seed: int,
                     key: tuple[int, ...], j: int):
-    """Yield ``(block, support counts, decoded symbols)`` for every block of
+    """The ``(block, support counts, decoded symbols)`` of every block of
     ``values``, attribute j's column, expanded by ``r``. The column draws
     from ``derive_rng(seed, STAGE_PERTURB | STAGE_DECODE, *key, j)``, each
     stream continued from block to block, so a column walked alone and one
-    walked in step with others give the same symbols."""
+    walked in step with others give the same symbols. Only the support
+    counts and decoded symbols are kept, so no report outlives its block."""
     perturb_rng = derive_rng(seed, STAGE_PERTURB, *key, j)
     decode_rng = derive_rng(seed, STAGE_DECODE, *key, j)
-    for block in _expanded_blocks(values, r):
-        yield (block, *_block_stats(spec, block, perturb_rng, decode_rng))
+
+    def stats(block):
+        col = perturb_column(spec, block, perturb_rng)
+        return block, support_counts(spec, col), decode_column(spec, col, decode_rng)
+
+    return map(stats, _expanded_blocks(values, r))
 
 
 def _check_attributes(n_attributes: int, target: int, neighbors) -> list[int]:

@@ -23,7 +23,7 @@ from cpl_kit.calibration import _as_conditionals, _LeakageTable, _ordered
 from cpl_kit.errors import CplKitError
 from cpl_kit.mechanisms import KINDS
 from cpl_kit.fixtures import mixed_five, weak_ten
-from cpl_kit.benchmarks import ordered_pairs
+from cpl_kit.benchmarks import ordered_pairs, pairwise_conditionals
 from cpl_kit.data_model import empirical_joint
 from cpl_kit.rng import derive_rng
 from conftest import calibrate_by_probe, exact_set_leakage, random_conditional
@@ -291,7 +291,7 @@ class TestChunkedWalk:
             res = calibrate(joints, 6.0, step=step, engine=engine)
             assert trace_hex(res.trace) == trace_hex(calibrate_by_probe(joints, 6.0, step, engine))
             ends.add((len(res.trace) - 1) % block)  # the stopping probe's place in its chunk
-        assert {0, 1} <= ends
+        assert {0, block - 1} <= ends
 
     def test_budget_no_probe_reaches_cannot_fail_the_walk(self):
         # olh takes budgets below about 43.668 only. The walk from 22 stops at
@@ -302,6 +302,31 @@ class TestChunkedWalk:
         assert res.epsilon_star == 42.0
         with pytest.raises(InputError, match="olh hash range"):
             calibrate(joints, 44.5, step=1.0, engine="exact-olh")
+
+
+class TestWalkContract:
+    """The walk returns the last grid budget before the first one over the
+    ceiling, so every grid budget up to it keeps the ceiling. A kind whose
+    decoded weight can fall as the budget rises may keep it again further on:
+    olh's hash range g = round(e^eps) + 1 steps from 5 to 6 at eps = ln 4.5."""
+
+    def test_a_later_grid_budget_can_keep_the_ceiling(self):
+        joints = pairwise_conditionals(mixed_five(n=40_000, seed=0))
+        n, conds = _as_conditionals(joints)
+        assert worst_tpl(conds, n, 1.50, "exact-olh")[0] == pytest.approx(2.2255, abs=5e-5)
+        assert worst_tpl(conds, n, 1.51, "exact-olh")[0] == pytest.approx(2.1902, abs=5e-5)
+        res = calibrate(joints, 2.2079, step=0.01, engine="exact-olh")
+        assert res.epsilon_star == pytest.approx(1.4816, abs=5e-5)
+        assert all(worst <= 2.2079 for _, worst in res.trace[:-1])
+        start = 2.2079 / n
+        assert res.trace[-1][0] == start + (res.iterations + 1) * 0.01
+        assert worst_tpl(conds, n, start + (res.iterations + 3) * 0.01, "exact-olh")[0] <= 2.2079
+
+    def test_exact_ss_falls_too(self):
+        # 1 - a rounds at large budgets (ROADMAP item 3)
+        n, conds = _as_conditionals(pairwise_conditionals(mixed_five(n=40_000, seed=0)))
+        assert worst_tpl(conds, n, 37.68, "exact-ss")[0] == pytest.approx(75.42, abs=5e-3)
+        assert worst_tpl(conds, n, 37.69, "exact-ss")[0] == pytest.approx(74.15, abs=5e-3)
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,8 @@ from cpl_kit import (
     cpl_limit,
     transition_matrix,
 )
+from cpl_kit.benchmarks import pairwise_conditionals
+from cpl_kit.fixtures import FIXTURES
 from cpl_kit.mechanisms import KINDS
 from cpl_kit.rng import derive_rng
 from conftest import evaluate_witness, random_conditional
@@ -260,3 +262,30 @@ class TestWitnesses:
                 res = cpl_exact(cond, trans)
                 assert (res.leakage, res.witness, res.infinite_witness) == per_output_exact(
                     cond, trans)
+
+
+@pytest.fixture(scope="module")
+def fixture_conditionals():
+    return [cond for gen, _ in FIXTURES.values() for cond in pairwise_conditionals(gen()).values()]
+
+
+class TestClosedForm:
+    """Every decoded channel is symmetric, with diagonal-to-off-diagonal
+    ratio w, so P(y | x) is proportional to 1 + (w - 1) G[x, y] and the
+    exact leakage is ln max_y (1 + (w - 1) top_y) / (1 + (w - 1) low_y), with
+    top_y and low_y the extremes of column y over the usable rows. That is the
+    bound's H of the singleton subset {y} at budget ln w, so it is at most the
+    bound there. The float evaluations of the two differ by a few ulps."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_leakage_in_closed_form(self, fixture_conditionals, kind):
+        for cond in fixture_conditionals:
+            usable = cond.matrix[cond.valid_rows()]
+            top, low = usable.max(axis=0), usable.min(axis=0)
+            for eps in (0.3, 1.0, 3.0, 7.5):
+                trans = transition_matrix(MechanismSpec(kind, eps, cond.n_cols))
+                w = trans.matrix[0, 0] / trans.matrix[0, 1]
+                closed = math.log(((1.0 + (w - 1.0) * top) / (1.0 + (w - 1.0) * low)).max())
+                assert cpl_exact(cond, trans).leakage == pytest.approx(closed, rel=0, abs=1e-12)
+                bound = cpl_bound(cond, BudgetParams(math.log(w))).leakage
+                assert closed <= bound + 1e-12

@@ -245,6 +245,27 @@ class TestUnreadableCsv:
         with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:5002: not UTF-8 text"):
             load_csv(path)
 
+    @pytest.mark.parametrize("raw, line, reason", [
+        (b'u,v\n"a",x\nb,\xff\n', 3, "invalid start byte"),
+        (b'u,v\na,x\nb,y\xc3\n"a,1","l1\nl2"\n', 3, "invalid continuation byte"),
+    ])
+    def test_invalid_utf8_in_a_file_with_a_quote(self, tmp_path, raw, line, reason):
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:{line}: not UTF-8 text: {reason}$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("head", [b"", b'"q",y\n'], ids=["no-quote", "quote"])
+    def test_invalid_utf8_reported_before_an_earlier_parse_error(self, tmp_path, head):
+        # The whole file is decoded before any line is parsed, so the answer
+        # does not depend on how far the decoder reads ahead of the parser.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n" + head + b"x" * 131_073 + b",z\n"
+                         + b"x,y\n" * 50_000 + b"\xff,z\n")
+        line = 50_003 + bool(head)
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:{line}: not UTF-8 text"):
+            load_csv(path)
+
     def test_oversized_field_named_with_line(self, tmp_path):
         path = tmp_path / "d.csv"
         write_lines(path, ["a,b", "x,y", "x" * 131_073 + ",z"])

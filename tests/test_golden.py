@@ -16,12 +16,21 @@ from cpl_kit.cli import main
 SAMPLES = ("maxleak_pair=20000,latent_five=8000,noisy_copy=10000,mixed_five=5000,"
            "independent_pair=1000,perfect_copy=1000,weak_ten=1000,chain_five=1000")
 
+# A conditional table for ``analyze exact`` and ``analyze bound``: its first
+# row is flagged, so the usable rows start at 1, and its last column is zero
+# under row 1 alone.
+COND = {"row_labels": ["a", "b", "c", "d", "e"], "col_labels": ["w", "x", "y", "z"],
+        "matrix": [[0, 0, 0, 0], [0.5, 0.3, 0.2, 0], [0.1, 0.2, 0.3, 0.4],
+                   [0.25, 0.25, 0.25, 0.25], [0.4, 0.1, 0.1, 0.4]],
+        "valid": [False, True, True, True, True]}
+
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     assert main(["fixtures", "generate", "--out-dir", str(root / "fx"), "--seed", "1",
                  "--samples", SAMPLES, "--out", str(root / "manifest.json")]) == 0
+    (root / "cond.json").write_text(json.dumps(COND), encoding="utf-8")
     return root
 
 
@@ -84,6 +93,31 @@ GOLDEN = {
          "--engine", "exact-grr"],
         "3d948ea31dd9eb2f3f01d1a28f5c0ea0c0ef81dfd2fe80ca9864f203680a19eb",
         "e0cdca43cc609cf29fe04cbba1a7c69ff6b910bca2aef4a463b958c9d0d924f3"),
+    # witness (output 3, x 2, x' 1): not the first output or the first usable rows
+    "analyze-exact-olh": (
+        ["analyze", "exact", "--cond", "cond.json", "--mechanism", "olh", "--epsilon", "1.5"],
+        "9b44e9a30a3e3d7629f8131b2d56b64eb568a668b0e04ea2c41e8e7153925935",
+        "30457f26abc4c5aa9ac49aaa63f430f18991c1c1a887729f52cbe1d78b212543"),
+    # every ratio is 1: the fallback witness (0, first usable row, second)
+    "analyze-exact-zero-budget": (
+        ["analyze", "exact", "--cond", "cond.json", "--mechanism", "grr", "--epsilon", "0"],
+        "f3d8634ba6b58f1e5dc17e7aeb09fcaf9441de7f98ee29ad938984c2ac37ff96",
+        "ee7b73b51b0d0c67fffb024eaf0465a4c43c14f1cc466f8e03339be32bc6b477"),
+    "analyze-bound": (
+        ["analyze", "bound", "--cond", "cond.json", "--epsilon", "2", "--delta", "0.1"],
+        "89ed01d134f61eeb05166b2f62361b5529784e7646a85bbbe753f896aa5952f9",
+        "fb039b24969218bd4c421aedd22645c652f52d3cf0da74ac8fb1e0595fa965e4"),
+    # the target in its own tuple: the statistical total leakage
+    "estimate-total-grr": (
+        ["estimate", "--data", "fx/mixed_five.csv", "--mechanism", "grr", "--epsilon", "1",
+         "--target", "3", "--neighbors", "3,4", "--r", "3", "--surrogates", "20", "--seed", "5"],
+        "ff6a4a293c56c7434e66623f7b42c9a694ebc3d0d6239a6803254360af788640",
+        "464e28014307d7d49476eca090d8e61bff54f1d7ebe3e09189f395a81fe3968a"),
+    "calibrate-exact-olh": (
+        ["calibrate", "--data", "fx/mixed_five.csv", "--budget", "5", "--step", "0.1",
+         "--engine", "exact-olh"],
+        "8660e24ba0dcec5b677787b4bf9632313fef5d1469da8a4ac92f1786ee19fb81",
+        "f69299732ac1ae8995a1270c6a69b79c17cbf277936ec63e32b1a245462ddac9"),
 }
 
 

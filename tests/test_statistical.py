@@ -20,7 +20,7 @@ from cpl_kit import (
 from cpl_kit.benchmarks import ordered_pairs, pairwise_conditionals
 from cpl_kit.data_model import Alphabet, conditional_from_joint, empirical_joint
 from cpl_kit.mechanisms import KINDS
-from cpl_kit.fixtures import independent_pair, latent_five, maxleak_pair, perfect_copy
+from cpl_kit.fixtures import independent_pair, latent_five, maxleak_pair, mixed_five, perfect_copy
 from cpl_kit.rng import STAGE_SURROGATE, derive_rng
 from cpl_kit.statistical import (
     BLOCK_ROWS, _decoded_column, _expanded_blocks, _surrogate_table, count_table,
@@ -427,6 +427,37 @@ class TestSetLeakageMatchesExact:
         coarse, fine = mean_error(5), mean_error(50)
         assert fine < coarse
         assert fine < 0.05
+
+    @pytest.mark.parametrize("target", [0, 3])
+    def test_every_attribute_in_the_tuple(self, target):
+        # The total leakage of releasing all five attributes at once.
+        d = mixed_five(n=40_000, seed=1)
+        specs = [MechanismSpec("grr", 1.0, d.alphabet(j).size) for j in range(d.n_attributes)]
+        tuple_ = list(range(d.n_attributes))
+        exact = exact_set_leakage(d, specs, target, tuple_).leakage
+
+        def mean_error(r):
+            return np.mean([abs(estimate_cpl(d, specs, target, tuple_, EstimationConfig(
+                expansion=r, surrogates=1, seed=seed)).leakage - exact) for seed in range(3)])
+
+        coarse, fine = mean_error(5), mean_error(50)
+        assert fine < coarse
+        assert fine < 0.06
+
+    def test_every_attribute_in_the_tuple_peak_memory_flat_in_expansion(self):
+        d = mixed_five(n=40_000, seed=1)
+        specs = grr_specs(d, 1.0)
+
+        def peak(r):
+            cfg = EstimationConfig(expansion=r, surrogates=1, seed=0)
+            tracemalloc.start()
+            try:
+                estimate_cpl(d, specs, 0, list(range(d.n_attributes)), cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50) <= 1.5 * peak(5)
 
     def test_single_member_is_the_pairwise_exact_leakage(self):
         d = latent_five(n=10_000, seed=0)
