@@ -26,15 +26,9 @@ from .benchmarks import (
     undershoot_overshoot,
     utility_benchmark,
 )
-from .calibration import CalibrationResult, calibrate, worst_tpl
+from .calibration import CalibrationResult, calibrate
 from .correlation_metrics import MetricReport, metrics
-from .cpl_bound import (
-    BoundedCplResult,
-    BudgetParams,
-    cpl_bound,
-    cpl_limit,
-    is_max_attainable,
-)
+from .cpl_bound import BoundedCplResult, BudgetParams, cpl_bound
 from .cpl_exact import ExactCplResult, cpl_exact
 from .data_model import (
     Alphabet,

@@ -176,6 +176,8 @@ def analyzer_benchmark(d: Dataset, epsilons, thresholds=(0.2, 0.4),
     budget. The conditionals, the |PCC| matrix and the leakage tables do
     not depend on the budget and are built once.
     """
+    if d.n_attributes < 2:
+        raise InputError("the analyzer benchmark needs at least two attributes")
     conds = list(pairwise_conditionals(d).values())
     if isinstance(reference, str):
         refs = _LeakageTable(conds, reference)(epsilons).tolist()

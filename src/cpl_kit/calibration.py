@@ -146,15 +146,6 @@ def _ordered(conds: dict, n: int) -> list[ConditionalDistribution]:
     return [conds[(i, j)] for i in range(n) for j in range(n) if j != i]
 
 
-def worst_tpl(conds: dict, n: int, eps_tilde: float, engine: str = "bound") -> tuple[float, int]:
-    """Worst-attribute total leakage at a shared per-attribute budget.
-
-    An attribute's own leakage toward itself is zero and skipped.
-    """
-    worst, idx = _worst(_LeakageTable(_ordered(conds, n), engine)([eps_tilde]), n, [eps_tilde])
-    return worst.item(), idx.item()
-
-
 def _candidates(start: float, step: float, limit: float):
     """The budgets the walk probes, in order: ``start``, then ``start + i *
     step`` for i >= 1 up to the first past ``limit``, and none past the

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import JointDistribution
-from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -44,12 +43,9 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
-def metrics(joint: JointDistribution, codes: tuple | None = None) -> MetricReport:
-    """Compute the metric suite for one joint table.
-
-    ``codes`` optionally supplies (row codes, col codes) for the Pearson
-    coefficient; the default is consecutive integers in alphabet order.
-    """
+def metrics(joint: JointDistribution) -> MetricReport:
+    """Compute the metric suite for one joint table; the Pearson coefficient
+    codes each symbol by its 1-based position in its alphabet."""
     p = joint.matrix
     pa = joint.row_marginal()
     pb = joint.col_marginal()
@@ -63,14 +59,8 @@ def metrics(joint: JointDistribution, codes: tuple | None = None) -> MetricRepor
     mi = max(mi, 0.0)
     nmi = mi / h_joint if h_joint > 0 else 0.0
 
-    if codes is None:
-        ca = np.arange(1, len(pa) + 1, dtype=np.float64)
-        cb = np.arange(1, len(pb) + 1, dtype=np.float64)
-    else:
-        ca = np.asarray(codes[0], dtype=np.float64)
-        cb = np.asarray(codes[1], dtype=np.float64)
-        if ca.shape != pa.shape or cb.shape != pb.shape:
-            raise InputError("code vectors must match the alphabet sizes")
+    ca = np.arange(1, len(pa) + 1, dtype=np.float64)
+    cb = np.arange(1, len(pb) + 1, dtype=np.float64)
     mean_a = float(pa @ ca)
     mean_b = float(pb @ cb)
     var_a = float(pa @ (ca - mean_a) ** 2)

@@ -174,32 +174,3 @@ def cpl_bound(cond: ConditionalDistribution, budget: BudgetParams) -> BoundedCpl
     subset = tuple(table.order[p, :k].tolist())
     return BoundedCplResult(leaks[p], budget.delta * a, subset, a, b, table.pairs[p])
 
-
-def cpl_limit(cond: ConditionalDistribution) -> float:
-    """Saturation value of the bound as the neighbor budget grows.
-
-    Returns ln of the largest single-entry ratio p(col|x)/p(col|x') over all
-    columns and ordered usable row pairs; ``math.inf`` when some column has
-    positive mass under one row and zero under another.
-    """
-    sub = cond.matrix[cond.usable_rows()]
-    col_max = sub.max(axis=0)
-    col_min = sub.min(axis=0)
-    if ((col_max > _ZERO) & (col_min <= _ZERO)).any():
-        return math.inf
-    active = col_max > _ZERO
-    if not active.any():
-        return 0.0
-    return float(np.log((col_max[active] / col_min[active]).max()))
-
-
-def is_max_attainable(cond: ConditionalDistribution) -> tuple[bool, tuple[int, int] | None]:
-    """Whether the bound can reach the full budget: true exactly when two
-    usable rows have disjoint supports, returned with such a row pair."""
-    rows = cond.valid_rows()
-    support = cond.matrix[rows] > _ZERO
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if not (support[i] & support[j]).any():
-                return True, (int(rows[i]), int(rows[j]))
-    return False, None

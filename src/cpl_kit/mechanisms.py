@@ -94,6 +94,8 @@ class MechanismSpec:
             raise InputError(f"{self.kind} requires domain size k >= 2")
         if self.k < 1:
             raise InputError("domain size k must be positive")
+        if self.kind == "she" and self.epsilon <= 0:
+            raise InputError("she requires epsilon > 0")
         if self.kind == "olh" and self.g > _OLH_G_MAX:
             raise InputError(f"olh hash range g = round(e^eps) + 1 must be at most 2^63, "
                              f"which needs epsilon below about {math.log(_OLH_G_MAX):.3f}; "
@@ -240,8 +242,6 @@ def _she_keep(epsilon: float, k: int) -> float:
     others at 1, s = e^(-1/b)/2; X = 0 w.p. s and wins only in the all-zero
     tie; for X = z in (0, 1) it wins when every Y < z, w.p. (1 - e^(-z/b)/2)
     each."""
-    if epsilon <= 0:
-        raise InputError("she requires epsilon > 0")
     b = 2.0 / epsilon
     s = 0.5 * math.exp(-1.0 / b)
     nodes, weights = _gauss_legendre(64)
@@ -410,8 +410,6 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
     rows = np.arange(n)
 
     if kind == "she":
-        if spec.epsilon <= 0:
-            raise InputError("she requires epsilon > 0")
         y = rng.laplace(0.0, 2.0 / spec.epsilon, size=(n, k))
         # Adding the one-hot in place is exact: laplace(0, b) is never -0.0.
         y[rows, values] += 1.0
@@ -503,8 +501,6 @@ def decode_column(spec: MechanismSpec, column: PerturbedColumn,
 
     # she: Bayes-optimal argmax of the posterior under the Laplace likelihood,
     # ties broken uniformly by the same draw as the support sets.
-    if spec.epsilon <= 0:
-        raise InputError("she decoding undefined at epsilon = 0 (no likelihood scale)")
     # With b = 2/eps, log p(y | v) = -||y - onehot(v)||_1 / b + const and
     # ||y - onehot(v)||_1 = sum|y| + 1 - 2 clip(y_v, 0, 1), so the posterior
     # under a uniform prior ranks symbols by clip(y_v, 0, 1). clip is exact,

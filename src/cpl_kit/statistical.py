@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cpl_exact import _output_ratios
 from .data_model import Dataset
 from .errors import InputError, InsufficientDataError
 from .mechanisms import MechanismSpec, decode_column, perturb_column, support_counts
@@ -149,7 +150,9 @@ def sup_ratio_leakage(counts: np.ndarray) -> tuple[float, int]:
     (m, n_w) count table such as :func:`count_table` returns.
 
     Only cells observed under both conditioning symbols enter the supremum;
-    the return also counts the dropped zero cells.
+    the return also counts the dropped zero cells. The supremum is the exact
+    engine's column-extremes kernel, which gives a column observed under one
+    symbol only ratio 1, no more than any column observed under two.
     """
     counts = np.asarray(counts, dtype=np.float64)
     row_tot = counts.sum(axis=1)
@@ -157,19 +160,15 @@ def sup_ratio_leakage(counts: np.ndarray) -> tuple[float, int]:
     if rows.sum() < 2:
         raise InsufficientDataError("need at least 2 observed conditioning symbols")
     sub = counts[rows]
-    probs = sub / row_tot[rows, None]
     observed = sub.sum(axis=0) > 0
     sub = sub[:, observed]
-    probs = probs[:, observed]
     positive = sub > 0
     excluded = int((~positive).sum())
-    usable = positive.sum(axis=0) >= 2
-    if not usable.any():
+    if not (positive.sum(axis=0) >= 2).any():
         raise InsufficientDataError("no conditional cell observed under two symbols")
-    masked = np.where(positive[:, usable], probs[:, usable], np.nan)
-    col_max = np.nanmax(masked, axis=0)
-    col_min = np.nanmin(masked, axis=0)
-    return float(np.log((col_max / col_min).max())), excluded
+    probs = sub / row_tot[rows, None]
+    # np.log, not math.log: the two differ in the last bit on some inputs.
+    return float(np.log(_output_ratios(probs).max())), excluded
 
 
 def _surrogate_table(target_counts: np.ndarray, neighbor_counts: list[np.ndarray],

@@ -8,7 +8,7 @@ from cpl_kit import ConditionalDistribution, JointDistribution, conditional_from
 from cpl_kit.calibration import _as_conditionals
 from cpl_kit.cpl_bound import _ZERO, BoundedCplResult, BudgetParams, _iter_pairs, cpl_bound
 from cpl_kit.cpl_exact import EXACT_ENGINES, ExactCplResult, cpl_exact
-from cpl_kit.errors import InputError
+from cpl_kit.errors import InputError, InsufficientDataError
 from cpl_kit.fixtures import MAXLEAK_JOINT
 from cpl_kit.mechanisms import MechanismSpec, TransitionMatrix, transition_matrix
 from cpl_kit.statistical import (
@@ -93,6 +93,36 @@ def cpl_bound_bruteforce(cond: ConditionalDistribution, budget: BudgetParams) ->
     return best
 
 
+def cpl_limit(cond: ConditionalDistribution) -> float:
+    """Saturation value of the bound as the neighbor budget grows.
+
+    Returns ln of the largest single-entry ratio p(col|x)/p(col|x') over all
+    columns and ordered usable row pairs; ``math.inf`` when some column has
+    positive mass under one row and zero under another.
+    """
+    sub = cond.matrix[cond.usable_rows()]
+    col_max = sub.max(axis=0)
+    col_min = sub.min(axis=0)
+    if ((col_max > _ZERO) & (col_min <= _ZERO)).any():
+        return math.inf
+    active = col_max > _ZERO
+    if not active.any():
+        return 0.0
+    return float(np.log((col_max[active] / col_min[active]).max()))
+
+
+def is_max_attainable(cond: ConditionalDistribution) -> tuple[bool, tuple[int, int] | None]:
+    """Whether the bound can reach the full budget: true exactly when two
+    usable rows have disjoint supports, returned with such a row pair."""
+    rows = cond.valid_rows()
+    support = cond.matrix[rows] > _ZERO
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if not (support[i] & support[j]).any():
+                return True, (int(rows[i]), int(rows[j]))
+    return False, None
+
+
 def evaluate_witness(cond: ConditionalDistribution, trans: TransitionMatrix,
                      witness: tuple[int, int, int]) -> float:
     """Re-evaluate an exact-leakage witness triple; returns the leakage it
@@ -144,35 +174,62 @@ def exact_set_leakage(d, specs, target, tuple_) -> ExactCplResult:
     return cpl_exact(cond, trans)
 
 
-def calibrate_by_probe(joints, epsilon_bar, step, engine) -> list[tuple[float, float]]:
-    """Probe-by-probe reference for ``calibrate``'s trace: the same walk, one
-    budget at a time, each leakage from the public kernel (``cpl_bound``, or
-    ``cpl_exact`` through the kind's ``transition_matrix``) and each total
-    summed in neighbor order."""
-    n, conds = _as_conditionals(joints)
-
-    def leakage(cond, eps):
+def worst_total(conds, n, eps, engine="bound") -> float:
+    """Largest total over the n attributes at a shared budget: the
+    attribute's own budget plus each neighbor's leakage from the public
+    single-pair kernel (``cpl_bound``, or ``cpl_exact`` through the kind's
+    ``transition_matrix``), summed in neighbor order."""
+    def leakage(cond):
         if engine == "bound":
             return cpl_bound(cond, BudgetParams(eps, 0.0)).leakage
         spec = MechanismSpec(EXACT_ENGINES[engine], eps, cond.n_cols)
         return cpl_exact(cond, transition_matrix(spec)).leakage
 
-    def worst(eps):
-        totals = []
-        for i in range(n):
-            total = eps
-            for j in range(n):
-                if j != i:
-                    total += leakage(conds[(i, j)], eps)
-            totals.append(total)
-        return max(totals)
+    totals = []
+    for i in range(n):
+        total = eps
+        for j in range(n):
+            if j != i:
+                total += leakage(conds[(i, j)])
+        totals.append(total)
+    return max(totals)
 
+
+def calibrate_by_probe(joints, epsilon_bar, step, engine) -> list[tuple[float, float]]:
+    """Probe-by-probe reference for ``calibrate``'s trace: the same walk, one
+    budget at a time, each worst total from :func:`worst_total`."""
+    n, conds = _as_conditionals(joints)
     start = epsilon_bar / n
-    trace = [(start, worst(start))]
+    trace = [(start, worst_total(conds, n, start, engine))]
     i = 0
     while True:
         candidate = start + (i + 1) * step
-        trace.append((candidate, worst(candidate)))
+        trace.append((candidate, worst_total(conds, n, candidate, engine)))
         if trace[-1][1] > epsilon_bar + 1e-9:
             return trace
         i += 1
+
+
+def sup_ratio_reference(counts: np.ndarray) -> tuple[float, int]:
+    """Masked-extremes reference for ``sup_ratio_leakage``: the largest
+    over smallest positive conditional of every column observed under two
+    symbols, taken with ``nanmax``/``nanmin`` over the positive cells only."""
+    counts = np.asarray(counts, dtype=np.float64)
+    row_tot = counts.sum(axis=1)
+    rows = row_tot > 0
+    if rows.sum() < 2:
+        raise InsufficientDataError("need at least 2 observed conditioning symbols")
+    sub = counts[rows]
+    probs = sub / row_tot[rows, None]
+    observed = sub.sum(axis=0) > 0
+    sub = sub[:, observed]
+    probs = probs[:, observed]
+    positive = sub > 0
+    excluded = int((~positive).sum())
+    usable = positive.sum(axis=0) >= 2
+    if not usable.any():
+        raise InsufficientDataError("no conditional cell observed under two symbols")
+    masked = np.where(positive[:, usable], probs[:, usable], np.nan)
+    col_max = np.nanmax(masked, axis=0)
+    col_min = np.nanmin(masked, axis=0)
+    return float(np.log((col_max / col_min).max())), excluded

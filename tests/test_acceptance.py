@@ -17,16 +17,13 @@ from cpl_kit import (
     MechanismSpec,
     cpl_bound,
     cpl_exact,
-    cpl_limit,
     calibrate,
     conditional_from_joint,
     empirical_joint,
     estimate_cpl,
-    is_max_attainable,
     metrics,
     nmse_cpl,
     transition_matrix,
-    worst_tpl,
 )
 from cpl_kit.benchmarks import analyzer_benchmark, ordered_pairs, pairwise_conditionals
 from cpl_kit.calibration import _as_conditionals
@@ -34,7 +31,9 @@ from cpl_kit.cli import main
 from cpl_kit.fixtures import MAXLEAK_JOINT, chain_five, latent_five, maxleak_pair, mixed_five, weak_ten
 from cpl_kit.rng import derive_rng
 from cpl_kit.statistical import count_table, sup_ratio_leakage
-from conftest import cpl_bound_bruteforce, decode_rows, random_conditional
+from conftest import (
+    cpl_bound_bruteforce, cpl_limit, decode_rows, is_max_attainable, random_conditional, worst_total,
+)
 
 REFERENCE_JOINT = JointDistribution(tuple("abcd"), tuple("wxyz"), MAXLEAK_JOINT)
 # theoretical and experimental leakage columns of the reference pair,
@@ -210,7 +209,7 @@ def test_09_calibration_gain_on_weak_data():
     lo, hi = eps_bar / n, eps_bar
     while hi - lo > 1e-6:
         mid = (lo + hi) / 2
-        if worst_tpl(conds, n, mid)[0] <= eps_bar + 1e-9:
+        if worst_total(conds, n, mid) <= eps_bar + 1e-9:
             lo = mid
         else:
             hi = mid

@@ -16,7 +16,6 @@ from cpl_kit import (
     cpl_bound,
     cpl_exact,
     transition_matrix,
-    worst_tpl,
 )
 from cpl_kit import calibration
 from cpl_kit.calibration import _as_conditionals, _LeakageTable, _ordered
@@ -26,7 +25,7 @@ from cpl_kit.fixtures import mixed_five, weak_ten
 from cpl_kit.benchmarks import ordered_pairs, pairwise_conditionals
 from cpl_kit.data_model import empirical_joint
 from cpl_kit.rng import derive_rng
-from conftest import calibrate_by_probe, exact_set_leakage, random_conditional
+from conftest import calibrate_by_probe, exact_set_leakage, random_conditional, worst_total
 
 
 def pair_labels(k):
@@ -53,15 +52,15 @@ def weak_exact_joints(n):
 
 
 def bisection_oracle(joints, epsilon_bar, tol=1e-6):
-    """Independent oracle: bisect the worst total leakage, which is monotone
-    in the shared budget."""
+    """Bisect the worst total leakage, which is monotone in the shared
+    budget, with each total from the public single-pair kernel."""
     n, conds = _as_conditionals(joints)
     lo, hi = epsilon_bar / n, epsilon_bar
-    if worst_tpl(conds, n, hi)[0] <= epsilon_bar + 1e-9:
+    if worst_total(conds, n, hi) <= epsilon_bar + 1e-9:
         return hi
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if worst_tpl(conds, n, mid)[0] <= epsilon_bar + 1e-9:
+        if worst_total(conds, n, mid) <= epsilon_bar + 1e-9:
             lo = mid
         else:
             hi = mid
@@ -124,7 +123,7 @@ class TestContracts:
         joints = copy_joints(3)
         res = calibrate(joints, 3.0)
         n, conds = _as_conditionals(joints)
-        assert worst_tpl(conds, n, res.epsilon_star)[0] <= 3.0 + 1e-9
+        assert worst_total(conds, n, res.epsilon_star) <= 3.0 + 1e-9
 
     def test_never_below_equal_split(self):
         for joints, bar in [(independent_joints(3), 2.0), (copy_joints(5), 5.0)]:
@@ -313,20 +312,20 @@ class TestWalkContract:
     def test_a_later_grid_budget_can_keep_the_ceiling(self):
         joints = pairwise_conditionals(mixed_five(n=40_000, seed=0))
         n, conds = _as_conditionals(joints)
-        assert worst_tpl(conds, n, 1.50, "exact-olh")[0] == pytest.approx(2.2255, abs=5e-5)
-        assert worst_tpl(conds, n, 1.51, "exact-olh")[0] == pytest.approx(2.1902, abs=5e-5)
+        assert worst_total(conds, n, 1.50, "exact-olh") == pytest.approx(2.2255, abs=5e-5)
+        assert worst_total(conds, n, 1.51, "exact-olh") == pytest.approx(2.1902, abs=5e-5)
         res = calibrate(joints, 2.2079, step=0.01, engine="exact-olh")
         assert res.epsilon_star == pytest.approx(1.4816, abs=5e-5)
         assert all(worst <= 2.2079 for _, worst in res.trace[:-1])
         start = 2.2079 / n
         assert res.trace[-1][0] == start + (res.iterations + 1) * 0.01
-        assert worst_tpl(conds, n, start + (res.iterations + 3) * 0.01, "exact-olh")[0] <= 2.2079
+        assert worst_total(conds, n, start + (res.iterations + 3) * 0.01, "exact-olh") <= 2.2079
 
     def test_exact_ss_falls_too(self):
-        # 1 - a rounds at large budgets (ROADMAP item 3)
+        # 1 - a rounds at large budgets (ROADMAP, "Report-level leakage through one per-kind table")
         n, conds = _as_conditionals(pairwise_conditionals(mixed_five(n=40_000, seed=0)))
-        assert worst_tpl(conds, n, 37.68, "exact-ss")[0] == pytest.approx(75.42, abs=5e-3)
-        assert worst_tpl(conds, n, 37.69, "exact-ss")[0] == pytest.approx(74.15, abs=5e-3)
+        assert worst_total(conds, n, 37.68, "exact-ss") == pytest.approx(75.42, abs=5e-3)
+        assert worst_total(conds, n, 37.69, "exact-ss") == pytest.approx(74.15, abs=5e-3)
 
 
 @pytest.fixture(scope="module")
@@ -337,7 +336,8 @@ def mixed_forty_thousand():
 class TestPairwiseTotalIsNotABound:
     """An attribute's total is its own budget plus its pairwise leakages. When
     the neighbors depend on each other given the target, the exact leakage
-    of releasing every attribute at once exceeds that sum (ROADMAP item 1)."""
+    of releasing every attribute at once exceeds that sum (ROADMAP, "A sound
+    set-level total for `calibrate`")."""
 
     @staticmethod
     def totals(d, target, eps):

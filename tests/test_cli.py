@@ -418,6 +418,23 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error == {"type": "InputError", "message": "she requires epsilon > 0"}
 
+    def test_one_attribute_dataset(self, capsys, tmp_path):
+        # no attribute pairs: the analyzer benchmark refuses, the others report none
+        path = tmp_path / "one.csv"
+        path.write_text("a\nx\ny\nx\ny\nz\n", encoding="utf-8")
+        code, out, err = run(capsys, ["benchmark", "analyzers", "--data", str(path)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "InputError", "message": "the analyzer benchmark needs at least two attributes"}
+        code, out, err = run(capsys, ["analyze", "matrix", "--data", str(path), "--epsilon", "1"])
+        assert code == 0, err
+        res = payload(out)["result"]
+        assert (res["entries"], res["tcpl_nats"], res["metrics"]) == ([], 0.0, [])
+        code, out, err = run(capsys, ["benchmark", "utility", "--data", str(path),
+                                      "--mechanisms", "grr,oue", "--epsilons", "1", "--r", "1"])
+        assert code == 0, err
+        assert [row["norm_tcpl"] for row in payload(out)["result"]["rows"]] == [0.0, 0.0]
+
     @pytest.mark.parametrize("target, neighbors", [("5", "1"), ("0", "-1"), ("0", "2")])
     def test_estimate_attribute_out_of_range_exits_two(self, capsys, workdir, target, neighbors):
         code, out, err = run(capsys, ["estimate", "--data",

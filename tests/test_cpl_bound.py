@@ -11,11 +11,9 @@ from cpl_kit import (
     InputError,
     InsufficientDataError,
     cpl_bound,
-    cpl_limit,
-    is_max_attainable,
 )
 from cpl_kit.rng import derive_rng
-from conftest import cpl_bound_bruteforce, random_conditional
+from conftest import cpl_bound_bruteforce, cpl_limit, is_max_attainable, random_conditional
 
 
 def pure_python_pair_max(g, gp, epsilon):

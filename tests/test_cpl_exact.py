@@ -11,14 +11,13 @@ from cpl_kit import (
     TransitionMatrix,
     cpl_bound,
     cpl_exact,
-    cpl_limit,
     transition_matrix,
 )
 from cpl_kit.benchmarks import pairwise_conditionals
 from cpl_kit.fixtures import FIXTURES
 from cpl_kit.mechanisms import KINDS
 from cpl_kit.rng import derive_rng
-from conftest import evaluate_witness, random_conditional
+from conftest import cpl_limit, evaluate_witness, random_conditional
 
 
 def brute_force_exact(cond: ConditionalDistribution, trans: TransitionMatrix):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cpl_kit import cpl_limit, empirical_joint, load_csv, metrics
+from cpl_kit import empirical_joint, load_csv, metrics
 from cpl_kit.benchmarks import pairwise_abs_pcc, pairwise_conditionals
 from cpl_kit.fixtures import (
     FIXTURES,
@@ -15,6 +15,7 @@ from cpl_kit.fixtures import (
     perfect_copy,
     weak_ten,
 )
+from conftest import cpl_limit
 
 
 class TestFixtureContracts:

@@ -254,10 +254,8 @@ class TestDecode:
             estimate_frequencies(spec, col)
 
     def test_she_zero_budget_rejected(self):
-        spec = MechanismSpec("she", 0.0, 4)
-        col = PerturbedColumn(spec, np.zeros((1, 4)))
-        with pytest.raises(InputError, match="epsilon"):
-            decode_column(spec, col, derive_rng(9, 1))
+        with pytest.raises(InputError, match=r"^she requires epsilon > 0$"):
+            MechanismSpec("she", 0.0, 4)
 
     def test_blh_decode_lands_in_preimage(self):
         spec = spec_for("blh", epsilon=2.0, k=6)

@@ -26,7 +26,7 @@ from cpl_kit.statistical import (
     BLOCK_ROWS, _decoded_column, _expanded_blocks, _surrogate_table, count_table,
     sup_ratio_leakage,
 )
-from conftest import decode_rows, exact_set_leakage, row_leakage
+from conftest import decode_rows, exact_set_leakage, row_leakage, sup_ratio_reference
 
 
 def grr_specs(d, epsilon):
@@ -145,6 +145,68 @@ class TestStatisticalCpl:
         cfg = EstimationConfig(expansion=1, surrogates=1, seed=0)
         with pytest.raises(InsufficientDataError):
             estimate_cpl(d, grr_specs(d, 1.0), 0, [1], cfg)
+
+
+def sup_ratio_outcome(fn, counts):
+    """(value as hex, excluded) of a supremum, or its error's type and message."""
+    try:
+        value, excluded = fn(counts)
+    except InsufficientDataError as exc:
+        return type(exc), str(exc)
+    return value.hex(), excluded
+
+
+def edge_case_tables(rng, n_tables):
+    """Seeded sparse count tables, each reshaped into one edge case: an
+    all-zero row, columns seen under one symbol only, tied extremes (rows
+    proportional to each other), a single observed row, or no column seen
+    under two symbols."""
+    cases = ("plain", "zero_row", "lone_column", "tied", "single_row", "no_shared_column")
+    for index in range(n_tables):
+        case = cases[index % len(cases)]
+        m, n_w = int(rng.integers(2, 6)), int(rng.integers(1, 8))
+        counts = rng.poisson(rng.uniform(0.3, 4.0), size=(m, n_w))
+        if case == "zero_row":
+            counts[rng.integers(0, m)] = 0
+        elif case == "lone_column":
+            for col in rng.choice(n_w, size=int(rng.integers(1, n_w + 1)), replace=False):
+                keep = rng.integers(0, m)
+                counts[:, col] = 0
+                counts[keep, col] = rng.integers(1, 9)
+        elif case == "tied":
+            counts[1] = int(rng.integers(1, 4)) * counts[0]
+        elif case == "single_row":
+            counts[np.arange(m) != rng.integers(0, m)] = 0
+        elif case == "no_shared_column":
+            owner = rng.integers(0, m, size=n_w)
+            counts = np.where(np.arange(m)[:, None] == owner, counts + 1, 0)
+        yield case, counts
+
+
+class TestSupRatioLeakage:
+    """The supremum reuses the exact engine's column-extremes kernel; it must
+    equal the masked nanmax/nanmin form bit for bit, errors included."""
+
+    def test_equals_masked_reference_on_edge_cases(self):
+        rng = derive_rng(2101, 0)
+        seen: dict[str, set] = {}
+        for case, counts in edge_case_tables(rng, 3000):
+            want = sup_ratio_outcome(sup_ratio_reference, counts)
+            assert sup_ratio_outcome(sup_ratio_leakage, counts) == want, (case, counts)
+            seen.setdefault(case, set()).add(want[0] if want[0] is InsufficientDataError
+                                             else "value")
+        assert seen["single_row"] == {InsufficientDataError}
+        assert seen["no_shared_column"] == {InsufficientDataError}
+        for case in ("plain", "zero_row", "lone_column", "tied"):
+            assert "value" in seen[case], case
+
+    def test_lone_and_tied_columns(self):
+        # column 2 is seen under row 0 only; columns 0 and 1 tie at ratio 2
+        counts = np.array([[2, 4, 5, 0], [1, 2, 0, 0], [0, 0, 0, 0]])
+        value, excluded = sup_ratio_leakage(counts)
+        assert (value, excluded) == sup_ratio_reference(counts)
+        assert value == pytest.approx(math.log((1 / 3) / (2 / 11)), abs=1e-15)
+        assert excluded == 1
 
 
 class TestPermutationSignificance:
