@@ -27,9 +27,7 @@ import numpy as np
 
 from .calibration import _LeakageTable
 from .correlation_metrics import metrics
-from .data_model import (
-    ConditionalDistribution, Dataset, JointDistribution, conditional_from_joint, empirical_joint,
-)
+from .data_model import Dataset, empirical_joint, pairwise_conditionals
 from .errors import DimensionMismatchError, InputError
 from .mechanisms import MechanismSpec, debias_counts
 from .statistical import _decoded_column
@@ -127,26 +125,6 @@ def baseline_grf(abs_pcc: np.ndarray, threshold: float, epsilon: float) -> list[
         label += 1
     return [epsilon if component[i] == component[j] else 0.0
             for i, j in ordered_pairs(n)]
-
-
-def pairwise_conditionals(d: Dataset) -> dict[tuple[int, int], ConditionalDistribution]:
-    """Empirical P(attr j | attr i) for every ordered pair.
-
-    Each unordered pair is counted once: (j, i) takes the transpose of the
-    joint of (i, j), copied to C order first, as its own joint would be, since
-    a row sum over an F-ordered array can round differently.
-    """
-    conds = {}
-    joints: dict[tuple[int, int], JointDistribution] = {}
-    for i, j in ordered_pairs(d.n_attributes):
-        if i < j:
-            joint = joints[(i, j)] = empirical_joint(d, i, j)
-        else:
-            rev = joints.pop((j, i))
-            joint = JointDistribution(rev.col_labels, rev.row_labels,
-                                      np.ascontiguousarray(rev.matrix.T))
-        conds[(i, j)] = conditional_from_joint(joint, given="rows")
-    return conds
 
 
 def pairwise_abs_pcc(d: Dataset) -> np.ndarray:

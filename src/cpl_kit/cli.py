@@ -27,17 +27,17 @@ import time
 
 import numpy as np
 
+# Only modules that importing the package loads anyway are imported here;
+# each handler imports the rest of what it runs, so a command loads no module
+# it does not run.
 from . import __version__
-from .benchmarks import analyzer_benchmark, pairwise_conditionals, utility_benchmark
-from .calibration import calibrate
-from .correlation_metrics import metrics
 from .cpl_bound import BudgetParams, cpl_bound
 from .cpl_exact import EXACT_ENGINES, cpl_exact
-from .data_model import empirical_joint, load_conditional_json, load_csv
+from .data_model import (
+    empirical_joint, load_conditional_json, load_csv, pairwise_conditionals,
+)
 from .errors import CplKitError, InfeasibleBudgetError, InputError
-from .fixtures import FIXTURES, generate_fixtures
 from .mechanisms import KINDS, MechanismSpec, transition_matrix
-from .statistical import EstimationConfig, estimate_cpl
 
 _LN2 = math.log(2.0)
 
@@ -118,6 +118,8 @@ def _with_bits(obj: dict, args: argparse.Namespace) -> dict:
 # --------------------------------------------------------------------------
 
 def _cmd_analyze_matrix(args) -> dict:
+    from .correlation_metrics import metrics
+
     budget = BudgetParams(args.epsilon, args.delta)
     if args.mechanism and args.delta != 0:
         raise InputError("--delta applies to the bound only; the exact engine "
@@ -187,6 +189,8 @@ def _cmd_analyze_bound(args) -> dict:
 
 
 def _cmd_estimate(args) -> dict:
+    from .statistical import EstimationConfig, estimate_cpl
+
     d = load_csv(args.data)
     cfg = EstimationConfig(expansion=args.r, surrogates=args.surrogates,
                            alpha=args.alpha, seed=args.seed)
@@ -208,6 +212,8 @@ def _cmd_estimate(args) -> dict:
 
 
 def _cmd_benchmark_analyzers(args) -> dict:
+    from .benchmarks import analyzer_benchmark
+
     d = load_csv(args.data)
     epsilons = _float_list(args.epsilons)
     runs = analyzer_benchmark(d, epsilons, thresholds=tuple(_float_list(args.thresholds)),
@@ -221,6 +227,8 @@ def _cmd_benchmark_analyzers(args) -> dict:
 
 
 def _cmd_benchmark_utility(args) -> dict:
+    from .benchmarks import utility_benchmark
+
     d = load_csv(args.data)
     rows = utility_benchmark(d, args.mechanisms.split(","), _float_list(args.epsilons),
                              args.r, args.seed)
@@ -232,6 +240,8 @@ def _cmd_benchmark_utility(args) -> dict:
 
 
 def _cmd_calibrate(args) -> dict:
+    from .calibration import calibrate
+
     d = load_csv(args.data)
     res = calibrate(pairwise_conditionals(d), args.budget, step=args.step, engine=args.engine)
     return {
@@ -245,6 +255,8 @@ def _cmd_calibrate(args) -> dict:
 
 def _samples(text: str) -> dict[str, int]:
     """``name=count`` overrides, comma-separated, of fixture sample counts."""
+    from .fixtures import FIXTURES
+
     samples = {}
     for part in text.split(","):
         name, _, count = part.partition("=")
@@ -261,6 +273,8 @@ def _samples(text: str) -> dict[str, int]:
 
 
 def _cmd_fixtures_generate(args) -> dict:
+    from .fixtures import generate_fixtures
+
     samples = _samples(args.samples) if args.samples else {}
     return generate_fixtures(args.out_dir, seed=args.seed, samples=samples)
 

@@ -127,30 +127,50 @@ class _BoundTable:
         disjoint = ~(positive & positive_p).any(axis=1)
         return cls(tuple(pairs), tuple(slices), order, q, a, b, disjoint)
 
-    def evaluate(self, epsilons) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy stop and leakage of every pair at each of E budgets, as
-        (E, P) arrays.
+    def _stops(self, epsilons) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy stop of every pair at each of E budgets, and its H there,
+        as (E, P) arrays.
 
         The greedy admits index k exactly when q[k] >= H of the first k
         indices; since q descends, the first rejection ends the admitted
-        prefix. Disjoint pairs attain H = e^eps analytically, so they report
-        the exact budget rather than round-tripping through exp/log. Each
-        e^eps - 1 and each log is taken on a Python float, so a value does
-        not depend on how many budgets share the call.
+        prefix, and H never falls below its empty-prefix value 1. Each
+        e^eps - 1 is taken on a Python float, so a value does not depend on
+        how many budgets share the call.
         """
         for eps in epsilons:
             _check_epsilon(eps)
         lam = np.array([math.expm1(eps) for eps in epsilons])[:, None, None]
         h = (1.0 + self.a * lam) / (1.0 + self.b * lam)
         stop = np.argmin(self.q >= h, axis=-1)
-        h_stop = np.take_along_axis(h, stop[..., None], axis=-1)[..., 0]
+        return stop, np.take_along_axis(h, stop[..., None], axis=-1)[..., 0]
+
+    def evaluate(self, epsilons) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy stop and leakage of every pair at each of E budgets, as
+        (E, P) arrays.
+
+        Disjoint pairs attain H = e^eps analytically, so they report the
+        exact budget rather than round-tripping through exp/log.
+        """
+        stop, h_stop = self._stops(epsilons)
         eps_col = np.array(epsilons, dtype=np.float64)[:, None]
         return stop, np.where(self.disjoint, eps_col, _log_each(h_stop))
 
     def leakages(self, epsilons) -> np.ndarray:
-        """(E, C) bound of each conditional at each of E budgets."""
+        """(E, C) bound of each conditional at each of E budgets, the largest
+        leakage ``evaluate`` gives its pairs.
+
+        Since log is monotone, that is one log per conditional, of its
+        largest H over its pairs that are not disjoint, raised to the budget
+        where it has a disjoint pair. A disjoint pair's H is masked as 1,
+        whose log 0 the budget covers.
+        """
         starts = np.array([sl.start for sl in self.slices], dtype=np.intp)
-        return np.maximum.reduceat(self.evaluate(epsilons)[1], starts, axis=1)
+        h_max = np.maximum.reduceat(np.where(self.disjoint, 1.0, self._stops(epsilons)[1]),
+                                    starts, axis=1)
+        logs = _log_each(h_max)
+        eps_col = np.array(epsilons, dtype=np.float64)[:, None]
+        return np.where(np.logical_or.reduceat(self.disjoint, starts),
+                        np.maximum(logs, eps_col), logs)
 
 
 def _log_each(x: np.ndarray) -> np.ndarray:

@@ -377,10 +377,51 @@ def empirical_joint(d: Dataset, i: int, j: int) -> JointDistribution:
         raise InputError("joint distribution requires two distinct attributes")
     if d.n_records == 0:
         raise InputError("empty dataset")
+    return _counted_joint(d, i, j, d.column(i), d.column(j))
+
+
+def _counted_joint(d: Dataset, i: int, j: int, rows: np.ndarray,
+                   cols: np.ndarray) -> JointDistribution:
+    """Joint of attributes i and j from their columns ``rows`` and ``cols``,
+    of any integer dtype that holds m * t, counted with one ``bincount``."""
     m, t = d.alphabet(i).size, d.alphabet(j).size
-    counts = np.bincount(d.column(i) * t + d.column(j), minlength=m * t).reshape(m, t)
+    counts = np.bincount(rows * t + cols, minlength=m * t).reshape(m, t)
     return JointDistribution(d.alphabet(i).symbols, d.alphabet(j).symbols,
                              counts.astype(np.float64) / d.n_records)
+
+
+def pairwise_conditionals(d: Dataset) -> dict[tuple[int, int], ConditionalDistribution]:
+    """Empirical P(attr j | attr i) for every ordered pair (i, j), i != j, in
+    row-major order.
+
+    Each unordered pair is counted once, on contiguous copies of the columns
+    in the narrowest unsigned dtype that holds every pair's m * t: (j, i)
+    takes the transpose of the joint of (i, j), copied to C order first, as
+    its own joint would be, since a row sum over an F-ordered array can
+    round differently.
+    """
+    n = d.n_attributes
+    if n < 2:
+        return {}
+    if d.n_records == 0:
+        raise InputError("empty dataset")
+    sizes = [d.alphabet(j).size for j in range(n)]
+    m, t = sorted(sizes)[-2:]
+    dtype = next(dt for dt in (np.uint8, np.uint16, np.uint32, np.int64)
+                 if m * t <= np.iinfo(dt).max)
+    columns = [d.column(j).astype(dtype) for j in range(n)]
+    conds = {}
+    joints: dict[tuple[int, int], JointDistribution] = {}
+    # permutations yields the ordered pairs in row-major order.
+    for i, j in itertools.permutations(range(n), 2):
+        if i < j:
+            joint = joints[(i, j)] = _counted_joint(d, i, j, columns[i], columns[j])
+        else:
+            rev = joints.pop((j, i))
+            joint = JointDistribution(rev.col_labels, rev.row_labels,
+                                      np.ascontiguousarray(rev.matrix.T))
+        conds[(i, j)] = conditional_from_joint(joint, given="rows")
+    return conds
 
 
 def conditional_from_joint(joint: JointDistribution, given: str = "rows") -> ConditionalDistribution:

@@ -1,12 +1,13 @@
 """Statistical leakage estimation from perturbed data.
 
-Three stages: expand the dataset by replication, perturb every attribute of
-every expanded record independently, and decode each report back into the
-input alphabet. The leakage of a target attribute caused by a tuple of
-attributes is then the log of the largest conditional-probability ratio
-observed across decoded tuples, restricted to cells witnessed under both
-conditioning symbols. With neighbors alone in the tuple this is the
-correlation leakage; with the target's own report in it, the total leakage.
+Three stages: expand the dataset by replication, perturb each member of
+the attribute tuple in every expanded record independently, and decode each
+report back into the input alphabet. The leakage of a target attribute
+caused by a tuple of attributes is then the log of the largest
+conditional-probability ratio observed across decoded tuples, restricted to
+cells witnessed under both conditioning symbols. With neighbors alone in the
+tuple this is the correlation leakage; with the target's own report in it,
+the total leakage.
 
 The expanded rows are only ever counted, so the stages run on blocks of
 ``BLOCK_ROWS`` expanded rows and the counts add up across blocks: memory

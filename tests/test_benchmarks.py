@@ -38,6 +38,7 @@ from cpl_kit.benchmarks import (
     utility_benchmark,
 )
 from cpl_kit.fixtures import (
+    FIXTURES,
     MAXLEAK_JOINT,
     independent_pair,
     latent_five,
@@ -406,7 +407,30 @@ class TestPairwiseConditionals:
     def test_each_pair_equals_its_own_count(self, make):
         # (j, i) comes from the transposed counts of (i, j): bit for bit the
         # conditional of its own joint, row sums included
-        d = make()
+        self.assert_each_pair_equals_its_own_count(make())
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_every_fixture(self, name):
+        make, _ = FIXTURES[name]
+        self.assert_each_pair_equals_its_own_count(make(n=4_000, seed=6))
+
+    @pytest.mark.parametrize("sizes", [
+        (2, 2, 2), (1, 255), (1, 256), (255, 2, 1), (255, 255), (255, 256, 2), (256, 256),
+        (300, 2, 255, 256),
+    ], ids=lambda sizes: "x".join(map(str, sizes)))
+    def test_alphabets_at_code_width_edges(self, sizes):
+        # the pairs are counted on codes of the narrowest unsigned dtype that
+        # holds m * t: 255 * 256 fits 16 bits and 256 * 256 needs 32, and the
+        # last record holds every attribute's last symbol, the largest code
+        rng = derive_rng(52, len(sizes))
+        records = np.column_stack([rng.integers(0, k, 5_000) for k in sizes])
+        records[-1] = np.array(sizes) - 1
+        schema = tuple((f"a{j}", Alphabet(tuple(f"s{i}" for i in range(k))))
+                       for j, k in enumerate(sizes))
+        self.assert_each_pair_equals_its_own_count(Dataset(schema, records))
+
+    @staticmethod
+    def assert_each_pair_equals_its_own_count(d):
         conds = pairwise_conditionals(d)
         assert list(conds) == ordered_pairs(d.n_attributes)
         for (i, j), cond in conds.items():

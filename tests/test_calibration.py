@@ -19,6 +19,7 @@ from cpl_kit import (
 )
 from cpl_kit import calibration
 from cpl_kit.calibration import _as_conditionals, _LeakageTable, _ordered
+from cpl_kit.cpl_bound import _BoundTable
 from cpl_kit.errors import CplKitError
 from cpl_kit.mechanisms import KINDS
 from cpl_kit.fixtures import mixed_five, weak_ten
@@ -179,6 +180,36 @@ class TestLeakageTable:
         for eps in self.EPSILONS:
             want = [cpl_bound(c, BudgetParams(eps, 0.0)).leakage for c in conds]
             assert table([eps])[0].tolist() == want
+
+    @pytest.mark.parametrize("case", ["weak_ten_walk", "mixed_dense"])
+    def test_one_log_per_conditional_equals_public_kernel_densely(self, case):
+        # The table takes one log per conditional, of its largest H, and
+        # cpl_bound one per row pair; log is monotone, so the two agree bit
+        # for bit. cpl_bound's per-pair leakages are evaluated for every
+        # budget in one call, which gives each budget's values alone, and
+        # cpl_bound itself is called at every 25th budget.
+        if case == "weak_ten_walk":
+            joints = pairwise_conditionals(weak_ten(n=30_000, seed=1))
+            epsilons = [eps for eps, _ in calibrate(joints, 10.0, step=0.01).trace]
+            assert len(epsilons) == 886
+            conds = list(joints.values())
+        else:
+            # with a table whose every row pair is disjoint
+            conds = self.mixed_conditionals() + [ConditionalDistribution(
+                pair_labels(3), pair_labels(3), np.eye(3))]
+            epsilons = (np.arange(5001) / 100).tolist()
+            pairs = _BoundTable.build(conds)
+            disjoint = [pairs.disjoint[sl] for sl in pairs.slices]
+            assert any(d.any() and not d.all() for d in disjoint)
+            assert any(d.all() for d in disjoint)
+            assert any(not cond.valid.all() for cond in conds)
+        got = _LeakageTable(conds, "bound")(epsilons)
+        for c, cond in enumerate(conds):
+            per_pair = _BoundTable.build([cond]).evaluate(epsilons)[1].tolist()
+            want = [max(leaks) for leaks in per_pair]
+            assert got[:, c].tolist() == want
+            for e in range(0, len(epsilons), 25):
+                assert cpl_bound(cond, BudgetParams(epsilons[e], 0.0)).leakage == want[e]
 
     def test_exact_grr_table_equals_public_kernel(self):
         # and the table of every other kind's exact engine

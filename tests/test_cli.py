@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpl_kit
 from cpl_kit import EstimationConfig, MechanismSpec, conditional_from_joint, load_csv
 from cpl_kit.cli import main
 from cpl_kit.fixtures import MAXLEAK_JOINT
@@ -551,14 +556,79 @@ class TestErrors:
 
     def test_numerical_infeasibility_exits_three(self, capsys, workdir, monkeypatch):
         from cpl_kit import InfeasibleBudgetError
-        import cpl_kit.cli as cli_mod
+        import cpl_kit.calibration as calibration_mod
 
         def boom(*args, **kwargs):
             raise InfeasibleBudgetError("ceiling violated")
 
-        monkeypatch.setattr(cli_mod, "calibrate", boom)
+        # the calibrate handler imports calibrate from its module when it runs
+        monkeypatch.setattr(calibration_mod, "calibrate", boom)
         code, _, err = run(capsys, ["calibrate", "--data",
                                     str(workdir / "fx" / "independent_pair.csv"),
                                     "--budget", "2"])
         assert code == 3
         assert json.loads(err)["error"]["type"] == "InfeasibleBudgetError"
+
+
+def fresh_interpreter(script: str, *args: str) -> str:
+    """Stdout of ``script`` run by a new interpreter that imports this cpl_kit."""
+    src = str(Path(cpl_kit.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImports:
+    """A command loads only the modules it runs, and the package's lazily
+    imported names resolve as the eager ones do."""
+
+    RUN = """
+import contextlib, io, json, sys
+from cpl_kit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cpl_kit."))]))
+"""
+
+    @pytest.mark.parametrize("argv, loaded, not_loaded", [
+        (["calibrate", "--data", "weak_ten.csv", "--budget", "10", "--step", "0.5"],
+         "calibration", ("benchmarks", "statistical", "correlation_metrics", "fixtures", "rng")),
+        (["estimate", "--data", "maxleak_pair.csv", "--mechanism", "grr", "--epsilon", "1",
+          "--target", "0", "--neighbors", "1", "--r", "1", "--surrogates", "5"],
+         "statistical", ("benchmarks", "calibration", "correlation_metrics", "fixtures")),
+    ], ids=["calibrate", "estimate"])
+    def test_command_loads_only_what_it_runs(self, workdir, argv, loaded, not_loaded):
+        argv = [str(workdir / "fx" / a) if a.endswith(".csv") else a for a in argv]
+        code, modules = json.loads(fresh_interpreter(self.RUN, *argv))
+        assert code == 0
+        assert f"cpl_kit.{loaded}" in modules
+        assert not {f"cpl_kit.{m}" for m in not_loaded} & set(modules)
+
+    def test_every_public_name_resolves(self):
+        script = """
+import importlib, inspect, sys
+import cpl_kit
+lazy = ("benchmarks", "calibration", "correlation_metrics", "statistical")
+assert not any(f"cpl_kit.{m}" in sys.modules for m in lazy)
+for name in cpl_kit.__all__:
+    value = getattr(cpl_kit, name)
+    module = cpl_kit._LAZY.get(name)
+    if module:
+        assert value is getattr(importlib.import_module(f"cpl_kit.{module}"), name), name
+    assert name in dir(cpl_kit), name
+namespace = {}
+exec("from cpl_kit import *", namespace)
+assert set(cpl_kit.__all__) <= set(namespace)
+assert all(namespace[name] is getattr(cpl_kit, name) for name in cpl_kit.__all__)
+assert inspect.isfunction(cpl_kit.cpl_bound) and inspect.isfunction(cpl_kit.cpl_exact)
+try:
+    cpl_kit.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+print("ok")
+"""
+        assert fresh_interpreter(script) == "ok\n"

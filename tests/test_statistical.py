@@ -393,6 +393,21 @@ class TestEstimateCpl:
         blocks = list(_expanded_blocks(d.records, r))
         assert max(len(block) for block in blocks) <= BLOCK_ROWS
         np.testing.assert_array_equal(np.concatenate(blocks), np.repeat(d.records, r, axis=0))
+        # About 2.5 blocks' worth of records, walked whole and as one column:
+        # every block but the last is full, and each holds the bytes of the
+        # int64 gather of its rows' records, row i being record i // r, also
+        # where a block edge splits a record's repeats.
+        records = latent_five(n=-(-5 * BLOCK_ROWS // (2 * r)), seed=4).records
+        n_rows = len(records) * r
+        assert r == 1 or any(edge % r for edge in range(BLOCK_ROWS, n_rows, BLOCK_ROWS))
+        for walked in (records, records[:, 2]):
+            blocks = list(_expanded_blocks(walked, r))
+            assert len(blocks) >= 3
+            assert [len(block) for block in blocks[:-1]] == [BLOCK_ROWS] * (len(blocks) - 1)
+            for k, block in enumerate(blocks):
+                rows = np.arange(k * BLOCK_ROWS, min((k + 1) * BLOCK_ROWS, n_rows))
+                assert block.dtype == np.int64
+                assert block.tobytes() == walked.take(rows // r, axis=0).tobytes()
 
     @pytest.mark.parametrize("kind", ["grr", "olh", "she"])
     def test_column_walked_alone_equals_column_in_step(self, kind):
