@@ -9,6 +9,7 @@ A change that moves a result on purpose updates its digest here and says so.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from cpl_kit.cli import main
@@ -25,12 +26,29 @@ COND = {"row_labels": ["a", "b", "c", "d", "e"], "col_labels": ["w", "x", "y", "
         "valid": [False, True, True, True, True]}
 
 
+
+
+def wide_csv() -> str:
+    """3000 seeded records over alphabets 9, 12 and 33, the second correlated
+    with the first. The first 33 records cycle through every symbol, so each
+    alphabet is complete."""
+    rng = np.random.default_rng(11)
+    n, sizes = 3000, (9, 12, 33)
+    a = np.concatenate([np.arange(33) % 9, rng.integers(0, 9, n - 33)])
+    b = np.concatenate([np.arange(33) % 12, (a[33:] + rng.integers(0, 4, n - 33)) % 12])
+    c = np.concatenate([np.arange(33), rng.integers(0, 33, n - 33)])
+    lines = ["a,b,c"] + [f"a{x},b{y},c{z}" for x, y, z in zip(a, b, c)]
+    assert [len(set(col)) for col in (a, b, c)] == list(sizes)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     assert main(["fixtures", "generate", "--out-dir", str(root / "fx"), "--seed", "1",
                  "--samples", SAMPLES, "--out", str(root / "manifest.json")]) == 0
     (root / "cond.json").write_text(json.dumps(COND), encoding="utf-8")
+    (root / "wide.csv").write_text(wide_csv(), encoding="utf-8")
     return root
 
 
@@ -54,6 +72,14 @@ GOLDEN = {
          "--r", "7", "--seed", "2"],
         "c4bf29a68e1fb55b1bb493241d43a027d44e77a58150103b05f81c050bfd13d5",
         "45fef954edf50c0e20e653c8d00b4ca7b501726a621aa8be89d7e959d81ae40a"),
+    # every kind on alphabets 9, 12 and 33, 3000 records x 23: one full block
+    # and a partial one per column. At eps 0.5 ss takes its argpartition
+    # branch (omega 3, 4 and 12), and olh hashes to g 3 and 8, below k.
+    "benchmark-utility-wide": (
+        ["benchmark", "utility", "--data", "wide.csv", "--epsilons", "0.5,2", "--r", "23",
+         "--seed", "6"],
+        "76d3162f817799f532a6922ecb6508f57652c35d53d5aff159b02cbc6eed5313",
+        "cf4ab3d45f6e4a7c601d918905d8433ba4eac19809aa13dadadd80bf11e7ef41"),
     "benchmark-analyzers-bound": (
         ["benchmark", "analyzers", "--data", "fx/mixed_five.csv", "--epsilons", "0.5,2"],
         "f0edaca3f2f2562adf7ee9323329ed1c3ad73b64f7a67d86fec4e42e70e91448",
