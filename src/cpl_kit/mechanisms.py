@@ -284,6 +284,8 @@ def _check_column(spec: MechanismSpec, column) -> None:
     kind = spec.kind
     if kind in ("rappor", "oue", "she", "ss") and np.shape(column.payload)[1:] != (spec.k,):
         raise InputError(f"{kind} payload must have one column per symbol, k = {spec.k}")
+    if kind == "she" and not np.isfinite(np.asarray(column.payload, dtype=np.float64)).all():
+        raise InputError("she payload must be finite")
     if kind in ("grr", "exp"):
         _check_symbols(column.payload, spec.k, f"{kind} payload")
     elif kind in ("blh", "olh"):
@@ -293,12 +295,14 @@ def _check_column(spec: MechanismSpec, column) -> None:
         _check_symbols(reports, spec.g, f"{kind} reports")
 
 
-def _check_symbols(values, size: int, what: str) -> None:
+def _check_symbols(values, size: int, what: str) -> np.ndarray:
+    """``values`` as an array, checked to be 1-d integer symbols in [0, size)."""
     values = np.asarray(values)
     if values.ndim != 1 or not np.issubdtype(values.dtype, np.integer):
         raise InputError(f"{what} must be a 1-d array of integer symbols")
     if values.size and (values.min() < 0 or int(values.max()) >= size):
         raise InputError(f"{what} must lie in [0, {size})")
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +313,7 @@ def _check_symbols(values, size: int, what: str) -> None:
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_HASH_BLOCK = 1 << 15  # 256 KiB per uint64 temporary
+_PIECE = 1 << 15  # elements per piece of a pass: 256 KiB per 8-byte temporary
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -328,8 +332,8 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 def _hash_bucket(values, seeds, g: int) -> np.ndarray:
     """Bucket in [0, g) of each value under its report's seed; broadcasts.
-    Works through the last axis in blocks of about ``_HASH_BLOCK`` elements,
-    so the mixing passes run on temporaries that stay in cache. Each block is
+    Works through the last axis in pieces of about ``_PIECE`` elements,
+    so the mixing passes run on temporaries that stay in cache. Each piece is
     reduced as x - (x // g) g, bit for bit x % g: numpy divides by a scalar
     through a fast path that its uint64 remainder lacks."""
     v = _mix64(np.asarray(values, dtype=np.uint64) + np.uint64(1))
@@ -338,10 +342,10 @@ def _hash_bucket(values, seeds, g: int) -> np.ndarray:
     v, s = np.broadcast_to(v, shape), np.broadcast_to(s, shape)
     x = np.empty(shape, dtype=np.uint64)
     g = np.uint64(g)
-    step = max(1, _HASH_BLOCK // max(1, math.prod(shape[:-1])))
+    step = max(1, _PIECE // max(1, math.prod(shape[:-1])))
     for lo in range(0, shape[-1], step):
-        block = np.s_[..., lo:lo + step]
-        mixed = _mix64(np.bitwise_xor(v[block], s[block], out=x[block]))
+        piece = np.s_[..., lo:lo + step]
+        mixed = _mix64(np.bitwise_xor(v[piece], s[piece], out=x[piece]))
         mixed -= mixed // g * g
     return x.view(np.int64)  # buckets are below g <= 2^63
 
@@ -350,14 +354,18 @@ def _random_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True)
 
 
-def _support_set(column: PerturbedColumn) -> np.ndarray:
+def _support_set(column: PerturbedColumn, buckets: np.ndarray | None = None) -> np.ndarray:
     """(k, N) bool mask of the input symbols each report supports: the set
-    bits for rappor/oue/ss, the hash preimage for blh/olh. Read it through
-    ``column._support``, which builds it once per column."""
+    bits for rappor/oue/ss, the hash preimage for blh/olh, whose (k, N) hash
+    table ``buckets`` is computed unless given. Read it through
+    ``column._support``, which builds it once per column; a perturbed
+    blh/olh column is built with it."""
     spec = column.spec
     if spec.kind in ("blh", "olh"):
         seeds, reports = column.payload
-        return _hash_bucket(np.arange(spec.k)[:, None], seeds[None, :], spec.g) == reports[None, :]
+        if buckets is None:
+            buckets = _hash_bucket(np.arange(spec.k)[:, None], seeds[None, :], spec.g)
+        return buckets == reports[None, :]
     return np.asarray(column.payload).T.astype(bool, order="C")
 
 
@@ -393,26 +401,33 @@ def _support_rates(spec: MechanismSpec) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 def _grr_sample(values: np.ndarray, keep_p: float, k: int, rng: np.random.Generator) -> np.ndarray:
-    keep = rng.random(values.shape) < keep_p
+    drop = rng.random(values.shape) >= keep_p
     alt = rng.integers(0, k - 1, size=values.shape)
     alt += alt >= values  # uniform over the k-1 other symbols
-    np.copyto(alt, values, where=keep)
+    # values - (values - alt) * drop, in place: arithmetic keeps the values
+    # that a copy masked by the random keep bits would mispredict on.
+    np.subtract(values, alt, out=alt)
+    alt *= drop
+    np.subtract(values, alt, out=alt)
     return alt
 
 
 def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> PerturbedColumn:
     """Perturb a full column of symbol indices under ``spec``."""
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and (values.min() < 0 or values.max() >= spec.k):
-        raise InputError("value out of range for the mechanism's domain")
+    values = _check_symbols(values, spec.k, "values")
+    return _perturb(spec, values.astype(np.int64, copy=False), rng)
+
+
+def _perturb(spec: MechanismSpec, values: np.ndarray, rng: np.random.Generator) -> PerturbedColumn:
+    """``perturb_column`` on checked int64 symbols. Each report's own entry
+    of an (N, k) or (k, N) table is addressed through one flat index."""
     n, k = values.shape[0], spec.k
     kind = spec.kind
-    rows = np.arange(n)
 
     if kind == "she":
         y = rng.laplace(0.0, 2.0 / spec.epsilon, size=(n, k))
         # Adding the one-hot in place is exact: laplace(0, b) is never -0.0.
-        y[rows, values] += 1.0
+        y.ravel()[_row_major(values, k)] += 1.0
         return PerturbedColumn(spec, y)
 
     p, q = _support_rates(spec)
@@ -423,36 +438,52 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
     if kind in ("rappor", "oue"):
         u = rng.random((n, k))
         reported = u < q
-        reported[rows, values] = u[rows, values] < p
+        own = _row_major(values, k)
+        reported.ravel()[own] = u.ravel()[own] < p
         return PerturbedColumn(spec, reported.view(np.uint8))
 
     if kind in ("blh", "olh"):
-        g = spec.g
+        # The hash of every symbol under every report's seed: the report
+        # hashes its own symbol's entry, and the support set is the entries
+        # equal to the report, so the table is hashed once for both.
         seeds = _random_seeds(rng, n)
-        reports = _grr_sample(_hash_bucket(values, seeds, g), p, g, rng)
-        return PerturbedColumn(spec, (seeds, reports))
+        buckets = _hash_bucket(np.arange(k)[:, None], seeds[None, :], spec.g)
+        reports = _grr_sample(buckets.ravel()[values * n + np.arange(n)], p, spec.g, rng)
+        column = PerturbedColumn(spec, (seeds, reports))
+        object.__setattr__(column, "_support", _support_set(column, buckets))
+        return column
 
     # ss: report a subset of size omega containing the true value w.p. p.
     omega = spec.subset_size
     members = np.zeros((n, k), dtype=bool)
+    flat = members.ravel()
     if omega == 1:
         # p = e^eps / (e^eps + k - 1) is grr's keep probability, and the one
         # member is otherwise uniform over the k - 1 other values: the report
         # is grr's, one-hot.
-        members[rows, _grr_sample(values, p, k, rng)] = True
+        flat[_row_major(_grr_sample(values, p, k, rng), k)] = True
         return PerturbedColumn(spec, members)
     include = rng.random(n) < p
     keys = rng.random((n, k))
-    keys[rows, values] = np.inf  # others ranked first
+    own = _row_major(values, k)
+    keys.ravel()[own] = np.inf  # others ranked first
     # Members are the omega - 1 lowest keys, plus the omega-th lowest when
     # the true value is left out. A partition at omega - 1 puts the
     # omega - 1 lowest first, in some order, and the omega-th lowest next,
     # the same member set a full row sort gives.
     order = np.argpartition(keys, omega - 1, axis=1)
-    members[rows[:, None], order[:, :omega - 1]] = True
-    members[rows, order[:, omega - 1]] = ~include
-    members[rows, values] = include
+    order += np.arange(0, n * k, k)[:, None]
+    flat[order[:, :omega - 1]] = True
+    flat[order[:, omega - 1]] = ~include
+    flat[own] = include
     return PerturbedColumn(spec, members)
+
+
+def _row_major(values: np.ndarray, k: int) -> np.ndarray:
+    """Flat index of entry (i, values[i]) of each row i of an (N, k) table."""
+    index = np.arange(0, values.shape[0] * k, k)
+    index += values
+    return index
 
 
 # --------------------------------------------------------------------------
@@ -465,7 +496,9 @@ def _uniform_over_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray
     k, n = mask.shape
     small = np.min_scalar_type(k)  # holds every count, pick and index
     counts = mask.sum(axis=0, dtype=small)
-    pick = np.floor(rng.random(n) * np.maximum(counts, 1)).astype(small)
+    # The product is below the count and never negative, so the truncating
+    # cast is its floor.
+    pick = (rng.random(n) * np.maximum(counts, 1)).astype(small)
     # The pick-th set entry (from 0) sits at the number of prefixes whose
     # count is at most pick.
     chosen = np.zeros(n, dtype=small)
@@ -475,22 +508,21 @@ def _uniform_over_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray
         running += row
         np.less_equal(running, pick, out=below)
         chosen += below
-    fallback = rng.integers(0, k, size=n)
-    return np.where(counts > 0, chosen, fallback)
-
-
-def _she_payload(column: PerturbedColumn) -> np.ndarray:
-    y = np.asarray(column.payload, dtype=np.float64)
-    if not np.isfinite(y).all():
-        raise InputError("she payload must be finite")
-    return y
+    symbols = rng.integers(0, k, size=n)  # the fallback
+    np.copyto(symbols, chosen, where=counts > 0)
+    return symbols
 
 
 def decode_column(spec: MechanismSpec, column: PerturbedColumn,
                   rng: np.random.Generator) -> np.ndarray:
     """Decode a perturbed column into symbol indices."""
     _check_column(spec, column)
-    kind = spec.kind
+    return _decode(column, rng)
+
+
+def _decode(column: PerturbedColumn, rng: np.random.Generator) -> np.ndarray:
+    """``decode_column`` on a checked column."""
+    kind = column.spec.kind
 
     if kind in ("grr", "exp"):
         # Output domain equals input domain: take the report as the value.
@@ -505,9 +537,17 @@ def decode_column(spec: MechanismSpec, column: PerturbedColumn,
     # ||y - onehot(v)||_1 = sum|y| + 1 - 2 clip(y_v, 0, 1), so the posterior
     # under a uniform prior ranks symbols by clip(y_v, 0, 1). clip is exact,
     # so the ties are exactly those of exact arithmetic. Scores are
-    # symbol-major, (k, N), so the max and the draw run as k passes over N.
-    scores = np.clip(_she_payload(column).T, 0.0, 1.0, order="C")
-    return _uniform_over_mask(scores == scores.max(axis=0), rng)
+    # symbol-major, (k, N), so the max and the draw run as k passes over N;
+    # they are clipped a piece of reports at a time, so the (k, N) floats
+    # never exist at once.
+    y = np.asarray(column.payload, dtype=np.float64)
+    n, k = y.shape
+    top = np.empty((k, n), dtype=bool)
+    step = max(1, _PIECE // k)
+    for lo in range(0, n, step):
+        scores = np.clip(y[lo:lo + step].T, 0.0, 1.0, order="C")
+        np.equal(scores, scores.max(axis=0), out=top[:, lo:lo + step])
+    return _uniform_over_mask(top, rng)
 
 
 # --------------------------------------------------------------------------
@@ -519,8 +559,14 @@ def support_counts(spec: MechanismSpec, column: PerturbedColumn) -> np.ndarray:
     report vectors. Counts of row slices of a column add up to the counts of
     the whole column, so a column can be counted in pieces."""
     _check_column(spec, column)
+    return _support_counts(column)
+
+
+def _support_counts(column: PerturbedColumn) -> np.ndarray:
+    """``support_counts`` of a checked column."""
+    spec = column.spec
     if spec.kind == "she":
-        return _she_payload(column).sum(axis=0)
+        return np.asarray(column.payload, dtype=np.float64).sum(axis=0)
     if spec.kind in ("grr", "exp"):
         return np.bincount(np.asarray(column.payload), minlength=spec.k)
     return np.count_nonzero(column._support, axis=1)

@@ -32,7 +32,7 @@ import numpy as np
 from .cpl_exact import _output_ratios
 from .data_model import Dataset
 from .errors import InputError, InsufficientDataError
-from .mechanisms import MechanismSpec, decode_column, perturb_column, support_counts
+from .mechanisms import MechanismSpec, _decode, _perturb, _support_counts
 from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, derive_rng
 
 #: Refuse joint neighbor alphabets larger than this many cells.
@@ -94,10 +94,23 @@ def _check_specs(d: Dataset, specs, attrs) -> None:
 
 def _expanded_blocks(records: np.ndarray, r: int):
     """Walk ``records`` expanded by ``r``, whose row i is record i // r, in
-    blocks of ``BLOCK_ROWS`` rows without building it."""
+    blocks of ``BLOCK_ROWS`` rows without building it. Each block is a new
+    array, filled by three broadcasts: the last repeats of the record that
+    a block edge splits, the records whose r repeats all fall in the block,
+    and the first repeats of the record that the next edge splits."""
     n_rows = len(records) * r
     for start in range(0, n_rows, BLOCK_ROWS):
-        yield records.take(np.arange(start, min(start + BLOCK_ROWS, n_rows)) // r, axis=0)
+        stop = min(start + BLOCK_ROWS, n_rows)
+        block = np.empty((stop - start, *records.shape[1:]), dtype=records.dtype)
+        lo, hi = -(-start // r), stop // r  # the records wholly in the block
+        head = min(lo * r, stop) - start
+        whole = max(hi - lo, 0) * r
+        if head:
+            block[:head] = records[lo - 1]
+        block[head:head + whole].reshape(-1, r, *records.shape[1:])[...] = records[lo:hi, None]
+        if head + whole < len(block):
+            block[head + whole:] = records[hi]
+        yield block
 
 
 def _decoded_column(spec: MechanismSpec, values: np.ndarray, r: int, seed: int,
@@ -112,8 +125,8 @@ def _decoded_column(spec: MechanismSpec, values: np.ndarray, r: int, seed: int,
     decode_rng = derive_rng(seed, STAGE_DECODE, *key, j)
 
     def stats(block):
-        col = perturb_column(spec, block, perturb_rng)
-        return block, support_counts(spec, col), decode_column(spec, col, decode_rng)
+        col = _perturb(spec, block, perturb_rng)
+        return block, _support_counts(col), _decode(col, decode_rng)
 
     return map(stats, _expanded_blocks(values, r))
 

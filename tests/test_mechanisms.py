@@ -202,8 +202,20 @@ class TestPerturbLaw:
         assert low.tobytes() != high.tobytes()
 
     def test_out_of_range_value_rejected(self):
-        with pytest.raises(InputError, match="out of range"):
+        with pytest.raises(InputError, match="must lie in"):
             perturb_column(spec_for("grr"), np.array([4]), derive_rng(0, 0))
+
+    def test_fractional_values_rejected_not_truncated(self):
+        with pytest.raises(InputError, match="integer symbols"):
+            perturb_column(spec_for("grr"), [0.7, 3.9, 2.2], derive_rng(0, 0))
+
+    def test_two_dimensional_values_rejected(self):
+        with pytest.raises(InputError, match="1-d"):
+            perturb_column(spec_for("oue"), np.array([[0, 1], [2, 3]]), derive_rng(0, 0))
+
+    def test_nan_value_rejected(self):
+        with pytest.raises(InputError, match="integer symbols"):
+            perturb_column(spec_for("she"), [0.0, math.nan, 1.0], derive_rng(0, 0))
 
 
 class TestDecode:
@@ -601,10 +613,11 @@ class TestBitIdenticalToRowMajorKernels:
 
     @pytest.mark.parametrize("kind", SUPPORT_KINDS)
     def test_support_set_built_once_per_column(self, kind, monkeypatch):
+        # blh/olh build it in perturbation, from the hash table they share
         built = []
         real = mechanisms._support_set
         monkeypatch.setattr(mechanisms, "_support_set",
-                            lambda column: built.append(column) or real(column))
+                            lambda column, *args: built.append(column) or real(column, *args))
         spec = spec_for(kind, epsilon=1.0, k=4)
         col = perturb_column(spec, np.arange(4).repeat(10), derive_rng(20, 0))
         decode_column(spec, col, derive_rng(20, 1))
