@@ -50,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -259,11 +259,14 @@ class PerturbedColumn:
     (N, k) bit matrix; blh/olh -> (seeds, reports) arrays; she -> (N, k)
     reals; ss -> (N, k) subset membership mask. Treat the payload as
     read-only: the first decode or estimate caches the support set built
-    from it.
+    from it, and the spec that the payload was last checked against.
     """
 
     spec: MechanismSpec
     payload: object
+    #: The spec whose payload checks this column passed; a column from
+    #: ``perturb_column`` is valid by construction.
+    _checked: MechanismSpec | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         if self.spec.kind in ("blh", "olh"):
@@ -277,10 +280,13 @@ class PerturbedColumn:
 
 
 def _check_column(spec: MechanismSpec, column) -> None:
+    """Check ``column`` against ``spec``; its payload once per spec."""
     if not isinstance(column, PerturbedColumn):
         raise InputError("expected a PerturbedColumn")
     if column.spec.kind != spec.kind or column.spec.k != spec.k:
         raise InputError("column was produced by a different mechanism spec")
+    if column._checked == spec:
+        return
     kind = spec.kind
     if kind in ("rappor", "oue", "she", "ss") and np.shape(column.payload)[1:] != (spec.k,):
         raise InputError(f"{kind} payload must have one column per symbol, k = {spec.k}")
@@ -293,6 +299,7 @@ def _check_column(spec: MechanismSpec, column) -> None:
         if np.shape(seeds) != np.shape(reports):
             raise InputError(f"{kind} seeds and reports must have equal length")
         _check_symbols(reports, spec.g, f"{kind} reports")
+    object.__setattr__(column, "_checked", spec)
 
 
 def _check_symbols(values, size: int, what: str) -> np.ndarray:
@@ -414,33 +421,29 @@ def _grr_sample(values: np.ndarray, keep_p: float, k: int, rng: np.random.Genera
 
 def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> PerturbedColumn:
     """Perturb a full column of symbol indices under ``spec``."""
-    values = _check_symbols(values, spec.k, "values")
-    return _perturb(spec, values.astype(np.int64, copy=False), rng)
-
-
-def _perturb(spec: MechanismSpec, values: np.ndarray, rng: np.random.Generator) -> PerturbedColumn:
-    """``perturb_column`` on checked int64 symbols. Each report's own entry
-    of an (N, k) or (k, N) table is addressed through one flat index."""
+    values = _check_symbols(values, spec.k, "values").astype(np.int64, copy=False)
     n, k = values.shape[0], spec.k
     kind = spec.kind
+    # Each report's own entry of an (N, k) or (k, N) table is addressed
+    # through one flat index.
 
     if kind == "she":
         y = rng.laplace(0.0, 2.0 / spec.epsilon, size=(n, k))
         # Adding the one-hot in place is exact: laplace(0, b) is never -0.0.
         y.ravel()[_row_major(values, k)] += 1.0
-        return PerturbedColumn(spec, y)
+        return _reported(spec, y)
 
     p, q = _support_rates(spec)
 
     if kind in ("grr", "exp"):
-        return PerturbedColumn(spec, _grr_sample(values, p, k, rng))
+        return _reported(spec, _grr_sample(values, p, k, rng))
 
     if kind in ("rappor", "oue"):
         u = rng.random((n, k))
         reported = u < q
         own = _row_major(values, k)
         reported.ravel()[own] = u.ravel()[own] < p
-        return PerturbedColumn(spec, reported.view(np.uint8))
+        return _reported(spec, reported.view(np.uint8))
 
     if kind in ("blh", "olh"):
         # The hash of every symbol under every report's seed: the report
@@ -449,7 +452,7 @@ def _perturb(spec: MechanismSpec, values: np.ndarray, rng: np.random.Generator) 
         seeds = _random_seeds(rng, n)
         buckets = _hash_bucket(np.arange(k)[:, None], seeds[None, :], spec.g)
         reports = _grr_sample(buckets.ravel()[values * n + np.arange(n)], p, spec.g, rng)
-        column = PerturbedColumn(spec, (seeds, reports))
+        column = _reported(spec, (seeds, reports))
         object.__setattr__(column, "_support", _support_set(column, buckets))
         return column
 
@@ -462,7 +465,7 @@ def _perturb(spec: MechanismSpec, values: np.ndarray, rng: np.random.Generator) 
         # member is otherwise uniform over the k - 1 other values: the report
         # is grr's, one-hot.
         flat[_row_major(_grr_sample(values, p, k, rng), k)] = True
-        return PerturbedColumn(spec, members)
+        return _reported(spec, members)
     include = rng.random(n) < p
     keys = rng.random((n, k))
     own = _row_major(values, k)
@@ -476,7 +479,14 @@ def _perturb(spec: MechanismSpec, values: np.ndarray, rng: np.random.Generator) 
     flat[order[:, :omega - 1]] = True
     flat[order[:, omega - 1]] = ~include
     flat[own] = include
-    return PerturbedColumn(spec, members)
+    return _reported(spec, members)
+
+
+def _reported(spec: MechanismSpec, payload) -> PerturbedColumn:
+    """A column of ``perturb_column``'s, whose payload needs no check."""
+    column = PerturbedColumn(spec, payload)
+    object.__setattr__(column, "_checked", spec)
+    return column
 
 
 def _row_major(values: np.ndarray, k: int) -> np.ndarray:
@@ -508,8 +518,11 @@ def _uniform_over_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray
         running += row
         np.less_equal(running, pick, out=below)
         chosen += below
+    # chosen + (fallback - chosen) * empty, in place and without a branch
     symbols = rng.integers(0, k, size=n)  # the fallback
-    np.copyto(symbols, chosen, where=counts > 0)
+    np.subtract(symbols, chosen, out=symbols)
+    symbols *= counts == 0
+    symbols += chosen
     return symbols
 
 
@@ -517,12 +530,7 @@ def decode_column(spec: MechanismSpec, column: PerturbedColumn,
                   rng: np.random.Generator) -> np.ndarray:
     """Decode a perturbed column into symbol indices."""
     _check_column(spec, column)
-    return _decode(column, rng)
-
-
-def _decode(column: PerturbedColumn, rng: np.random.Generator) -> np.ndarray:
-    """``decode_column`` on a checked column."""
-    kind = column.spec.kind
+    kind = spec.kind
 
     if kind in ("grr", "exp"):
         # Output domain equals input domain: take the report as the value.
@@ -559,17 +567,12 @@ def support_counts(spec: MechanismSpec, column: PerturbedColumn) -> np.ndarray:
     report vectors. Counts of row slices of a column add up to the counts of
     the whole column, so a column can be counted in pieces."""
     _check_column(spec, column)
-    return _support_counts(column)
-
-
-def _support_counts(column: PerturbedColumn) -> np.ndarray:
-    """``support_counts`` of a checked column."""
-    spec = column.spec
     if spec.kind == "she":
         return np.asarray(column.payload, dtype=np.float64).sum(axis=0)
     if spec.kind in ("grr", "exp"):
         return np.bincount(np.asarray(column.payload), minlength=spec.k)
-    return np.count_nonzero(column._support, axis=1)
+    # One count per symbol's row: a count along axis 1 casts every entry.
+    return np.fromiter(map(np.count_nonzero, column._support), dtype=np.intp, count=spec.k)
 
 
 def debias_counts(spec: MechanismSpec, counts, n: int) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from .cpl_exact import _output_ratios
 from .data_model import Dataset
 from .errors import InputError, InsufficientDataError
-from .mechanisms import MechanismSpec, _decode, _perturb, _support_counts
+from .mechanisms import MechanismSpec, decode_column, perturb_column, support_counts
 from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, derive_rng
 
 #: Refuse joint neighbor alphabets larger than this many cells.
@@ -125,8 +125,8 @@ def _decoded_column(spec: MechanismSpec, values: np.ndarray, r: int, seed: int,
     decode_rng = derive_rng(seed, STAGE_DECODE, *key, j)
 
     def stats(block):
-        col = _perturb(spec, block, perturb_rng)
-        return block, _support_counts(col), _decode(col, decode_rng)
+        col = perturb_column(spec, block, perturb_rng)
+        return block, support_counts(spec, col), decode_column(spec, col, decode_rng)
 
     return map(stats, _expanded_blocks(values, r))
 
