@@ -62,6 +62,15 @@ def _float_list(text: str) -> list[float]:
     return _number_list(text, float, "number list")
 
 
+def _kind_list(text: str) -> list[str]:
+    """Comma-separated mechanism kinds; blank entries are skipped, as in
+    ``_number_list``, and an empty list is an ``InputError``."""
+    kinds = [x for x in text.split(",") if x != ""]
+    if not kinds:
+        raise InputError("mechanism list must name at least one kind")
+    return kinds
+
+
 def _jsonable(x):
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
@@ -230,7 +239,7 @@ def _cmd_benchmark_utility(args) -> dict:
     from .benchmarks import utility_benchmark
 
     d = load_csv(args.data)
-    rows = utility_benchmark(d, args.mechanisms.split(","), _float_list(args.epsilons),
+    rows = utility_benchmark(d, _kind_list(args.mechanisms), _float_list(args.epsilons),
                              args.r, args.seed)
     return {"rows": [{
         "mechanism": r.mechanism, "epsilon": r.epsilon,

@@ -95,21 +95,20 @@ def _check_specs(d: Dataset, specs, attrs) -> None:
 def _expanded_blocks(records: np.ndarray, r: int):
     """Walk ``records`` expanded by ``r``, whose row i is record i // r, in
     blocks of ``BLOCK_ROWS`` rows without building it. Each block is a new
-    array, filled by three broadcasts: the last repeats of the record that
-    a block edge splits, the records whose r repeats all fall in the block,
-    and the first repeats of the record that the next edge splits."""
+    array, filled by three broadcasts: the repeats of its first record, the
+    r repeats of each record in between and the repeats of its last."""
     n_rows = len(records) * r
     for start in range(0, n_rows, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n_rows)
         block = np.empty((stop - start, *records.shape[1:]), dtype=records.dtype)
-        lo, hi = -(-start // r), stop // r  # the records wholly in the block
-        head = min(lo * r, stop) - start
-        whole = max(hi - lo, 0) * r
-        if head:
-            block[:head] = records[lo - 1]
-        block[head:head + whole].reshape(-1, r, *records.shape[1:])[...] = records[lo:hi, None]
-        if head + whole < len(block):
-            block[head + whole:] = records[hi]
+        first, last = start // r, (stop - 1) // r
+        # Where the first record's repeats end and the last's begin; the
+        # slices stop at the block's end, and with one record both do.
+        head = (first + 1) * r - start
+        body = max(last * r - start, head)
+        block[:head] = records[first]
+        block[head:body].reshape(-1, r, *records.shape[1:])[...] = records[first + 1:last, None]
+        block[body:] = records[last]
         yield block
 
 

@@ -1,3 +1,9 @@
+import sys
+
+# A test run leaves no __pycache__ in the checkout: a stale cache would
+# change the start-up time that a benchmark of the checkout measures.
+sys.dont_write_bytecode = True
+
 import functools
 import math
 

@@ -177,6 +177,18 @@ class TestBenchmarks:
         assert grr_rows[1.0]["norm_tcpl"] == pytest.approx(1.0, abs=0.1)
         assert grr_rows[3.0]["freq_nmse"] <= grr_rows[1.0]["freq_nmse"]
 
+    def test_blank_mechanism_entries_skipped(self, capsys, workdir):
+        # as in every number list: "grr," is "grr", not an unknown kind ''
+        results = []
+        for kinds in ("grr,", "grr", ",grr,,"):
+            code, out, _ = run(capsys, ["benchmark", "utility", "--data",
+                                        str(workdir / "fx" / "noisy_copy.csv"),
+                                        "--mechanisms", kinds, "--epsilons", "1", "--r", "1"])
+            assert code == 0
+            results.append(payload(out)["result"])
+        assert results[0] == results[1] == results[2]
+        assert [row["mechanism"] for row in results[0]["rows"]] == ["grr"]
+
 
 class TestCalibrate:
     def test_independent_recovers_budget(self, capsys, workdir):
@@ -543,6 +555,8 @@ class TestErrors:
         ["benchmark", "analyzers", "--data", "fx/maxleak_pair.csv", "--thresholds", "0.2,x"],
         ["benchmark", "utility", "--data", "fx/maxleak_pair.csv", "--epsilons", ""],
         ["benchmark", "utility", "--data", "fx/maxleak_pair.csv", "--epsilons", ","],
+        ["benchmark", "utility", "--data", "fx/maxleak_pair.csv", "--mechanisms", ""],
+        ["benchmark", "utility", "--data", "fx/maxleak_pair.csv", "--mechanisms", ",,"],
         *(["fixtures", "generate", "--out-dir", "fx/out", "--samples", samples]
           for samples in ("maxleak_pair=abc", "maxleak_pair=-3", "maxleak_pair",
                           "nope=10", "maxleak_pair=0", "maxleak_pair=10,weak_ten=0")),
@@ -573,7 +587,8 @@ class TestErrors:
 def fresh_interpreter(script: str, *args: str) -> str:
     """Stdout of ``script`` run by a new interpreter that imports this cpl_kit."""
     src = str(Path(cpl_kit.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-B", "-c", script, *args], capture_output=True,
+                          text=True,
                           env={**os.environ, "PYTHONPATH": src},
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

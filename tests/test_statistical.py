@@ -386,20 +386,25 @@ class TestEstimateCpl:
         with pytest.raises(InputError, match="distinct"):
             estimate_cpl(d, specs, 0, neighbors, cfg)
 
-    @pytest.mark.parametrize("r", [1, 3, BLOCK_ROWS + 5])
+    # r 4 puts every block edge on a record edge, r BLOCK_ROWS makes each
+    # block one record, and r 2 BLOCK_ROWS + 1 spreads a record over blocks
+    @pytest.mark.parametrize("r", [1, 3, 4, BLOCK_ROWS, BLOCK_ROWS + 5, 2 * BLOCK_ROWS + 1])
     def test_blocks_concatenate_to_the_expanded_records(self, r):
         d = four_records_pair()
-        assert d.n_records * r % BLOCK_ROWS != 0
-        blocks = list(_expanded_blocks(d.records, r))
-        assert max(len(block) for block in blocks) <= BLOCK_ROWS
-        np.testing.assert_array_equal(np.concatenate(blocks), np.repeat(d.records, r, axis=0))
+        # the four records, and a one-record dataset walked whole and as a column
+        for walked in (d.records, d.records[:1], d.records[:1, 1]):
+            blocks = list(_expanded_blocks(walked, r))
+            assert max(len(block) for block in blocks) <= BLOCK_ROWS
+            np.testing.assert_array_equal(np.concatenate(blocks), np.repeat(walked, r, axis=0))
         # About 2.5 blocks' worth of records, walked whole and as one column:
         # every block but the last is full, and each holds the bytes of the
         # int64 gather of its rows' records, row i being record i // r, also
-        # where a block edge splits a record's repeats.
+        # where a block edge splits a record's repeats, as one does unless r
+        # divides BLOCK_ROWS.
         records = latent_five(n=-(-5 * BLOCK_ROWS // (2 * r)), seed=4).records
         n_rows = len(records) * r
-        assert r == 1 or any(edge % r for edge in range(BLOCK_ROWS, n_rows, BLOCK_ROWS))
+        split = [edge for edge in range(BLOCK_ROWS, n_rows, BLOCK_ROWS) if edge % r]
+        assert bool(split) == bool(BLOCK_ROWS % r)
         for walked in (records, records[:, 2]):
             blocks = list(_expanded_blocks(walked, r))
             assert len(blocks) >= 3
