@@ -39,8 +39,15 @@ the per-symbol support counts with the rates from ``_support_rates``. The
 support set is held symbol-major, as a (k, N) mask, so every per-report
 reduction runs as k vector passes over the N reports instead of N short
 rows; it is computed once per column and shared by decode and estimate.
+blh/olh hash every symbol under every report's seed once per column, in
+perturbation: the report is drawn from its own symbol's hash, and the
+support set is the hashes equal to the report.
 ``she`` decodes to its posterior argmax and breaks ties with the same
 uniform draw over a (k, N) mask of the top-scoring symbols.
+
+A column checks its payload once per spec, and a column that
+``perturb_column`` built needs no check, so decoding and counting a fresh
+column make no pass over it beyond their own.
 
 Perturbation and decoding take an explicit generator so callers own
 determinism; everything here is pure given the stream.
@@ -411,8 +418,9 @@ def _grr_sample(values: np.ndarray, keep_p: float, k: int, rng: np.random.Genera
     drop = rng.random(values.shape) >= keep_p
     alt = rng.integers(0, k - 1, size=values.shape)
     alt += alt >= values  # uniform over the k-1 other symbols
-    # values - (values - alt) * drop, in place: arithmetic keeps the values
-    # that a copy masked by the random keep bits would mispredict on.
+    # Kept reports take their values as values - (values - alt) * drop, in
+    # place: a copy masked by the random keep bits mispredicts a branch on
+    # about every other report.
     np.subtract(values, alt, out=alt)
     alt *= drop
     np.subtract(values, alt, out=alt)
@@ -424,8 +432,6 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
     values = _check_symbols(values, spec.k, "values").astype(np.int64, copy=False)
     n, k = values.shape[0], spec.k
     kind = spec.kind
-    # Each report's own entry of an (N, k) or (k, N) table is addressed
-    # through one flat index.
 
     if kind == "she":
         y = rng.laplace(0.0, 2.0 / spec.epsilon, size=(n, k))
@@ -446,9 +452,9 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
         return _reported(spec, reported.view(np.uint8))
 
     if kind in ("blh", "olh"):
-        # The hash of every symbol under every report's seed: the report
-        # hashes its own symbol's entry, and the support set is the entries
-        # equal to the report, so the table is hashed once for both.
+        # The (k, N) hash of every symbol under every report's seed, once
+        # for both uses: each report perturbs its own symbol's entry, found
+        # by one flat index, and the support set is the entries equal to it.
         seeds = _random_seeds(rng, n)
         buckets = _hash_bucket(np.arange(k)[:, None], seeds[None, :], spec.g)
         reports = _grr_sample(buckets.ravel()[values * n + np.arange(n)], p, spec.g, rng)
@@ -490,7 +496,8 @@ def _reported(spec: MechanismSpec, payload) -> PerturbedColumn:
 
 
 def _row_major(values: np.ndarray, k: int) -> np.ndarray:
-    """Flat index of entry (i, values[i]) of each row i of an (N, k) table."""
+    """Flat index of entry (i, values[i]) of each row i of an (N, k) table:
+    one index, where a pair of row and column indices costs two."""
     index = np.arange(0, values.shape[0] * k, k)
     index += values
     return index
@@ -568,7 +575,11 @@ def support_counts(spec: MechanismSpec, column: PerturbedColumn) -> np.ndarray:
     the whole column, so a column can be counted in pieces."""
     _check_column(spec, column)
     if spec.kind == "she":
-        return np.asarray(column.payload, dtype=np.float64).sum(axis=0)
+        y = np.asarray(column.payload, dtype=np.float64)
+        # Over two or more columns, einsum adds the rows in order, as
+        # sum(axis=0) does, at a fraction of its cost per row; one column
+        # both sum pairwise, but not alike.
+        return y.sum(axis=0) if spec.k == 1 else np.einsum("ij->j", y)
     if spec.kind in ("grr", "exp"):
         return np.bincount(np.asarray(column.payload), minlength=spec.k)
     # One count per symbol's row: a count along axis 1 casts every entry.

@@ -646,6 +646,15 @@ class TestBitIdenticalToRowMajorKernels:
             assert_bitwise(mechanisms._hash_bucket(values, seeds, g),
                            ref_hash_bucket(values, seeds, g))
 
+    def test_she_counts_add_rows_in_order(self):
+        # the estimate clips a one-symbol column to [1.0], so only the counts
+        # show how its rows were added
+        for spec in grid_specs("she"):
+            seed = (27, spec.k, int(spec.epsilon * 10))
+            values = derive_rng(*seed, 0).integers(0, spec.k, 3000)
+            col = perturb_column(spec, values, derive_rng(*seed, 1))
+            assert_bitwise(support_counts(spec, col), col.payload.sum(axis=0))
+
     def test_ss_with_one_member_is_one_hot_grr(self):
         for spec in grid_specs("ss"):
             if spec.subset_size != 1:
