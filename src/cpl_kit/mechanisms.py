@@ -266,7 +266,7 @@ class PerturbedColumn:
     (N, k) bit matrix; blh/olh -> (seeds, reports) arrays; she -> (N, k)
     reals; ss -> (N, k) subset membership mask. Treat the payload as
     read-only: the first decode or estimate caches the support set built
-    from it, and the spec that the payload was last checked against.
+    from it, and a check records the spec that the payload passed.
     """
 
     spec: MechanismSpec
@@ -419,8 +419,8 @@ def _grr_sample(values: np.ndarray, keep_p: float, k: int, rng: np.random.Genera
     alt = rng.integers(0, k - 1, size=values.shape)
     alt += alt >= values  # uniform over the k-1 other symbols
     # Kept reports take their values as values - (values - alt) * drop, in
-    # place: a copy masked by the random keep bits mispredicts a branch on
-    # about every other report.
+    # place and with no branch per report, which a copy masked by the
+    # random keep bits would mispredict.
     np.subtract(values, alt, out=alt)
     alt *= drop
     np.subtract(values, alt, out=alt)

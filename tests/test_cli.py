@@ -588,9 +588,7 @@ def fresh_interpreter(script: str, *args: str) -> str:
     """Stdout of ``script`` run by a new interpreter that imports this cpl_kit."""
     src = str(Path(cpl_kit.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-B", "-c", script, *args], capture_output=True,
-                          text=True,
-                          env={**os.environ, "PYTHONPATH": src},
-                          timeout=120)
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

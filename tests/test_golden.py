@@ -26,8 +26,6 @@ COND = {"row_labels": ["a", "b", "c", "d", "e"], "col_labels": ["w", "x", "y", "
         "valid": [False, True, True, True, True]}
 
 
-
-
 def wide_csv() -> str:
     """3000 seeded records over alphabets 9, 12 and 33, the second correlated
     with the first. The first 33 records cycle through every symbol, so each

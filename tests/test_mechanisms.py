@@ -205,17 +205,13 @@ class TestPerturbLaw:
         with pytest.raises(InputError, match="must lie in"):
             perturb_column(spec_for("grr"), np.array([4]), derive_rng(0, 0))
 
-    def test_fractional_values_rejected_not_truncated(self):
-        with pytest.raises(InputError, match="integer symbols"):
-            perturb_column(spec_for("grr"), [0.7, 3.9, 2.2], derive_rng(0, 0))
-
-    def test_two_dimensional_values_rejected(self):
-        with pytest.raises(InputError, match="1-d"):
-            perturb_column(spec_for("oue"), np.array([[0, 1], [2, 3]]), derive_rng(0, 0))
-
-    def test_nan_value_rejected(self):
-        with pytest.raises(InputError, match="integer symbols"):
-            perturb_column(spec_for("she"), [0.0, math.nan, 1.0], derive_rng(0, 0))
+    # fractions were truncated, a 2-d column perturbed, and NaN a ValueError
+    @pytest.mark.parametrize("kind, values", [
+        ("grr", [0.7, 3.9, 2.2]), ("oue", [[0, 1], [2, 3]]), ("she", [0.0, math.nan, 1.0]),
+    ], ids=["fractions", "2-d", "nan"])
+    def test_values_that_are_not_symbols_rejected(self, kind, values):
+        with pytest.raises(InputError, match="1-d array of integer symbols"):
+            perturb_column(spec_for(kind), values, derive_rng(0, 0))
 
 
 class TestDecode:
