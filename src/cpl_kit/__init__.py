@@ -14,11 +14,28 @@ modules are imported on first use, so that a command loads only the modules
 it runs. ``cpl_bound`` and ``cpl_exact`` are imported here: each function
 shares its module's name, and importing the module later would rebind the
 package attribute to the module.
+
+A cpl-kit process runs no BLAS worker thread. numpy's OpenBLAS starts one
+worker per extra CPU when it loads, and each spins for about 0.1 s of CPU
+before it sleeps, yet no matrix product here is large enough to hand work to
+it. So, unless the caller has set ``OPENBLAS_NUM_THREADS`` or numpy is
+already loaded, numpy is first imported here under ``OPENBLAS_NUM_THREADS=1``,
+which OpenBLAS reads once at load; the variable is then removed again, so the
+caller's environment and any child process are left as they were.
 """
 
 __version__ = "0.1.0"
 
+import os
+import sys
 from importlib import import_module
+
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .cpl_bound import BoundedCplResult, BudgetParams, cpl_bound
 from .cpl_exact import ExactCplResult, cpl_exact

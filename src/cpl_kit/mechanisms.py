@@ -348,19 +348,24 @@ def _hash_bucket(values, seeds, g: int) -> np.ndarray:
     """Bucket in [0, g) of each value under its report's seed; broadcasts.
     Works through the last axis in pieces of about ``_PIECE`` elements,
     so the mixing passes run on temporaries that stay in cache. Each piece is
-    reduced as x - (x // g) g, bit for bit x % g: numpy divides by a scalar
-    through a fast path that its uint64 remainder lacks."""
+    reduced bit for bit to x % g: by one ``&`` with g - 1 when g is a power of
+    two, else as x - (x // g) g, since numpy divides by a scalar through a
+    fast path that its uint64 remainder lacks."""
     v = _mix64(np.asarray(values, dtype=np.uint64) + np.uint64(1))
     s = np.asarray(seeds, dtype=np.uint64)
     shape = np.broadcast_shapes(v.shape, s.shape)
     v, s = np.broadcast_to(v, shape), np.broadcast_to(s, shape)
     x = np.empty(shape, dtype=np.uint64)
+    mask = np.uint64(g - 1) if g & (g - 1) == 0 else None
     g = np.uint64(g)
     step = max(1, _PIECE // max(1, math.prod(shape[:-1])))
     for lo in range(0, shape[-1], step):
         piece = np.s_[..., lo:lo + step]
         mixed = _mix64(np.bitwise_xor(v[piece], s[piece], out=x[piece]))
-        mixed -= mixed // g * g
+        if mask is None:
+            mixed -= mixed // g * g
+        else:
+            mixed &= mask
     return x.view(np.int64)  # buckets are below g <= 2^63
 
 

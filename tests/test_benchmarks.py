@@ -1,6 +1,7 @@
 # utility_benchmark imports this lazily; importing it here keeps that import
 # out of the tracemalloc windows below.
 import concurrent.futures  # noqa: F401
+import math
 import os
 import sys
 import tracemalloc
@@ -243,6 +244,26 @@ class TestUtilityBenchmark:
         # channel at eps_eff = ln(3a/(1-a)) = 0.580. Its exact tcpl' on this
         # data is 0.953 against tcpl* 1.649, so norm_tcpl = 0.578.
         assert rows["rappor"] == pytest.approx(0.578, abs=5e-4)
+
+    @pytest.mark.parametrize("make", [lambda: mixed_five(n=40_000, seed=0),
+                                      lambda: noisy_copy(n=10_000, seed=2, k=33)],
+                             ids=["mixed_five", "noisy_copy_k33"])
+    def test_zero_one_error_matches_the_decoded_keep_probability(self, make):
+        # Decoding keeps the true symbol with probability a_j, whatever that
+        # symbol is, so attribute j's mismatches are Binomial(N, 1 - a_j) over
+        # the N expanded rows: E = mean_j (1 - a_j) and
+        # Var = sum_j N a_j (1 - a_j) / (N m)^2. k 33 adds ss with several
+        # members and olh with g < k.
+        d, r = make(), 5
+        sizes = [d.alphabet(j).size for j in range(d.n_attributes)]
+        n_rows, m = d.n_records * r, len(sizes)
+        for row in utility_benchmark(d, list(KINDS), [0.5, 1.0, 3.0], r, 7):
+            keep = [MechanismSpec(row.mechanism, row.epsilon, k).keep_probability()
+                    for k in sizes]
+            expected = sum(1 - a for a in keep) / m
+            sd = math.sqrt(sum(n_rows * a * (1 - a) for a in keep)) / (n_rows * m)
+            z = (row.report.zero_one_error - expected) / sd
+            assert abs(z) <= 5, (row.mechanism, row.epsilon, z)
 
     def test_leakage_tables_built_once_per_engine(self, monkeypatch):
         built = []

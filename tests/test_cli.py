@@ -584,18 +584,24 @@ class TestErrors:
         assert json.loads(err)["error"]["type"] == "InfeasibleBudgetError"
 
 
-def fresh_interpreter(script: str, *args: str) -> str:
-    """Stdout of ``script`` run by a new interpreter that imports this cpl_kit."""
+def fresh_interpreter(script: str, *args: str, env: dict | None = None) -> str:
+    """Stdout of ``script`` run by a new interpreter that imports this cpl_kit.
+    ``env`` overrides the child's environment. Unless it sets
+    ``OPENBLAS_NUM_THREADS``, the child gets none, so the shell that runs the
+    tests cannot decide how many BLAS threads the child starts."""
     src = str(Path(cpl_kit.__file__).resolve().parent.parent)
+    child = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    child.update(env or {}, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-B", "-c", script, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+                          text=True, env=child, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 class TestImports:
-    """A command loads only the modules it runs, and the package's lazily
-    imported names resolve as the eager ones do."""
+    """A command loads only the modules it runs, the package's lazily
+    imported names resolve as the eager ones do, and importing the package
+    starts no BLAS worker thread and leaves the environment as it was."""
 
     RUN = """
 import contextlib, io, json, sys
@@ -645,3 +651,44 @@ else:
 print("ok")
 """
         assert fresh_interpreter(script) == "ok\n"
+
+    def test_import_leaves_the_environment_as_it_was(self):
+        script = """
+import os
+before = dict(os.environ)
+import cpl_kit
+assert dict(os.environ) == before
+print("OPENBLAS_NUM_THREADS" in os.environ)
+"""
+        assert fresh_interpreter(script) == "False\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+    def test_import_starts_no_blas_thread(self):
+        script = "import os, cpl_kit; print(len(os.listdir('/proc/self/task')))"
+        assert fresh_interpreter(script) == "1\n"
+
+    def test_caller_blas_thread_count_is_kept(self):
+        script = "import os, cpl_kit; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert fresh_interpreter(script, env={"OPENBLAS_NUM_THREADS": "2"}) == "2\n"
+
+    RESULT = """
+import contextlib, io, json, sys
+from cpl_kit.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(sys.argv[1:]) == 0
+envelope = json.loads(out.getvalue())
+print(json.dumps([envelope["result"], envelope["manifest"]["config_digest"]], sort_keys=True))
+"""
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--data", "weak_ten.csv", "--budget", "10", "--step", "0.01",
+         "--engine", "exact-grr"],
+        ["analyze", "matrix", "--data", "latent_five.csv", "--mechanism", "grr",
+         "--epsilon", "1"],
+    ], ids=["calibrate-exact-grr", "analyze-matrix"])
+    def test_results_do_not_depend_on_blas_threads(self, workdir, argv):
+        argv = [str(workdir / "fx" / a) if a.endswith(".csv") else a for a in argv]
+        one, two = (fresh_interpreter(self.RESULT, *argv, env={"OPENBLAS_NUM_THREADS": n})
+                    for n in ("1", "2"))
+        assert one == two

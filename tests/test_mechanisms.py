@@ -634,7 +634,9 @@ class TestBitIdenticalToRowMajorKernels:
     def test_hash_bucket_matches_on_every_block_layout(self):
         seeds = _random_seeds(derive_rng(23, 0), 40_000)  # 2 to 49 blocks
         values = derive_rng(23, 1).integers(0, 9, 40_000)
-        for g in (2, 4, 7, 21, 149, 2 ** 63):  # blh; olh at eps 1, 3, 5 and its limit
+        # blh; olh at eps 1, 3, 5 and its limit; powers of two take their
+        # remainder through a mask, the others by division
+        for g in (2, 4, 7, 8, 21, 149, 2 ** 62, 2 ** 63):
             for k in (1, 3, 40):
                 symbols = np.arange(k)[:, None]
                 assert_bitwise(mechanisms._hash_bucket(symbols, seeds[None, :], g),
