@@ -46,8 +46,10 @@ from .data_model import (
     JointDistribution,
     bin_numeric,
     conditional_from_joint,
+    count_table,
     empirical_joint,
     load_csv,
+    ordered_pairs,
     pairwise_conditionals,
     write_csv,
 )
@@ -72,12 +74,12 @@ from .mechanisms import (
 #: Each name imported on first use, and the module that defines it.
 _LAZY = {
     **dict.fromkeys(("BenchmarkPoint", "UtilityReport", "UtilityRow", "analyzer_benchmark",
-                     "baseline_grf", "baseline_spl_anl", "nmse_cpl", "ordered_pairs",
-                     "pairwise_abs_pcc", "undershoot_overshoot", "utility_benchmark"),
+                     "baseline_grf", "baseline_spl_anl", "nmse_cpl", "pairwise_abs_pcc",
+                     "undershoot_overshoot", "utility_benchmark"),
                     "benchmarks"),
     **dict.fromkeys(("CalibrationResult", "calibrate"), "calibration"),
     **dict.fromkeys(("MetricReport", "metrics"), "correlation_metrics"),
-    **dict.fromkeys(("EstimationConfig", "StatisticalCplResult", "count_table", "estimate_cpl",
+    **dict.fromkeys(("EstimationConfig", "StatisticalCplResult", "estimate_cpl",
                      "sup_ratio_leakage"), "statistical"),
 }
 
@@ -85,8 +87,8 @@ __all__ = [
     "BoundedCplResult", "BudgetParams", "cpl_bound",
     "ExactCplResult", "cpl_exact",
     "Alphabet", "ConditionalDistribution", "Dataset", "JointDistribution", "bin_numeric",
-    "conditional_from_joint", "empirical_joint", "load_csv", "pairwise_conditionals",
-    "write_csv",
+    "conditional_from_joint", "count_table", "empirical_joint", "load_csv", "ordered_pairs",
+    "pairwise_conditionals", "write_csv",
     "CplKitError", "DimensionMismatchError", "InfeasibleBudgetError", "InputError",
     "InsufficientDataError", "UnsupportedMechanismError",
     "MechanismSpec", "PerturbedColumn", "TransitionMatrix", "decode_column",

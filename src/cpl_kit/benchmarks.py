@@ -27,9 +27,10 @@ import numpy as np
 
 from .calibration import _LeakageTable
 from .correlation_metrics import metrics
-from .data_model import Dataset, empirical_joint, pairwise_conditionals
+from .data_model import Dataset, empirical_joint, ordered_pairs, pairwise_conditionals
 from .errors import DimensionMismatchError, InputError
 from .mechanisms import MechanismSpec, debias_counts
+from .rng import _integer
 from .statistical import _decoded_column
 
 _TOL = 1e-9
@@ -58,12 +59,6 @@ class UtilityRow:
     mechanism: str
     epsilon: float
     report: UtilityReport
-
-
-def ordered_pairs(n: int) -> list[tuple[int, int]]:
-    """Row-major ordered attribute pairs (i, j), i != j; the canonical order
-    for every flat per-pair list in this module."""
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
 def _classify(undershoot: float, overshoot: float) -> str:
@@ -230,6 +225,7 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
     # command would pay for in start-up time and memory.
     from concurrent.futures import ThreadPoolExecutor
 
+    r = _integer(r, "expansion factor")
     if r < 1:
         raise InputError("expansion factor must be >= 1")
     n_attr = d.n_attributes

@@ -31,7 +31,9 @@ import numpy as np
 # importable from here because perfbench's tracer tests rebind it in this module.
 from .cpl_bound import _BoundTable, _log_each, cpl_bound  # noqa: F401
 from .cpl_exact import EXACT_ENGINES, _output_ratios
-from .data_model import ConditionalDistribution, JointDistribution, conditional_from_joint
+from .data_model import (
+    ConditionalDistribution, JointDistribution, conditional_from_joint, ordered_pairs,
+)
 from .errors import CplKitError, InfeasibleBudgetError, InputError
 from .mechanisms import _EPSILON_MAX, MechanismSpec, _channel
 
@@ -62,19 +64,16 @@ def _as_conditionals(joints: dict) -> tuple[int, dict]:
         raise InputError("no pairwise distributions supplied")
     n = 1 + max(max(i, j) for i, j in joints)
     conds = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if (i, j) not in joints:
-                raise InputError(f"missing pairwise distribution for ({i}, {j})")
-            table = joints[(i, j)]
-            if isinstance(table, JointDistribution):
-                conds[(i, j)] = conditional_from_joint(table, given="rows")
-            elif isinstance(table, ConditionalDistribution):
-                conds[(i, j)] = table
-            else:
-                raise InputError("pairwise tables must be joint or conditional distributions")
+    for i, j in ordered_pairs(n):
+        if (i, j) not in joints:
+            raise InputError(f"missing pairwise distribution for ({i}, {j})")
+        table = joints[(i, j)]
+        if isinstance(table, JointDistribution):
+            conds[(i, j)] = conditional_from_joint(table, given="rows")
+        elif isinstance(table, ConditionalDistribution):
+            conds[(i, j)] = table
+        else:
+            raise InputError("pairwise tables must be joint or conditional distributions")
     return n, conds
 
 
@@ -143,7 +142,7 @@ def _worst(leaks: np.ndarray, n: int, epsilons) -> tuple[np.ndarray, np.ndarray]
 
 
 def _ordered(conds: dict, n: int) -> list[ConditionalDistribution]:
-    return [conds[(i, j)] for i in range(n) for j in range(n) if j != i]
+    return [conds[pair] for pair in ordered_pairs(n)]
 
 
 def _candidates(start: float, step: float, limit: float):

@@ -9,8 +9,8 @@ utility`` and ``fixtures generate`` draw randomness and take ``--seed``; the
 others have no seed, and their manifest's is null. The config digest leaves
 out arguments that cannot change a result, such as ``--out``. Leakage values
 are reported in nats and declared as such in the ``units`` block; ``--bits``
-adds a converted display field. Output is strict JSON: an infinite value is
-written as the string ``"inf"``.
+adds a converted display field. Output is strict JSON: no result value can
+be infinite or NaN, and the writer refuses one.
 
 Exit codes: 0 success, 2 usage or input error (machine-readable JSON on
 stderr), 3 numerical infeasibility.
@@ -43,46 +43,19 @@ _LN2 = math.log(2.0)
 
 
 def _number_list(text: str, parse, what: str) -> list:
-    """Comma-separated numbers; blank entries are skipped, and a bad entry or
-    an empty list is an ``InputError``."""
+    """Comma-separated entries, each parsed by ``parse``; blank entries are
+    skipped, and a bad entry or an empty list is an ``InputError``."""
     try:
         values = [parse(x) for x in text.split(",") if x != ""]
     except ValueError:
         raise InputError(f"{what} must be comma-separated numbers, got {text!r}") from None
     if not values:
-        raise InputError(f"{what} must list at least one number")
+        raise InputError(f"{what} must list at least one entry")
     return values
-
-
-def _int_list(text: str) -> list[int]:
-    return _number_list(text, int, "integer list")
 
 
 def _float_list(text: str) -> list[float]:
     return _number_list(text, float, "number list")
-
-
-def _kind_list(text: str) -> list[str]:
-    """Comma-separated mechanism kinds; blank entries are skipped, as in
-    ``_number_list``, and an empty list is an ``InputError``."""
-    kinds = [x for x in text.split(",") if x != ""]
-    if not kinds:
-        raise InputError("mechanism list must name at least one kind")
-    return kinds
-
-
-def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 #: Arguments that cannot change a result, left out of the config digest.
@@ -105,7 +78,7 @@ def _emit(args: argparse.Namespace, result: dict, started: float) -> None:
             "wall_time_s": round(time.perf_counter() - started, 6),
         },
         "units": {"leakage": "nats", "entropy": "nats"},
-        "result": _jsonable(result),
+        "result": result,
     }
     text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
     out = getattr(args, "out", None)
@@ -137,7 +110,7 @@ def _cmd_analyze_matrix(args) -> dict:
     conds = pairwise_conditionals(d)
     n = d.n_attributes
     entries = []
-    for (i, j), cond in sorted(conds.items()):
+    for (i, j), cond in conds.items():
         if args.mechanism:
             spec = MechanismSpec(args.mechanism, args.epsilon, cond.n_cols)
             res = cpl_exact(cond, transition_matrix(spec))
@@ -203,7 +176,7 @@ def _cmd_estimate(args) -> dict:
     d = load_csv(args.data)
     cfg = EstimationConfig(expansion=args.r, surrogates=args.surrogates,
                            alpha=args.alpha, seed=args.seed)
-    neighbors = _int_list(args.neighbors)
+    neighbors = _number_list(args.neighbors, int, "integer list")
     # Only the tuple's members are perturbed; estimate_cpl rejects the indices left out.
     specs = {z: MechanismSpec(args.mechanism, args.epsilon, d.alphabet(z).size)
              for z in neighbors if 0 <= z < d.n_attributes}
@@ -239,8 +212,8 @@ def _cmd_benchmark_utility(args) -> dict:
     from .benchmarks import utility_benchmark
 
     d = load_csv(args.data)
-    rows = utility_benchmark(d, _kind_list(args.mechanisms), _float_list(args.epsilons),
-                             args.r, args.seed)
+    rows = utility_benchmark(d, _number_list(args.mechanisms, str, "mechanism list"),
+                             _float_list(args.epsilons), args.r, args.seed)
     return {"rows": [{
         "mechanism": r.mechanism, "epsilon": r.epsilon,
         "freq_nmse": r.report.freq_nmse, "zero_one_error": r.report.zero_one_error,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ConditionalDistribution
+from .data_model import ConditionalDistribution, ordered_pairs
 from .errors import InputError
 from .mechanisms import _check_epsilon
 
@@ -63,12 +63,9 @@ class BoundedCplResult:
     witness_pair: tuple[int, int]
 
 
-def _iter_pairs(cond: ConditionalDistribution):
-    rows = cond.usable_rows()
-    for x in rows:
-        for xp in rows:
-            if x != xp:
-                yield int(x), int(xp)
+def _iter_pairs(cond: ConditionalDistribution) -> list[tuple[int, int]]:
+    rows = cond.usable_rows().tolist()
+    return [(rows[a], rows[b]) for a, b in ordered_pairs(len(rows))]
 
 
 @dataclass(frozen=True)

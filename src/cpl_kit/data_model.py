@@ -70,6 +70,19 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _probability_table(matrix, row_labels, col_labels, what: str) -> np.ndarray:
+    """``matrix`` as float64, checked to be finite, nonnegative and labelled."""
+    mat = np.asarray(matrix, dtype=np.float64)
+    if mat.shape != (len(row_labels), len(col_labels)):
+        raise DimensionMismatchError(f"{what} matrix shape does not match labels")
+    # Every comparison with NaN is false, so the checks below cannot see it.
+    if not np.isfinite(mat).all():
+        raise InputError(f"{what} probabilities must be finite")
+    if (mat < 0).any():
+        raise InputError(f"{what} probabilities must be nonnegative")
+    return mat
+
+
 @dataclass(frozen=True)
 class Dataset:
     """N records of per-attribute symbol indices plus the attribute schema."""
@@ -119,14 +132,7 @@ class JointDistribution:
     matrix: np.ndarray  # shape (m, t), nonnegative, sums to 1
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.shape != (len(self.row_labels), len(self.col_labels)):
-            raise DimensionMismatchError("joint matrix shape does not match labels")
-        # Every comparison with NaN is false, so the checks below cannot see it.
-        if not np.isfinite(mat).all():
-            raise InputError("joint probabilities must be finite")
-        if (mat < 0).any():
-            raise InputError("joint probabilities must be nonnegative")
+        mat = _probability_table(self.matrix, self.row_labels, self.col_labels, "joint")
         if abs(mat.sum() - 1.0) > PROB_TOL:
             raise InputError(f"joint probabilities sum to {mat.sum()}, expected 1")
         object.__setattr__(self, "matrix", _locked(mat))
@@ -157,14 +163,7 @@ class ConditionalDistribution:
     valid: np.ndarray = None  # shape (m,), bool; None means all rows usable
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.shape != (len(self.row_labels), len(self.col_labels)):
-            raise DimensionMismatchError("conditional matrix shape does not match labels")
-        # Every comparison with NaN is false, so the checks below cannot see it.
-        if not np.isfinite(mat).all():
-            raise InputError("conditional probabilities must be finite")
-        if (mat < 0).any():
-            raise InputError("conditional probabilities must be nonnegative")
+        mat = _probability_table(self.matrix, self.row_labels, self.col_labels, "conditional")
         valid = self.valid
         if valid is None:
             valid = np.ones(mat.shape[0], dtype=bool)
@@ -380,14 +379,24 @@ def empirical_joint(d: Dataset, i: int, j: int) -> JointDistribution:
     return _counted_joint(d, i, j, d.column(i), d.column(j))
 
 
+def count_table(target: np.ndarray, w_codes: np.ndarray, m: int, n_w: int) -> np.ndarray:
+    """(m, n_w) counts of the (target symbol, neighbor code) pairs of aligned rows."""
+    return np.bincount(target * n_w + w_codes, minlength=m * n_w).reshape(m, n_w)
+
+
 def _counted_joint(d: Dataset, i: int, j: int, rows: np.ndarray,
                    cols: np.ndarray) -> JointDistribution:
     """Joint of attributes i and j from their columns ``rows`` and ``cols``,
-    of any integer dtype that holds m * t, counted with one ``bincount``."""
-    m, t = d.alphabet(i).size, d.alphabet(j).size
-    counts = np.bincount(rows * t + cols, minlength=m * t).reshape(m, t)
+    of any integer dtype that holds m * t, counted by ``count_table``."""
+    counts = count_table(rows, cols, d.alphabet(i).size, d.alphabet(j).size)
     return JointDistribution(d.alphabet(i).symbols, d.alphabet(j).symbols,
                              counts.astype(np.float64) / d.n_records)
+
+
+def ordered_pairs(n: int) -> list[tuple[int, int]]:
+    """Row-major ordered attribute pairs (i, j), i != j; the canonical order
+    of every per-pair dict and list in the package."""
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
 def pairwise_conditionals(d: Dataset) -> dict[tuple[int, int], ConditionalDistribution]:
@@ -412,8 +421,7 @@ def pairwise_conditionals(d: Dataset) -> dict[tuple[int, int], ConditionalDistri
     columns = [d.column(j).astype(dtype) for j in range(n)]
     conds = {}
     joints: dict[tuple[int, int], JointDistribution] = {}
-    # permutations yields the ordered pairs in row-major order.
-    for i, j in itertools.permutations(range(n), 2):
+    for i, j in ordered_pairs(n):
         if i < j:
             joint = joints[(i, j)] = _counted_joint(d, i, j, columns[i], columns[j])
         else:

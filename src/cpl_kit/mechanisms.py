@@ -62,13 +62,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_model import PROB_TOL, _locked
-from .errors import DimensionMismatchError, InputError, UnsupportedMechanismError
+from .data_model import PROB_TOL, _locked, _probability_table
+from .errors import InputError, UnsupportedMechanismError
 
 KINDS = ("grr", "exp", "rappor", "oue", "blh", "olh", "she", "ss")
 
-# Largest budget whose e^eps is a finite double.
-_EPSILON_MAX = math.log(sys.float_info.max)
+# Largest budget: e^eps is at most half the largest double, so that a row sum
+# within PROB_TOL of 1 cannot take 1 + A (e^eps - 1) or top / low past it.
+_EPSILON_MAX = math.log(sys.float_info.max / 2)
 
 # Largest olh hash range: reports are int64 symbols below g, and the report
 # sampler draws its alternatives from the int64 range [0, g - 1).
@@ -128,7 +129,8 @@ class MechanismSpec:
         """Diagonal a of the decoded channel: the probability that a report,
         decoded without a prior, is the true symbol."""
         w = _channel_weight(self)
-        return w / (w + self.k - 1)
+        # With k = 1, w + k - 1 can round below w.
+        return min(1.0, w / (w + self.k - 1))
 
 
 @dataclass(frozen=True)
@@ -141,16 +143,14 @@ class TransitionMatrix:
     epsilon: float
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.shape != (len(self.input_labels), len(self.output_labels)):
-            raise DimensionMismatchError("transition matrix shape does not match labels")
-        # Every comparison with NaN is false, so the checks below cannot see it.
-        if not np.isfinite(mat).all():
-            raise InputError("transition probabilities must be finite")
-        if (mat < 0).any() or (mat > 1).any():
+        mat = _probability_table(self.matrix, self.input_labels, self.output_labels,
+                                 "transition")
+        if (mat > 1).any():
             raise InputError("transition probabilities must lie in [0, 1]")
         if np.abs(mat.sum(axis=1) - 1.0).max() > PROB_TOL:
             raise InputError("every transition row must sum to 1")
+        if math.isnan(self.epsilon):  # inf stands for a channel with no pure bound
+            raise InputError("transition matrix budget must be a number, got nan")
         if math.isfinite(self.epsilon):
             cmax = mat.max(axis=0)
             cmin = mat.min(axis=0)
@@ -175,17 +175,10 @@ def transition_matrix(spec: MechanismSpec) -> TransitionMatrix:
 
 
 def _channel(spec: MechanismSpec) -> np.ndarray:
-    """The matrix of ``transition_matrix(spec)``. Of the checks of a
-    ``TransitionMatrix``, a built channel can fail only its [0, 1] range,
-    and only with k = 1, where w + k - 1 can round below w; so only that
-    one is made here."""
-    w = _channel_weight(spec)
-    denom = w + spec.k - 1
-    diagonal = w / denom
-    if diagonal > 1.0:
-        raise InputError("transition probabilities must lie in [0, 1]")
-    mat = np.full((spec.k, spec.k), 1.0 / denom)
-    np.fill_diagonal(mat, diagonal)
+    """The matrix of ``transition_matrix(spec)``, which passes every check
+    of a ``TransitionMatrix``."""
+    mat = np.full((spec.k, spec.k), 1.0 / (_channel_weight(spec) + spec.k - 1))
+    np.fill_diagonal(mat, spec.keep_probability())
     return mat
 
 

@@ -19,13 +19,21 @@ STAGE_SURROGATE = 2
 STAGE_FIXTURE = 3
 
 
+def _integer(value, what: str) -> int:
+    """``value``, a Python or numpy integer, as an int; any other value,
+    a bool or a float included, is an ``InputError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Return a generator for the work unit identified by ``key``.
 
     Distinct ``(seed, key)`` pairs yield statistically independent streams;
     equal pairs yield identical streams.
     """
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpl_exact import _output_ratios
-from .data_model import Dataset
+from .data_model import Dataset, count_table
 from .errors import InputError, InsufficientDataError
 from .mechanisms import MechanismSpec, decode_column, perturb_column, support_counts
-from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, derive_rng
+from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, _integer, derive_rng
 
 #: Refuse joint neighbor alphabets larger than this many cells.
 MAX_TUPLE_CELLS = 10 ** 6
@@ -47,7 +47,7 @@ class EstimationConfig:
     """Knobs for the statistical pipeline.
 
     ``expansion`` is the record replication factor; ``surrogates`` the number
-    of permutation surrogates behind each p-value.
+    of permutation surrogates behind each p-value. Both are kept as ``int``.
     """
 
     expansion: int = 50
@@ -56,6 +56,8 @@ class EstimationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "expansion", _integer(self.expansion, "expansion factor"))
+        object.__setattr__(self, "surrogates", _integer(self.surrogates, "surrogate count"))
         if self.expansion < 1:
             raise InputError("expansion factor must be >= 1")
         if self.surrogates < 1:
@@ -151,11 +153,6 @@ def _tuple_cells(sizes: list[int]) -> int:
             "reduce the neighbor set"
         )
     return cells
-
-
-def count_table(target: np.ndarray, w_codes: np.ndarray, m: int, n_w: int) -> np.ndarray:
-    """(m, n_w) counts of the (target symbol, neighbor code) pairs of aligned rows."""
-    return np.bincount(target * n_w + w_codes, minlength=m * n_w).reshape(m, n_w)
 
 
 def sup_ratio_leakage(counts: np.ndarray) -> tuple[float, int]:

@@ -1,5 +1,6 @@
 import math
-import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from cpl_kit import (
 from cpl_kit import calibration
 from cpl_kit.calibration import _as_conditionals, _LeakageTable, _ordered
 from cpl_kit.cpl_bound import _BoundTable
-from cpl_kit.errors import CplKitError
 from cpl_kit.mechanisms import KINDS
 from cpl_kit.fixtures import mixed_five, weak_ten
 from cpl_kit.benchmarks import ordered_pairs, pairwise_conditionals
@@ -236,22 +236,45 @@ class TestLeakageTable:
 
     @pytest.mark.parametrize("kind", ["rappor", "oue", "blh", "olh", "she"])
     def test_one_symbol_channel_fails_where_transition_matrix_does(self, kind):
-        # With k = 1, w + k - 1 can round below w, so that the channel's one
-        # entry exceeds 1 at some budgets; the table must fail exactly there.
+        # With k = 1, w + k - 1 can round below w (oue at 3.46 among them);
+        # the channel's one entry is held at most 1, so neither the table nor
+        # transition_matrix fails at any budget, and nothing leaks.
         cond = ConditionalDistribution(("a", "b"), ("u",), np.ones((2, 1)))
         table = _LeakageTable([cond], f"exact-{kind}")
-        outcomes = set()
-        for eps in np.linspace(0.05, 40.0, 200).tolist():
-            try:
-                transition_matrix(MechanismSpec(kind, eps, 1))
-            except CplKitError as exc:
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    table([eps])
-                outcomes.add("fails")
-            else:
-                assert table([eps])[0].tolist() == [0.0]
-                outcomes.add("passes")
-        assert outcomes == {"fails", "passes"}
+        for eps in [3.46, *np.linspace(0.05, 40.0, 200).tolist()]:
+            trans = transition_matrix(MechanismSpec(kind, eps, 1))
+            assert 0.0 < trans.matrix[0, 0] <= 1.0
+            assert cpl_exact(cond, trans).leakage == 0.0
+            assert table([eps])[0].tolist() == [0.0]
+        for eps in (np.arange(1, 4000) / 100).tolist():
+            assert MechanismSpec(kind, eps, 1).keep_probability() <= 1.0
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 20])
+    def test_largest_budget_leaks_a_finite_amount(self, k):
+        # Rows within the sum tolerance of 1 take e^eps times their extra
+        # mass; at the cap that stays below the largest double, so every
+        # engine reads a finite leakage of at most eps, as one pair alone does.
+        cap = math.log(sys.float_info.max / 2)
+        for slack in (0.0, 1e-10, -1e-10, 9.9e-10, -9.9e-10):
+            matrix = np.zeros((3, k))
+            matrix[0, 0], matrix[1, -1] = 1.0 + slack, 1.0 - slack
+            matrix[2] = 1.0 / k
+            cond = ConditionalDistribution(pair_labels(3), pair_labels(k), matrix)
+            for engine in ("bound", *(f"exact-{kind}" for kind in KINDS if kind != "olh")):
+                table = _LeakageTable([cond], engine)
+                for eps in (cap, math.nextafter(cap, 0.0), 700.0):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        [leak] = table([eps])[0].tolist()
+                        if engine == "bound":
+                            alone = cpl_bound(cond, BudgetParams(eps)).leakage
+                        else:
+                            spec = MechanismSpec(engine[len("exact-"):], eps, k)
+                            alone = cpl_exact(cond, transition_matrix(spec)).leakage
+                    assert math.isfinite(leak) and leak <= eps + 1e-6
+                    assert leak == alone
+                with pytest.raises(InputError, match="epsilon"):
+                    table([math.nextafter(cap, math.inf)])
 
     def test_unknown_engine(self):
         for engine in ("exact-nope", "exact", "grr", "exact-grr-exp"):

@@ -209,16 +209,16 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("engine", ["bound", "exact-grr"])
     def test_walk_past_the_largest_probe_budget_exits_two(self, capsys, workdir, engine):
-        # every probe from 200 on meets the ceiling, up to 709 < 709.78 < 710
+        # every probe from 200 on meets the ceiling, up to 709 < 709.09 < 710
         code, out, err = run(capsys, ["calibrate", "--data", str(workdir / "fx" / "weak_ten.csv"),
                                       "--budget", "2000", "--step", "1", "--engine", engine])
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "InputError"
-        assert "largest budget a probe can take (709.78)" in error["message"]
+        assert "largest budget a probe can take (709.09)" in error["message"]
 
     def test_walk_ending_below_the_largest_probe_budget(self, capsys, workdir):
-        # the second probe, at 701, passes the ceiling; no budget past 709.78 is probed
+        # the second probe, at 701, passes the ceiling; no budget past 709.09 is probed
         code, out, _ = run(capsys, ["calibrate", "--data",
                                     str(workdir / "fx" / "perfect_copy.csv"),
                                     "--budget", "1400", "--step", "1"])
@@ -363,6 +363,25 @@ class TestStrictJson:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert "result" in json.loads(out, parse_constant=reject_constant)
+
+    @pytest.mark.parametrize("argv, matrix", [
+        (["analyze", "exact", "--mechanism", "grr"], [[1, 0], [0, 0.9999999999]]),
+        (["analyze", "bound"], [[1.0000000005, 0, 0], [0.5, 0.25, 0.25]]),
+    ], ids=["exact", "bound"])
+    def test_largest_budget_writes_a_finite_leakage(self, capsys, tmp_path, argv, matrix):
+        # both rows lie within the row-sum tolerance of 1
+        eps = math.log(sys.float_info.max / 2)
+        cond = tmp_path / "cond.json"
+        cond.write_text(json.dumps({"row_labels": ["a", "b"],
+                                    "col_labels": [str(c) for c in range(len(matrix[0]))],
+                                    "matrix": matrix}), encoding="utf-8")
+        code, out, _ = run(capsys, [*argv, "--cond", str(cond), "--epsilon", repr(eps)])
+        assert code == 0
+        leakage = json.loads(out, parse_constant=reject_constant)["result"]["leakage_nats"]
+        assert isinstance(leakage, float) and leakage <= eps + 1e-6
+        above = repr(math.nextafter(eps, math.inf))
+        code, out, err = run(capsys, [*argv, "--cond", str(cond), "--epsilon", above])
+        assert code == 2 and out == "" and "epsilon" in json.loads(err)["error"]["message"]
 
 
 class TestErrors:

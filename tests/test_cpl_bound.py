@@ -225,7 +225,10 @@ class TestBudgetRange:
             BudgetParams(1.0, math.nan)
 
     def test_largest_budget_accepted(self, maxleak_cond_fwd):
-        eps = math.log(sys.float_info.max)
+        # half the largest double: the bound's 1 + A (e^eps - 1) must stay finite
+        eps = math.log(sys.float_info.max / 2)
+        with pytest.raises(InputError, match="epsilon"):
+            BudgetParams(math.nextafter(eps, math.inf))
         assert cpl_bound(maxleak_cond_fwd, BudgetParams(eps)).leakage == eps
         assert math.isfinite(cpl_bound(two_row_cond([0.5, 0.5], [0.25, 0.75]),
                                        BudgetParams(eps)).leakage)

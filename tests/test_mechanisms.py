@@ -8,6 +8,7 @@ from cpl_kit import (
     InputError,
     MechanismSpec,
     PerturbedColumn,
+    TransitionMatrix,
     decode_column,
     estimate_frequencies,
     perturb_column,
@@ -55,8 +56,11 @@ class TestSpec:
             MechanismSpec("grr", epsilon, 4)
 
     def test_largest_epsilon_accepted(self):
-        s = MechanismSpec("grr", math.log(sys.float_info.max), 4)
+        eps = math.log(sys.float_info.max / 2)
+        s = MechanismSpec("grr", eps, 4)
         assert s.keep_probability() == 1.0
+        with pytest.raises(InputError, match="epsilon"):
+            MechanismSpec("grr", math.nextafter(eps, math.inf), 4)
 
     @pytest.mark.parametrize("epsilon", [43.67, 50.0, 700.0])
     def test_olh_hash_range_must_fit_int64(self, epsilon):
@@ -94,6 +98,13 @@ class TestTransitionMatrix:
         cmin = t.matrix.min(axis=0)
         assert (cmax <= cmin * math.exp(epsilon) * (1 + 1e-9)).all()
 
+    def test_budget_must_not_be_nan(self):
+        labels = ("0", "1")
+        with pytest.raises(InputError, match="budget"):
+            TransitionMatrix(labels, labels, np.eye(2), math.nan)
+        # an infinite budget stands for a channel with no pure-LDP bound
+        assert TransitionMatrix(labels, labels, np.eye(2), math.inf).epsilon == math.inf
+
     @pytest.mark.parametrize("kind", ["rappor", "oue", "blh", "olh", "she"])
     def test_single_symbol_domain_keeps_it(self, kind):
         t = transition_matrix(MechanismSpec(kind, 1.0, 1))
@@ -107,8 +118,8 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("k", [2, 7])
     def test_largest_budget_passes_ratio_check(self, kind, k):
-        # The largest accepted budget: e^eps is the largest finite double,
-        # and olh stops where its hash range reaches 2^63.
+        # The largest accepted budget: e^eps is half the largest finite
+        # double, and olh stops where its hash range reaches 2^63.
         epsilon = math.log(2 ** 63) if kind == "olh" else mechanisms._EPSILON_MAX
         t = transition_matrix(MechanismSpec(kind, epsilon, k))
         assert t.epsilon == epsilon  # the constructor's ratio check passed at it

@@ -17,7 +17,7 @@ from cpl_kit import (
     nmse_cpl,
     transition_matrix,
 )
-from cpl_kit.benchmarks import ordered_pairs, pairwise_conditionals
+from cpl_kit.benchmarks import ordered_pairs, pairwise_conditionals, utility_benchmark
 from cpl_kit.data_model import Alphabet, conditional_from_joint, empirical_joint
 from cpl_kit.mechanisms import KINDS
 from cpl_kit.fixtures import independent_pair, latent_five, maxleak_pair, mixed_five, perfect_copy
@@ -465,6 +465,31 @@ class TestEstimateCpl:
                 tracemalloc.stop()
 
         assert peak(50) <= 1.5 * peak(5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [2, np.int64(2), np.uint8(2), 2.5, 2.0, np.float64(2), True],
+                         ids=["int", "int64", "uint8", "float", "whole-float", "float64", "bool"])
+def test_counts_and_seeds_must_be_integers(value):
+    """Expansion, surrogate count, the benchmark's r and every seed take an
+    int or a numpy integer, used as an int (200 * r overflows uint8); a
+    float or a bool is an ``InputError``."""
+    d = maxleak_pair(n=200, seed=1)
+    calls = [lambda: EstimationConfig(expansion=value),
+             lambda: EstimationConfig(surrogates=value),
+             lambda: derive_rng(value, 0),
+             lambda: utility_benchmark(d, ["grr"], [1.0], value, 0),
+             lambda: utility_benchmark(d, ["grr"], [1.0], 1, value)]
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    for call in calls:
+        if integer:
+            call()
+        else:
+            with pytest.raises(InputError, match="must be an integer"):
+                call()
+    if integer:
+        assert derive_rng(value, 0).random() == derive_rng(2, 0).random()
+        assert type(EstimationConfig(expansion=value, surrogates=value).expansion) is int
 
 
 class TestStatisticalMatchesExact:
