@@ -27,10 +27,11 @@ import numpy as np
 
 from .calibration import _LeakageTable
 from .correlation_metrics import metrics
-from .data_model import Dataset, empirical_joint, ordered_pairs, pairwise_conditionals
+from .data_model import (
+    Dataset, _integer, empirical_joint, ordered_pairs, pairwise_conditionals,
+)
 from .errors import DimensionMismatchError, InputError
 from .mechanisms import MechanismSpec, debias_counts
-from .rng import _integer
 from .statistical import _decoded_column
 
 _TOL = 1e-9

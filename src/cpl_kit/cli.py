@@ -12,8 +12,9 @@ are reported in nats and declared as such in the ``units`` block; ``--bits``
 adds a converted display field. Output is strict JSON: no result value can
 be infinite or NaN, and the writer refuses one.
 
-Exit codes: 0 success, 2 usage or input error (machine-readable JSON on
-stderr), 3 numerical infeasibility.
+Exit codes: 0 success, 2 usage or input error, or an output that cannot be
+written, such as a stdout closed early (machine-readable JSON on stderr), 3
+numerical infeasibility.
 """
 from __future__ import annotations
 
@@ -370,13 +371,16 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = ["cpl-kit", *argv]
     started = time.perf_counter()
     try:
-        result = args.func(args)
+        _emit(args, args.func(args), started)
     except (CplKitError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader of stdout has gone: point stdout at the null device,
+            # so that its flush at exit fails on no closed pipe.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
                   sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
         return 3 if isinstance(exc, InfeasibleBudgetError) else 2
-    _emit(args, result, started)
     return 0
 
 

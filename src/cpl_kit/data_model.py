@@ -52,6 +52,14 @@ class Alphabet:
             raise InputError(f"symbol {exc.args[0]!r} not in alphabet") from None
 
 
+def _integer(value, what: str) -> int:
+    """``value``, a Python or numpy integer, as an int; any other value,
+    a bool or a float included, is an ``InputError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _locked(a: np.ndarray) -> np.ndarray:
     """A read-only array with the contents of ``a``. An array that is already
     read-only and owns its data is taken as is; a writable array or a view
@@ -204,6 +212,8 @@ class ConditionalDistribution:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConditionalDistribution":
+        if not isinstance(obj, dict):
+            raise InputError(f"top level must be a JSON object, got {type(obj).__name__}")
         valid = obj.get("valid")
         return cls(
             tuple(obj["row_labels"]),

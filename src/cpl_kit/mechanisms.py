@@ -34,16 +34,22 @@ between, evaluated by Gauss-Legendre quadrature.
 
 Every report except ``she`` is a symbol or *supports* a set of input
 symbols (the set bits for rappor/oue/ss, the hash preimage for blh/olh).
-Decoding draws uniformly from that set, and frequency estimation debiases
-the per-symbol support counts with the rates from ``_support_rates``. The
-support set is held symbol-major, as a (k, N) mask, so every per-report
-reduction runs as k vector passes over the N reports instead of N short
-rows; it is computed once per column and shared by decode and estimate.
+Decoding draws uniformly from that set, by one uniform u per report: member
+floor(u m) of its m members, or symbol floor(u k) when the set is empty. An
+ss report at omega = 1 holds one member, and decodes to it with no draw.
+Frequency estimation debiases the per-symbol support counts with the rates
+from ``_support_rates``. The support set is held symbol-major, as a (k, N)
+mask, so every per-report reduction runs as k vector passes over the N
+reports instead of N short rows; it is computed once per column and shared
+by decode and estimate.
 blh/olh hash every symbol under every report's seed once per column, in
 perturbation: the report is drawn from its own symbol's hash, and the
 support set is the hashes equal to the report.
-``she`` decodes to its posterior argmax and breaks ties with the same
-uniform draw over a (k, N) mask of the top-scoring symbols.
+``she`` draws its Laplace(0, b) noise as b E S, E a standard exponential
+(numpy's ziggurat, where a Laplace draw takes a log per score) and S a
+random sign, one random byte per 8 scores. It decodes to its posterior
+argmax and breaks ties with the same uniform draw over a (k, N) mask of
+the top-scoring symbols.
 
 A column checks its payload once per spec, and a column that
 ``perturb_column`` built needs no check, so decoding and counting a fresh
@@ -56,13 +62,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .data_model import PROB_TOL, _locked, _probability_table
+from .data_model import PROB_TOL, _integer, _locked, _probability_table
 from .errors import InputError, UnsupportedMechanismError
 
 KINDS = ("grr", "exp", "rappor", "oue", "blh", "olh", "she", "ss")
@@ -77,7 +84,10 @@ _OLH_G_MAX = 2 ** 63
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not 0 <= epsilon <= _EPSILON_MAX:
+    """A budget is a real number, a numpy one included but not a bool, in
+    [0, _EPSILON_MAX]."""
+    real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
+    if not (real and 0 <= epsilon <= _EPSILON_MAX):
         raise InputError(f"epsilon must be a finite number in [0, {_EPSILON_MAX:.2f}], "
                          f"got {epsilon!r}")
 
@@ -98,6 +108,7 @@ class MechanismSpec:
         if self.kind not in KINDS:
             raise InputError(f"unknown mechanism kind {self.kind!r}, expected one of {KINDS}")
         _check_epsilon(self.epsilon)
+        object.__setattr__(self, "k", _integer(self.k, "domain size k"))
         if self.k < 2 and self.kind in ("grr", "exp", "ss"):
             raise InputError(f"{self.kind} requires domain size k >= 2")
         if self.k < 1:
@@ -257,9 +268,10 @@ class PerturbedColumn:
 
     Payload layout by kind: grr/exp -> (N,) symbol indices; rappor/oue ->
     (N, k) bit matrix; blh/olh -> (seeds, reports) arrays; she -> (N, k)
-    reals; ss -> (N, k) subset membership mask. Treat the payload as
-    read-only: the first decode or estimate caches the support set built
-    from it, and a check records the spec that the payload passed.
+    reals; ss -> (N, k) subset membership mask, omega members a row. Treat
+    the payload as read-only: the first decode or estimate caches the
+    support set built from it, and a check records the spec that the
+    payload passed.
     """
 
     spec: MechanismSpec
@@ -290,6 +302,8 @@ def _check_column(spec: MechanismSpec, column) -> None:
     kind = spec.kind
     if kind in ("rappor", "oue", "she", "ss") and np.shape(column.payload)[1:] != (spec.k,):
         raise InputError(f"{kind} payload must have one column per symbol, k = {spec.k}")
+    if kind == "ss" and (np.count_nonzero(column.payload, axis=1) != spec.subset_size).any():
+        raise InputError(f"every ss report must hold omega = {spec.subset_size} members")
     if kind == "she" and not np.isfinite(np.asarray(column.payload, dtype=np.float64)).all():
         raise InputError("she payload must be finite")
     if kind in ("grr", "exp"):
@@ -321,6 +335,9 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _PIECE = 1 << 15  # elements per piece of a pass: 256 KiB per 8-byte temporary
+
+# Index of the byte of a native float64 that holds its sign bit.
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -432,8 +449,24 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
     kind = spec.kind
 
     if kind == "she":
-        y = rng.laplace(0.0, 2.0 / spec.epsilon, size=(n, k))
-        # Adding the one-hot in place is exact: laplace(0, b) is never -0.0.
+        # Laplace(0, b) as b E S: E standard exponential, by the ziggurat,
+        # where a Laplace draw takes a log per score, and S a random sign,
+        # one random byte per 8 scores. A sign flips its float's sign bit
+        # through the byte that holds it. Signs are drawn and set a piece
+        # at a time, so that their temporaries stay small and in cache; a
+        # piece's bytes are whole 64-bit draws, so the pieces draw the
+        # bytes that one draw for the block would.
+        y = rng.standard_exponential((n, k))
+        y *= 2.0 / spec.epsilon
+        top = y.reshape(-1).view(np.uint8)[_SIGN_BYTE::8]
+        for lo in range(0, top.size, _PIECE):
+            count = min(_PIECE, top.size - lo)
+            signs = rng.integers(0, 256, size=-(-count // 8), dtype=np.uint8)
+            flip = np.unpackbits(signs, count=count)
+            flip <<= 7
+            top[lo:lo + count] ^= flip
+        # Adding the one-hot in place is exact: a zero draw with its sign
+        # flipped is -0.0, and -0.0 + 1.0 is still exactly 1.0.
         y.ravel()[_row_major(values, k)] += 1.0
         return _reported(spec, y)
 
@@ -507,28 +540,40 @@ def _row_major(values: np.ndarray, k: int) -> np.ndarray:
 
 def _uniform_over_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw over the set entries of each column of a (k, N) mask;
-    uniform over all k symbols for columns with no set entry."""
+    uniform over all k symbols for columns with no set entry. One uniform u
+    per column picks floor(u m), m its count of set entries, or k when it
+    has none, and an empty column takes that pick as its symbol."""
     k, n = mask.shape
     small = np.min_scalar_type(k)  # holds every count, pick and index
     counts = mask.sum(axis=0, dtype=small)
+    empty = np.multiply(counts == 0, k, dtype=small)  # k on empty columns, else 0
+    counts += empty
     # The product is below the count and never negative, so the truncating
     # cast is its floor.
-    pick = (rng.random(n) * np.maximum(counts, 1)).astype(small)
-    # The pick-th set entry (from 0) sits at the number of prefixes whose
-    # count is at most pick.
-    chosen = np.zeros(n, dtype=small)
-    running = np.zeros(n, dtype=small)
+    pick = (rng.random(n) * counts).astype(small)
+    chosen = _nth_member(mask, pick)
+    # An empty column reads k: it takes its pick instead, by arithmetic
+    # rather than a copy masked by the random empty columns, which would
+    # mispredict its branch.
+    chosen -= empty
+    np.minimum(empty, pick, out=empty)  # the pick on empty columns, else 0
+    chosen += empty
+    return chosen.astype(np.int64)
+
+
+def _nth_member(mask: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """Row of the pick-th set entry (from 0) of each column of a (k, N)
+    mask: the number of prefixes whose count is at most the pick. A column
+    with at most pick set entries reads k."""
+    n = mask.shape[1]
+    chosen = np.zeros(n, dtype=pick.dtype)
+    running = np.zeros(n, dtype=pick.dtype)
     below = np.empty(n, dtype=bool)
     for row in mask:
         running += row
         np.less_equal(running, pick, out=below)
         chosen += below
-    # chosen + (fallback - chosen) * empty, in place and without a branch
-    symbols = rng.integers(0, k, size=n)  # the fallback
-    np.subtract(symbols, chosen, out=symbols)
-    symbols *= counts == 0
-    symbols += chosen
-    return symbols
+    return chosen
 
 
 def decode_column(spec: MechanismSpec, column: PerturbedColumn,
@@ -540,6 +585,12 @@ def decode_column(spec: MechanismSpec, column: PerturbedColumn,
     if kind in ("grr", "exp"):
         # Output domain equals input domain: take the report as the value.
         return np.asarray(column.payload, dtype=np.int64)
+
+    if kind == "ss" and spec.subset_size == 1:
+        # Every report holds one member, which a draw would pick w.p. 1:
+        # take it, and leave the stream alone.
+        first = np.zeros(len(column), dtype=np.min_scalar_type(spec.k))
+        return _nth_member(column._support, first).astype(np.int64)
 
     if kind != "she":
         return _uniform_over_mask(column._support, rng)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data_model import _integer
 from .errors import InputError
 
 # Stage tags used as the first spawn-key component.
@@ -17,14 +18,6 @@ STAGE_PERTURB = 0
 STAGE_DECODE = 1
 STAGE_SURROGATE = 2
 STAGE_FIXTURE = 3
-
-
-def _integer(value, what: str) -> int:
-    """``value``, a Python or numpy integer, as an int; any other value,
-    a bool or a float included, is an ``InputError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -36,5 +29,8 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     seed = _integer(seed, "seed")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
+    key = tuple(_integer(part, "stream key") for part in key)
+    if any(part < 0 for part in key):
+        raise InputError(f"stream keys must be nonnegative, got {key}")
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.default_rng(ss)

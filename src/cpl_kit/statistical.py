@@ -30,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpl_exact import _output_ratios
-from .data_model import Dataset, count_table
+from .data_model import Dataset, _integer, count_table
 from .errors import InputError, InsufficientDataError
 from .mechanisms import MechanismSpec, decode_column, perturb_column, support_counts
-from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, _integer, derive_rng
+from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, derive_rng
 
 #: Refuse joint neighbor alphabets larger than this many cells.
 MAX_TUPLE_CELLS = 10 ** 6

@@ -529,7 +529,8 @@ class TestErrors:
     @pytest.mark.parametrize("content", [
         b'{"row_labels": ["a", "b"], "col_labels": ["u", "v"], "matrix": [[0.5], [0.5, 0.5]]}',
         b'{"row_labels": ["a", "b"], "col_labels": ["u", "v"], "matrix": [[1, 0], [0, 1]]}\xff',
-    ], ids=["ragged-matrix", "not-utf8"])
+        b"[1, 2]", b'"table"', b"3", b"null",
+    ], ids=["ragged-matrix", "not-utf8", "list", "string", "number", "null"])
     @pytest.mark.parametrize("command", [["bound"], ["exact", "--mechanism", "grr"]])
     def test_malformed_conditional_exits_two(self, capsys, tmp_path, content, command):
         path = tmp_path / "cond.json"
@@ -539,6 +540,22 @@ class TestErrors:
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "InputError" and "not a valid conditional table" in error["message"]
+
+    def test_stdout_closed_early_exits_two_without_traceback(self, workdir):
+        # about 0.8 MB of envelope, more than a pipe holds, so the writer
+        # is still writing when its reader leaves
+        src = str(Path(cpl_kit.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-B", "-m", "cpl_kit.cli", "calibrate", "--data",
+             str(workdir / "fx" / "weak_ten.csv"), "--budget", "10", "--step", "0.001"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode("utf-8")
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+        assert json.loads(err)["error"]["type"] == "BrokenPipeError"
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["bound"], ["exact", "--mechanism", "grr"]])
     def test_zero_column_conditional_exits_two(self, capsys, tmp_path, command):

@@ -5,8 +5,9 @@ bit for bit rather than within a tolerance.
 A digest is the sha256 of the ``result`` object as sorted-key JSON. Floats
 print as their shortest round-trip repr, so equal digests mean equal bits.
 A second digest pins the whole stdout text, with the wall time masked, so a
-change in how the envelope is written shows too. A change that moves a
-result on purpose updates its digests here and says so.
+change in how the envelope is written shows too. The utility goldens
+also pin each mechanism's rows, so a change names the kinds it moved. A
+change that moves a result on purpose updates its digests here and says so.
 """
 import hashlib
 import json
@@ -67,25 +68,32 @@ GOLDEN = {
         ["estimate", "--data", "fx/latent_five.csv", "--mechanism", "olh", "--epsilon", "2",
          "--target", "2", "--neighbors", "4,0,1", "--r", "9", "--surrogates", "20",
          "--seed", "4"],
-        "3ff9ffa32237cd2e2d2c77e957166b8cfaa4971099bc28f89d62f46cc38a8682",
+        "c9babd5df063c75f07c75a4a246dfa40d5059d9df05f9faceaeacebb79e0a9ee",
         "6f5c5f8f9ba9c11558560a13b06c0c534730897d1c5b641db6b5f11976b5f979",
-        "c0b35b707d8dd505569e888a474911de1a785715fbdba28c85a6ed7aad253026"),
+        "a4c4d0418981f4f4b8cc9b693ae8af2d0bdf6d6a86e43fdf7adff21f2da3e974"),
+    # ss at omega 1 over 80,000 rows: decoding takes the one member, no draw
+    "estimate-ss": (
+        ["estimate", "--data", "fx/mixed_five.csv", "--mechanism", "ss", "--epsilon", "1",
+         "--target", "0", "--neighbors", "1,2", "--r", "16", "--surrogates", "20", "--seed", "7"],
+        "438d34c0eeccaa3191a21e22cb239a9e54a606ca045b2ec1b3609a4ec7ce600f",
+        "a10e9409510311bb3713b90234a29a59c50649fc208ff382363e325d6d19a5f0",
+        "21cd38f470c502d1172a26dc2dc3fcf3e46481ae121080781b927d7e0a200f08"),
     "benchmark-utility": (
         # 10,000 records x 7: one full block and a partial one per column
         ["benchmark", "utility", "--data", "fx/noisy_copy.csv", "--epsilons", "1,3",
          "--r", "7", "--seed", "2"],
-        "c4bf29a68e1fb55b1bb493241d43a027d44e77a58150103b05f81c050bfd13d5",
+        "e71cf129cb79f224586aeb2b2e8ffeb6d55ff206bfefacdab91b0176a1f1bdc3",
         "45fef954edf50c0e20e653c8d00b4ca7b501726a621aa8be89d7e959d81ae40a",
-        "b5fe42f05192869b06db5c61095a8afa07636304f339af5440b42f371877fd22"),
+        "149c15626d89cdbea3056b8377f5d71746b50e3fc2b02c53da3bd5a321a9dea5"),
     # every kind on alphabets 9, 12 and 33, 3000 records x 23: one full block
     # and a partial one per column. At eps 0.5 ss takes its argpartition
     # branch (omega 3, 4 and 12), and olh hashes to g 3 and 8, below k.
     "benchmark-utility-wide": (
         ["benchmark", "utility", "--data", "wide.csv", "--epsilons", "0.5,2", "--r", "23",
          "--seed", "6"],
-        "76d3162f817799f532a6922ecb6508f57652c35d53d5aff159b02cbc6eed5313",
+        "9edb47708e779d561c21394665b1d4dd0d76ac42ed08998b45abe1dc8d7b55d3",
         "cf4ab3d45f6e4a7c601d918905d8433ba4eac19809aa13dadadd80bf11e7ef41",
-        "9134c5156df02dd8d8a58f1d56690719227f2d0a9dd4254feecea45bc636c1bf"),
+        "b5e8904621a14a3a2487f61e29981070f77cf1799c3e8543ba0dce9c9150b3b9"),
     "benchmark-analyzers-bound": (
         ["benchmark", "analyzers", "--data", "fx/mixed_five.csv", "--epsilons", "0.5,2"],
         "f0edaca3f2f2562adf7ee9323329ed1c3ad73b64f7a67d86fec4e42e70e91448",
@@ -166,6 +174,36 @@ GOLDEN = {
 }
 
 
+# sha256 of each mechanism's rows of a utility golden, as sorted-key JSON,
+# so that a change to the draws names the kinds whose rows it moved.
+KIND_DIGESTS = {
+    "benchmark-utility": {
+        "grr": "4bb66b78a612f8513d827e7f6f84c1899455c2764296431bfe38a342cb541b27",
+        "exp": "a1af6738f989916567ea8fb172e9e2e714812c6e6d2a696102a50ac73ab73021",
+        "rappor": "25e4645997ed9931176a843ee4774cea86fb94c1469646e5749a28a124919b45",
+        "oue": "7bc5009a07bf47d28551a4191722cf0819ce621408908cb8fc926f000b799025",
+        "blh": "65b329a5330eea1d27cb40f68184a10b7e0f631940486bd948a58e5368435580",
+        "olh": "0f7751c00d685ab2d62e0a340cae877e841a2fce1788f3702a9124156fe9bd8c",
+        "she": "e1b183f87cad4283b78a37a6844ae92cbfc558f4c149945a736065379d3129f9",
+        "ss": "43cc6a0623cb6151f6d27dccad7f1136df87844827a3b3a7f6a3424f59e24e85",
+    },
+    "benchmark-utility-wide": {
+        "grr": "771a0ab2b5f5fb3a9a27d56ec6942bece1d46f2a1b67e546af62f303e0babae7",
+        "exp": "0cc8a283d1aca983ed0790b2fbf0f80c630d558689b9359758916f093afe1e6c",
+        "rappor": "09b64bf17ee62055dbb2a7fa6ce9da7012340bb8963282eff5d602163c61d8b0",
+        "oue": "751b77931c982aa2f80ba1e6924345f517694b389c852f94fe62810f070f0a23",
+        "blh": "94d3a20d65e47d72ca8d89ea4a2165000fc67aae5ac171a4353c3adfe76ee06e",
+        "olh": "23f6d2304f6563f50abc2c0c4aa757608289588f3f2cb4caa3a809cdceaf4aae",
+        "she": "22ddd16ead5dd78b3f932e8f5ab6e8363bcfa02916e4f3d347a348e27c8621be",
+        "ss": "d7e6f974263eb70e40ce974403074a3261ce524d1eaa9b5ca9e3a109af20e1e2",
+    },
+}
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_result_and_digest_pinned(capsys, monkeypatch, fixture_dir, name):
     argv, result_sha, config_digest, text_sha = GOLDEN[name]
@@ -173,8 +211,12 @@ def test_result_and_digest_pinned(capsys, monkeypatch, fixture_dir, name):
     assert main(argv) == 0
     out = capsys.readouterr().out
     envelope = json.loads(out)
-    blob = json.dumps(envelope["result"], sort_keys=True).encode("utf-8")
-    assert hashlib.sha256(blob).hexdigest() == result_sha
+    if name in KIND_DIGESTS:
+        rows = envelope["result"]["rows"]
+        moved = [kind for kind, sha in KIND_DIGESTS[name].items()
+                 if digest([row for row in rows if row["mechanism"] == kind]) != sha]
+        assert moved == []
+    assert digest(envelope["result"]) == result_sha
     assert envelope["manifest"]["config_digest"] == config_digest
     text = re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0', out)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == text_sha

@@ -77,6 +77,40 @@ class TestSpec:
         assert estimate_frequencies(s, col).sum() == pytest.approx(1.0)
 
 
+TYPED = {
+    "k": lambda value: MechanismSpec("oue", 1.0, value),
+    "epsilon": lambda value: MechanismSpec("grr", value, 3),
+    "stream key": lambda value: derive_rng(1, value),
+}
+
+
+@pytest.mark.parametrize("where, value, accepted", [
+    ("k", 3, True), ("k", np.int64(3), True), ("k", np.uint8(3), True),
+    ("k", 2.5, False), ("k", 3.0, False), ("k", np.float64(3), False), ("k", True, False),
+    ("k", "3", False),
+    ("epsilon", 1.0, True), ("epsilon", 1, True), ("epsilon", np.float32(1), True),
+    ("epsilon", np.int64(1), True), ("epsilon", True, False), ("epsilon", np.bool_(True), False),
+    ("epsilon", "1", False), ("epsilon", None, False), ("epsilon", 1j, False),
+    ("stream key", 1, True), ("stream key", np.int64(1), True), ("stream key", 1.5, False),
+    ("stream key", 1.0, False), ("stream key", True, False), ("stream key", -1, False),
+])
+def test_integer_and_number_rule(where, value, accepted):
+    """k and every stream key are Python or numpy integers, used as ints;
+    a budget is a real number, numpy ones included, but not a bool. Any
+    other value is an ``InputError``, never a bare ``TypeError`` or a
+    silent coercion."""
+    if not accepted:
+        with pytest.raises(InputError, match=where):
+            TYPED[where](value)
+    elif where == "k":
+        assert type(TYPED[where](value).k) is int
+    elif where == "stream key":
+        assert TYPED[where](value).random() == derive_rng(1, 1).random()
+    else:
+        want = MechanismSpec("grr", 1.0, 3).keep_probability()
+        assert TYPED[where](value).keep_probability() == want
+
+
 class TestTransitionMatrix:
     def test_grr_worked_matrix(self):
         t = transition_matrix(MechanismSpec("grr", math.log(3), 2))
@@ -212,6 +246,28 @@ class TestPerturbLaw:
                                     derive_rng(24, 1)).payload for eps in (0.1, 5.0))
         assert low.tobytes() != high.tobytes()
 
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 5.0])
+    def test_she_noise_is_laplace(self, epsilon):
+        # the payload less its one-hot against Laplace(0, b), b = 2/eps: the
+        # mean (variance 2b^2), the second moment (variance 20b^4) and the
+        # share of negative signs each within Z standard errors, and the
+        # Kolmogorov-Smirnov distance within its 1e-6 critical value
+        z, b = 5.0, 2.0 / epsilon
+        n, k = 50_000, 4
+        values = derive_rng(28, 0).integers(0, k, n)
+        y = perturb_column(MechanismSpec("she", epsilon, k), values, derive_rng(28, 1)).payload
+        noise = (y - np.eye(k)[values]).ravel()
+        m = noise.size
+        assert abs(noise.mean()) <= z * math.sqrt(2 * b * b / m)
+        assert abs((noise ** 2).mean() - 2 * b * b) <= z * math.sqrt(20 * b ** 4 / m)
+        assert abs(np.signbit(noise).mean() - 0.5) <= z * math.sqrt(0.25 / m)
+        x = np.sort(noise)
+        cdf = np.where(x < 0, 0.5 * np.exp(np.minimum(x, 0) / b),
+                       1 - 0.5 * np.exp(-np.maximum(x, 0) / b))
+        ranks = np.arange(1, m + 1) / m
+        distance = max((ranks - cdf).max(), (cdf - ranks + 1 / m).max())
+        assert distance <= math.sqrt(math.log(2 / 1e-6) / 2) / math.sqrt(m)
+
     def test_out_of_range_value_rejected(self):
         with pytest.raises(InputError, match="must lie in"):
             perturb_column(spec_for("grr"), np.array([4]), derive_rng(0, 0))
@@ -275,6 +331,40 @@ class TestDecode:
     def test_she_zero_budget_rejected(self):
         with pytest.raises(InputError, match=r"^she requires epsilon > 0$"):
             MechanismSpec("she", 0.0, 4)
+
+    # upper 1e-6 quantiles of chi-square with 1 and 5 degrees of freedom
+    CHI2_CRITICAL = {1: 23.93, 5: 35.89}
+
+    def test_pick_is_uniform_over_members_or_all_symbols(self):
+        # reports with one member, two members, all k and none, each group
+        # decoded by one uniform per report
+        k, n = 6, 60_000
+        groups = [[2], [1, 4], list(range(k)), []]
+        bits = np.zeros((len(groups) * n, k), dtype=np.uint8)
+        for g, members in enumerate(groups):
+            bits[g * n:(g + 1) * n, members] = 1
+        spec = spec_for("oue", k=k)
+        decoded = decode_column(spec, PerturbedColumn(spec, bits), derive_rng(29, 0))
+        for g, members in enumerate(groups):
+            symbols = members or list(range(k))
+            counts = np.bincount(decoded[g * n:(g + 1) * n], minlength=k)
+            assert counts.sum() == counts[symbols].sum() == n
+            if len(symbols) > 1:
+                expected = n / len(symbols)
+                chi2 = float(((counts[symbols] - expected) ** 2 / expected).sum())
+                assert chi2 <= self.CHI2_CRITICAL[len(symbols) - 1]
+
+    def test_ss_with_one_member_decodes_without_a_draw(self):
+        values = derive_rng(30, 0).integers(0, 5, 3000)
+        for epsilon, draws in ((1.0, False), (0.1, True)):  # omega 1 and 2
+            spec = spec_for("ss", epsilon=epsilon, k=5)
+            assert spec.subset_size == 1 + draws
+            col = perturb_column(spec, values, derive_rng(30, 1))
+            rng = derive_rng(30, 2)
+            state = rng.bit_generator.state
+            decoded = decode_column(spec, col, rng)
+            assert (rng.bit_generator.state != state) == draws
+            assert col.payload[np.arange(3000), decoded].all()
 
     def test_blh_decode_lands_in_preimage(self):
         spec = spec_for("blh", epsilon=2.0, k=6)
@@ -404,6 +494,21 @@ class TestColumnSpecCheck:
         with pytest.raises(InputError, match="one column per symbol"):
             estimate_frequencies(spec, col)
 
+    @pytest.mark.parametrize("epsilon", [1.0, 0.1])  # omega 1 and 2
+    def test_ss_reports_hold_omega_members(self, epsilon):
+        spec = spec_for("ss", epsilon=epsilon, k=5)
+        members = np.zeros((3, 5), dtype=bool)
+        members[:, :spec.subset_size] = True
+        for row, width in ((1, 0), (2, spec.subset_size + 1)):
+            wrong = members.copy()
+            wrong[row] = False
+            wrong[row, :width] = True
+            col = PerturbedColumn(spec, wrong)
+            with pytest.raises(InputError, match="members"):
+                decode_column(spec, col, derive_rng(17, 6))
+            with pytest.raises(InputError, match="members"):
+                estimate_frequencies(spec, col)
+
     def test_non_column_rejected(self):
         with pytest.raises(InputError, match="PerturbedColumn"):
             estimate_frequencies(spec_for("grr"), [0, 1, 2])
@@ -498,9 +603,14 @@ def ref_perturb(spec, values, rng):
     values = np.asarray(values, dtype=np.int64)
     n, k, kind = values.shape[0], spec.k, spec.kind
     if kind == "she":
-        onehot = np.zeros((n, k), dtype=np.float64)
-        onehot[np.arange(n), values] = 1.0
-        return onehot + rng.laplace(0.0, 2.0 / spec.epsilon, size=(n, k))
+        # Laplace(0, 2/eps) as a scaled exponential, negated where the bit
+        # of its row-major place is set in the bytes drawn after it
+        size = 2.0 / spec.epsilon * rng.standard_exponential((n, k))
+        signs = rng.integers(0, 256, size=-(-n * k // 8), dtype=np.uint8)
+        negative = np.unpackbits(signs, count=n * k).reshape(n, k) == 1
+        y = np.where(negative, -size, size)
+        y[np.arange(n), values] += 1.0
+        return y
     p, q = _support_rates(spec)
     if kind in ("grr", "exp"):
         return ref_grr_sample(values, p, k, rng)
@@ -537,10 +647,10 @@ def ref_support_set(spec, payload):
 def ref_uniform_over_mask(mask, rng):
     n, k = mask.shape
     counts = mask.sum(axis=1)
-    pick = np.floor(rng.random(n) * np.maximum(counts, 1)).astype(np.int64)
+    # one uniform per report: over its members, or over all k symbols
+    pick = np.floor(rng.random(n) * np.where(counts > 0, counts, k)).astype(np.int64)
     from_mask = np.argmax(np.cumsum(mask, axis=1) > pick[:, None], axis=1)
-    fallback = rng.integers(0, k, size=n)
-    return np.where(counts > 0, from_mask, fallback).astype(np.int64)
+    return np.where(counts > 0, from_mask, pick).astype(np.int64)
 
 
 def ref_decode(spec, payload, rng):
