@@ -9,13 +9,13 @@ risky), R2 (pure overestimation, wasteful), R3 (mixed).
 Utility benchmark: each mechanism/budget cell reports frequency-estimation
 NMSE, normalized 0-1 error between decoded outputs and inputs, and total
 pairwise leakage normalized by the budget-only bound. The leakage is exact
-for every mechanism: each neighbor is released through its decoded channel
-(``transition_matrix``), so it depends on the data and the budget alone,
-not on the seed or the expansion factor. Here and in the analyzer benchmark
-every per-pair leakage comes from the budget-independent table that
-``calibrate`` probes. The errors come from columns, one attribute of one
-cell each, which draw from their own streams, so they run on a thread pool
-and are summed in grid order: the rows do not depend on the number of threads.
+for every mechanism: each neighbor is released through its decoded channel,
+so it depends on the data and the budget alone, not on the seed or the
+expansion factor. Here and in the analyzer benchmark every per-pair leakage,
+bound or exact, is the closed form of the table that ``calibrate`` probes
+(``calibration._LeakageTable``). The errors come from columns, one attribute
+of one cell each, which draw from their own streams, so they run on a thread
+pool and are summed in grid order: the rows do not depend on the threads.
 """
 from __future__ import annotations
 

@@ -1,23 +1,21 @@
 """Correlation-aware privacy-budget calibration.
 
 Given a total leakage ceiling for every attribute, step a uniform
-per-attribute budget up from the equal split, ceiling/n, into the slack
-that weak correlations leave unused. An attribute's total is its own budget plus the
-leakage each neighbor causes at that same budget, through the budget-only
-bound or ``exact-<kind>`` (the decoded channel of any mechanism kind); this
-module is the one place that total is computed. It is not a bound on the
-leakage of all neighbors at once, which can exceed it when the neighbors
-depend on each other given the target. The walk probes the grid start +
-i * step and returns the budget before the first one whose worst total is
-over the ceiling, so every grid budget up to the result keeps the ceiling.
-That is the largest such grid budget only if the worst total rises with the
-budget, as the bound's does. A kind's decoded weight can fall as the budget
-rises (olh's whenever its hash range steps up), so for ``exact-<kind>`` a
-later grid budget may keep the ceiling again. The budget-independent part
-of every leakage is built once per calibration and shared by all probes,
-which are evaluated in chunks and walked in order; each value is the one a
-probe alone gives. The analyzer and utility benchmarks take their per-pair
-leakages from the same table.
+per-attribute budget up from the equal split, ceiling/n, into the slack that
+weak correlations leave unused. An attribute's total is its own budget plus
+the leakage each neighbor causes at that budget, through the budget-only
+bound or ``exact-<kind>`` (the decoded channel of any kind); this module is
+the one place that total is computed. It is not a bound on the leakage of
+all neighbors at once, which can exceed it when the neighbors depend on each
+other given the target. The walk probes the grid start + i * step and
+returns the budget before the first one whose worst total is over the
+ceiling, so every grid budget up to it keeps the ceiling; it is the largest
+such budget only if the worst total rises with the budget, as the bound's
+does, and olh's decoded weight falls whenever its hash range steps up. Both
+engines are one closed-form kernel over points built once per calibration
+(``_LeakageTable``), which the analyzer and utility benchmarks share; the
+probes are evaluated in chunks and walked in order, and each value is the
+one a probe alone gives.
 """
 from __future__ import annotations
 
@@ -27,15 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Calibration evaluates the bound through ``_BoundTable``; ``cpl_bound`` stays
-# importable from here because perfbench's tracer tests rebind it in this module.
+# ``cpl_bound`` is unused here but stays importable: perfbench's tracer tests rebind it.
 from .cpl_bound import _BoundTable, _log_each, cpl_bound  # noqa: F401
-from .cpl_exact import EXACT_ENGINES, _output_ratios
+from .cpl_exact import EXACT_ENGINES
 from .data_model import (
-    ConditionalDistribution, JointDistribution, conditional_from_joint, ordered_pairs,
+    ConditionalDistribution, JointDistribution, _real, conditional_from_joint, ordered_pairs,
 )
 from .errors import CplKitError, InfeasibleBudgetError, InputError
-from .mechanisms import _EPSILON_MAX, MechanismSpec, _channel
+from .mechanisms import _EPSILON_MAX, MechanismSpec, _channel_weight, _check_epsilon
 
 _FEAS_TOL = 1e-9
 _MAX_PROBES = 10 ** 6
@@ -78,53 +75,70 @@ def _as_conditionals(joints: dict) -> tuple[int, dict]:
 
 
 class _LeakageTable:
-    """Leakage of every conditional as a function of the shared budget.
-
-    Everything that does not depend on the budget is computed here, once:
-    the bound's greedy orders and prefix masses, or for ``exact-<kind>`` the
-    usable rows stacked by (row count, domain size), so that a probe builds
-    one channel per domain size and does one matmul per stack. A call maps E
-    budgets to an (E, C) array, ``block`` budgets at a time: that many keep
-    the temporaries within about ``_BLOCK_CELLS`` float64 entries. Every
-    value is the one a call with its budget alone gives.
+    """Leakage of every conditional as a function of the shared budget: for
+    both engines, ln max over (a, b) in P of (1 + lam a) / (1 + lam b), with
+    the points P of each conditional built here, once. For the bound, P holds
+    the greedy's prefix masses of the row pairs that are not disjoint,
+    lam = e^eps - 1, and a disjoint pair raises the value to eps. Every
+    decoded channel is symmetric, so for ``exact-<kind>`` P(y | x) is
+    proportional to 1 + lam G[x, y], lam = w - 1 with w the diagonal to
+    off-diagonal ratio: P holds each column's extremes over the usable rows,
+    the bound's H restricted to single symbols. Only P's Pareto frontier is
+    kept, and a (0, 0) point pads every row, so no leakage reads below 0
+    where rounding leaves w a hair below 1. A call maps E budgets to an
+    (E, C) array, ``block`` budgets at a time, which keeps the temporaries
+    near ``_BLOCK_CELLS`` float64 entries; every value is the one a call with
+    its budget alone gives.
     """
 
     def __init__(self, conds: list[ConditionalDistribution], engine: str):
-        self._n = len(conds)
+        self._kind = EXACT_ENGINES.get(engine) if isinstance(engine, str) else None
+        self._disjoint = np.zeros(len(conds), bool)
         if engine == "bound":
-            self._bound = _BoundTable.build(conds)
-            cells = self._bound.q.size
-        elif engine in EXACT_ENGINES:
-            self._bound = None
-            self._kind = EXACT_ENGINES[engine]
-            groups: dict[tuple[int, int], list[int]] = {}
-            usable = [cond.matrix[cond.usable_rows()] for cond in conds]
-            for c, rows in enumerate(usable):
-                groups.setdefault(rows.shape, []).append(c)
-            self._stacks = [(k, members, np.stack([usable[c] for c in members]))
-                            for (_, k), members in groups.items()]
-            self._sizes = list(dict.fromkeys(k for k, *_ in self._stacks))
-            cells = sum(stack.size for *_, stack in self._stacks)
+            table = _BoundTable.build(conds)
+            points = table.stops()
+            self._disjoint[:] = [table.disjoint[sl].any() for sl in table.slices]
+        elif self._kind is not None:
+            points = [(rows.max(axis=0), rows.min(axis=0))
+                      for rows in (cond.matrix[cond.usable_rows()] for cond in conds)]
+            self._sizes, self._size_of = np.unique([c.n_cols for c in conds], return_inverse=True)
         else:
             raise InputError(f"unknown leakage engine {engine!r}")
-        self.block = max(1, _BLOCK_CELLS // max(cells, 1))
+        points = [_frontier(a, b) for a, b in points]
+        width = 1 + max((a.size for a, _ in points), default=0)
+        self._a, self._b = np.zeros((2, len(conds), width))
+        for c, (a, b) in enumerate(points):
+            self._a[c, :a.size], self._b[c, :b.size] = a, b
+        self.block = max(1, _BLOCK_CELLS // max(self._a.size, 1))
 
     def __call__(self, epsilons) -> np.ndarray:
         parts = [self._evaluate(epsilons[lo:lo + self.block])
                  for lo in range(0, len(epsilons), self.block)]
-        return np.concatenate(parts) if parts else np.empty((0, self._n))
+        return np.concatenate(parts) if parts else np.empty((0, len(self._disjoint)))
 
     def _evaluate(self, epsilons) -> np.ndarray:
-        if self._bound is not None:
-            return self._bound.leakages(epsilons)
-        # Every budget is checked before any is evaluated.
-        channels = [{k: _channel(MechanismSpec(self._kind, eps, k)) for k in self._sizes}
-                    for eps in epsilons]
-        out = np.empty((len(epsilons), self._n))
-        for k, members, stack in self._stacks:
-            chan = np.stack([stack @ trans[k] for trans in channels])
-            out[:, members] = _log_each(_output_ratios(chan).max(axis=-1))
-        return out
+        # Every budget is checked before any is evaluated, and each lam is a
+        # Python float, so a value does not depend on the budgets beside it.
+        if self._kind is None:
+            for eps in epsilons:
+                _check_epsilon(eps)
+            lam = np.array([[math.expm1(eps)] for eps in epsilons])
+        else:
+            lam = np.array([[_channel_weight(MechanismSpec(self._kind, eps, k)) - 1.0
+                             for k in self._sizes] for eps in epsilons])[:, self._size_of]
+        ratio = (1.0 + self._a * lam[..., None]) / (1.0 + self._b * lam[..., None])
+        logs = _log_each(ratio.max(axis=-1))
+        eps_col = np.array(epsilons, dtype=np.float64)[:, None]
+        return np.where(self._disjoint, np.maximum(logs, eps_col), logs)
+
+
+def _frontier(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points (a, b) no other matches or beats with a' >= a and b' <= b;
+    the ratio rises with a and falls with b, in floating point too."""
+    order = np.lexsort((b, -a))
+    a, b = a[order], b[order]
+    keep = b < np.append(np.inf, np.minimum.accumulate(b))[:-1]
+    return a[keep], b[keep]
 
 
 def _worst(leaks: np.ndarray, n: int, epsilons) -> tuple[np.ndarray, np.ndarray]:
@@ -187,6 +201,7 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
     chunk at a time and walked in order; the walk never passes the first
     budget above the ceiling, so no chunk reaches past it.
     """
+    epsilon_bar, step = _real(epsilon_bar, "total budget"), _real(step, "step")
     if not 0 < epsilon_bar < math.inf:
         raise InputError("total budget must be finite and positive")
     if not 0 < step < math.inf:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ConditionalDistribution, ordered_pairs
+from .data_model import ConditionalDistribution, _real, ordered_pairs
 from .errors import InputError
 from .mechanisms import _check_epsilon
 
@@ -42,7 +42,7 @@ class BudgetParams:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-        if not 0 <= self.delta < 1:
+        if not 0 <= _real(self.delta, "delta") < 1:
             raise InputError("delta must be in [0, 1)")
 
 
@@ -124,50 +124,31 @@ class _BoundTable:
         disjoint = ~(positive & positive_p).any(axis=1)
         return cls(tuple(pairs), tuple(slices), order, q, a, b, disjoint)
 
-    def _stops(self, epsilons) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy stop of every pair at each of E budgets, and its H there,
-        as (E, P) arrays.
-
-        The greedy admits index k exactly when q[k] >= H of the first k
+    def evaluate(self, epsilons) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy stop and leakage of every pair at each of E budgets, as (E, P)
+        arrays. The greedy admits index k exactly when q[k] >= H of the first k
         indices; since q descends, the first rejection ends the admitted
         prefix, and H never falls below its empty-prefix value 1. Each
-        e^eps - 1 is taken on a Python float, so a value does not depend on
-        how many budgets share the call.
+        e^eps - 1 is a Python float, so a value does not depend on the budgets
+        beside it. Disjoint pairs attain H = e^eps analytically, so they
+        report the exact budget rather than round-tripping through exp/log.
         """
         for eps in epsilons:
             _check_epsilon(eps)
         lam = np.array([math.expm1(eps) for eps in epsilons])[:, None, None]
         h = (1.0 + self.a * lam) / (1.0 + self.b * lam)
         stop = np.argmin(self.q >= h, axis=-1)
-        return stop, np.take_along_axis(h, stop[..., None], axis=-1)[..., 0]
-
-    def evaluate(self, epsilons) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy stop and leakage of every pair at each of E budgets, as
-        (E, P) arrays.
-
-        Disjoint pairs attain H = e^eps analytically, so they report the
-        exact budget rather than round-tripping through exp/log.
-        """
-        stop, h_stop = self._stops(epsilons)
+        h_stop = np.take_along_axis(h, stop[..., None], axis=-1)[..., 0]
         eps_col = np.array(epsilons, dtype=np.float64)[:, None]
         return stop, np.where(self.disjoint, eps_col, _log_each(h_stop))
 
-    def leakages(self, epsilons) -> np.ndarray:
-        """(E, C) bound of each conditional at each of E budgets, the largest
-        leakage ``evaluate`` gives its pairs.
-
-        Since log is monotone, that is one log per conditional, of its
-        largest H over its pairs that are not disjoint, raised to the budget
-        where it has a disjoint pair. A disjoint pair's H is masked as 1,
-        whose log 0 the budget covers.
-        """
-        starts = np.array([sl.start for sl in self.slices], dtype=np.intp)
-        h_max = np.maximum.reduceat(np.where(self.disjoint, 1.0, self._stops(epsilons)[1]),
-                                    starts, axis=1)
-        logs = _log_each(h_max)
-        eps_col = np.array(epsilons, dtype=np.float64)[:, None]
-        return np.where(np.logical_or.reduceat(self.disjoint, starts),
-                        np.maximum(logs, eps_col), logs)
+    def stops(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Masses (a, b) of each conditional's prefixes that can be a greedy
+        stop: those of its pairs that are not disjoint, up to the first index
+        of ratio below 1, which the greedy rejects, as H never falls below 1."""
+        last = np.argmax(self.q < 1.0, axis=1)
+        keep = (np.arange(self.q.shape[1]) <= last[:, None]) & ~self.disjoint[:, None]
+        return [(self.a[sl][keep[sl]], self.b[sl][keep[sl]]) for sl in self.slices]
 
 
 def _log_each(x: np.ndarray) -> np.ndarray:

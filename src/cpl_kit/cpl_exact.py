@@ -77,10 +77,8 @@ def cpl_exact(cond: ConditionalDistribution, trans: TransitionMatrix) -> ExactCp
 
 
 def _output_ratios(chan: np.ndarray) -> np.ndarray:
-    """Largest over smallest positive entry of every output column of
-    (stacks of) channels ``chan[..., x, y]``. An output that is zero under
-    every row has ratio 1.
-    """
+    """Largest over smallest positive entry of every output column y of a
+    channel ``chan[x, y]``; an output that is zero under every row has ratio 1."""
     top = np.max(chan, axis=-2)
     low = np.min(np.where(chan > 0, chan, np.inf), axis=-2)
     return np.divide(top, low, out=np.ones_like(top), where=top > 0)

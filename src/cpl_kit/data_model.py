@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -58,6 +59,17 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str) -> float:
+    """``value``, a Python or numpy real number, as a float; anything else, a
+    bool, a string or an int past the float range included, is an ``InputError``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InputError(f"{what} must be a real number in float range, got {value!r}")
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
@@ -229,7 +241,7 @@ def bin_numeric(values, bin_count: int) -> tuple[np.ndarray, Alphabet]:
     The maximum value maps to the last bin. If all values are equal the
     result degenerates to a single bin regardless of ``bin_count``.
     """
-    if bin_count < 1:
+    if _integer(bin_count, "bin count") < 1:
         raise InputError(f"bin count must be >= 1, got {bin_count}")
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0 or not np.isfinite(vals).all():
@@ -251,8 +263,8 @@ def load_csv(path, schema_hints: dict | None = None) -> Dataset:
     """Read a header-bearing CSV into a Dataset.
 
     Categorical alphabets use first-appearance order. ``schema_hints`` maps a
-    column name either to an int (treat as numeric, equal-width bin into that
-    many bins) or to a list of labels (declared alphabet and ordering).
+    column name to an int (numeric: equal-width bin into that many bins) or
+    to a list or tuple of labels (declared alphabet and ordering).
 
     Each distinct line is parsed and each distinct row coded once, and
     repeats are not kept, so time and memory scale with the number of
@@ -289,18 +301,20 @@ def load_csv(path, schema_hints: dict | None = None) -> Dataset:
     for j, name in enumerate(header):
         cells = list(map(itemgetter(j), rows))
         hint = hints.get(name)
-        if isinstance(hint, int):
+        if hint is None or isinstance(hint, (list, tuple)):
+            # Without a declared alphabet, symbols take first-appearance order.
+            alphabet = Alphabet(tuple(dict.fromkeys(cells) if hint is None else hint))
+            codes[:, j] = alphabet.indices(cells)
+        else:
+            bins = _integer(hint, f"schema hint for column {name!r} (a bin count, or a list "
+                                  f"or tuple of labels)")
             try:
                 numeric = np.fromiter(map(float, cells), np.float64, len(cells))
             except ValueError as exc:
                 raise InputError(f"column {name!r} declared numeric: {exc}") from None
             # Binning edges depend only on min and max, which the distinct
             # rows share with the records.
-            codes[:, j], alphabet = bin_numeric(numeric, hint)
-        else:
-            # Without a declared alphabet, symbols take first-appearance order.
-            alphabet = Alphabet(tuple(dict.fromkeys(cells) if hint is None else hint))
-            codes[:, j] = alphabet.indices(cells)
+            codes[:, j], alphabet = bin_numeric(numeric, bins)
         schema.append((name, alphabet))
     return Dataset(tuple(schema), _lock(codes.take(ordinal, axis=0)))
 

@@ -62,14 +62,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .data_model import PROB_TOL, _integer, _locked, _probability_table
+from .data_model import PROB_TOL, _integer, _locked, _probability_table, _real
 from .errors import InputError, UnsupportedMechanismError
 
 KINDS = ("grr", "exp", "rappor", "oue", "blh", "olh", "she", "ss")
@@ -84,10 +83,8 @@ _OLH_G_MAX = 2 ** 63
 
 
 def _check_epsilon(epsilon: float) -> None:
-    """A budget is a real number, a numpy one included but not a bool, in
-    [0, _EPSILON_MAX]."""
-    real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
-    if not (real and 0 <= epsilon <= _EPSILON_MAX):
+    """A budget is a real number (see ``data_model._real``) in [0, _EPSILON_MAX]."""
+    if not 0 <= _real(epsilon, "epsilon") <= _EPSILON_MAX:
         raise InputError(f"epsilon must be a finite number in [0, {_EPSILON_MAX:.2f}], "
                          f"got {epsilon!r}")
 
@@ -182,15 +179,9 @@ class TransitionMatrix:
 def transition_matrix(spec: MechanismSpec) -> TransitionMatrix:
     """The decoded channel P(decoded symbol | true symbol) of ``spec``."""
     labels = tuple(str(i) for i in range(spec.k))
-    return TransitionMatrix(labels, labels, _channel(spec), spec.epsilon)
-
-
-def _channel(spec: MechanismSpec) -> np.ndarray:
-    """The matrix of ``transition_matrix(spec)``, which passes every check
-    of a ``TransitionMatrix``."""
     mat = np.full((spec.k, spec.k), 1.0 / (_channel_weight(spec) + spec.k - 1))
     np.fill_diagonal(mat, spec.keep_probability())
-    return mat
+    return TransitionMatrix(labels, labels, mat, spec.epsilon)
 
 
 def _channel_weight(spec: MechanismSpec) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpl_exact import _output_ratios
-from .data_model import Dataset, _integer, count_table
+from .data_model import Dataset, _integer, _real, count_table
 from .errors import InputError, InsufficientDataError
 from .mechanisms import MechanismSpec, decode_column, perturb_column, support_counts
 from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, derive_rng
@@ -62,7 +62,7 @@ class EstimationConfig:
             raise InputError("expansion factor must be >= 1")
         if self.surrogates < 1:
             raise InputError("surrogate count must be >= 1")
-        if not 0 < self.alpha < 1:
+        if not 0 < _real(self.alpha, "alpha") < 1:
             raise InputError("alpha must be in (0, 1)")
 
 

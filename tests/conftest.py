@@ -16,7 +16,7 @@ from cpl_kit.cpl_bound import _ZERO, BoundedCplResult, BudgetParams, _iter_pairs
 from cpl_kit.cpl_exact import EXACT_ENGINES, ExactCplResult, cpl_exact
 from cpl_kit.errors import InputError, InsufficientDataError
 from cpl_kit.fixtures import MAXLEAK_JOINT
-from cpl_kit.mechanisms import MechanismSpec, TransitionMatrix, transition_matrix
+from cpl_kit.mechanisms import MechanismSpec, TransitionMatrix, _channel_weight, transition_matrix
 from cpl_kit.statistical import (
     StatisticalCplResult, _decoded_column, _observed_and_null, count_table,
 )
@@ -180,16 +180,32 @@ def exact_set_leakage(d, specs, target, tuple_) -> ExactCplResult:
     return cpl_exact(cond, trans)
 
 
+def exact_closed_form(cond: ConditionalDistribution, kind: str, eps: float) -> float:
+    """Plain-Python oracle for the exact engines' leakage table. The decoded
+    channel of ``kind`` is symmetric, with diagonal to off-diagonal ratio w,
+    so P(y | x) is proportional to 1 + (w - 1) G[x, y], and the exact leakage
+    is ln max over columns y of (1 + (w - 1) top_y) / (1 + (w - 1) low_y),
+    with top_y and low_y the extremes of column y over the usable rows. The
+    largest ratio starts at 1, so rounding that leaves w a hair below 1
+    cannot make a leakage negative."""
+    lam = _channel_weight(MechanismSpec(kind, eps, cond.n_cols)) - 1.0
+    rows = cond.matrix[cond.usable_rows()].tolist()
+    best = 1.0
+    for column in zip(*rows):
+        best = max(best, (1.0 + lam * max(column)) / (1.0 + lam * min(column)))
+    return math.log(best)
+
+
 def worst_total(conds, n, eps, engine="bound") -> float:
     """Largest total over the n attributes at a shared budget: the
-    attribute's own budget plus each neighbor's leakage from the public
-    single-pair kernel (``cpl_bound``, or ``cpl_exact`` through the kind's
-    ``transition_matrix``), summed in neighbor order."""
+    attribute's own budget plus each neighbor's leakage, summed in neighbor
+    order: from the public single-pair kernel ``cpl_bound``, or for
+    ``exact-<kind>`` from :func:`exact_closed_form`, which ``cpl_exact``
+    through the kind's ``transition_matrix`` equals within a few ulps."""
     def leakage(cond):
         if engine == "bound":
             return cpl_bound(cond, BudgetParams(eps, 0.0)).leakage
-        spec = MechanismSpec(EXACT_ENGINES[engine], eps, cond.n_cols)
-        return cpl_exact(cond, transition_matrix(spec)).leakage
+        return exact_closed_form(cond, EXACT_ENGINES[engine], eps)
 
     totals = []
     for i in range(n):

@@ -7,7 +7,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from cpl_kit import (
     BudgetParams,

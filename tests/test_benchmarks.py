@@ -52,6 +52,7 @@ from cpl_kit.calibration import _LeakageTable
 from cpl_kit.mechanisms import KINDS, debias_counts, decode_column, perturb_column, support_counts
 from cpl_kit.rng import STAGE_DECODE, STAGE_PERTURB, derive_rng
 from cpl_kit.statistical import BLOCK_ROWS
+from conftest import cpl_limit, exact_closed_form
 
 
 class TestUndershootOvershoot:
@@ -130,16 +131,30 @@ class TestAnalyzerBenchmark:
         assert points["grr-anl"].distance < 0.05
         assert points["exp-anl"].region == "R1"
 
-    def test_exact_reference_for_every_mechanism(self):
-        d = mixed_five(n=5_000, seed=1)
-        conds = pairwise_conditionals(d)
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_exact_reference_for_every_mechanism(self, name):
+        # 0 <= exact <= bound <= min(eps, cpl_limit) for every kind, pair and
+        # budget of a dense grid, through the analyzer's tables. The slack of
+        # 1e-9 is for rounding: the two engines are separate float
+        # evaluations, which can differ by a few ulps where they meet.
+        make, _ = FIXTURES[name]
+        d = make(n=5_000, seed=1)
+        conds = list(pairwise_conditionals(d).values())
+        epsilons = (np.arange(1, 121) / 10).tolist()
+        bound = _LeakageTable(conds, "bound")(epsilons)
+        limit = np.minimum(np.array(epsilons)[:, None], [cpl_limit(c) for c in conds])
+        assert (bound <= limit + 1e-9).all()
+        assert reference_leakages(d, 1.0, "bound") == bound[9].tolist()
         for kind in KINDS:
-            ref = reference_leakages(d, 1.0, f"exact-{kind}")
-            bound = reference_leakages(d, 1.0, "bound")
-            assert all(0.0 <= r <= b + 1e-9 for r, b in zip(ref, bound))
-            i, j = ordered_pairs(d.n_attributes)[0]
-            spec = MechanismSpec(kind, 1.0, d.alphabet(j).size)
-            assert ref[0] == cpl_exact(conds[(i, j)], transition_matrix(spec)).leakage
+            ref = _LeakageTable(conds, f"exact-{kind}")(epsilons)
+            assert ((0.0 <= ref) & (ref <= bound + 1e-9)).all()
+            assert reference_leakages(d, 1.0, f"exact-{kind}") == ref[9].tolist()
+            for e in range(0, len(epsilons), 12):
+                eps = epsilons[e]
+                assert ref[e].tolist() == [exact_closed_form(c, kind, eps) for c in conds]
+                kernel = [cpl_exact(c, transition_matrix(MechanismSpec(kind, eps, c.n_cols)))
+                          .leakage for c in conds]
+                assert ref[e].tolist() == pytest.approx(kernel, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("method", ["exact-nope", "exact", "grr"])
     def test_unknown_reference_rejected(self, method):
@@ -218,11 +233,13 @@ class TestUtilityBenchmark:
         d = mixed_five(n=5_000, seed=4)
         conds = pairwise_conditionals(d)
         for row in utility_benchmark(d, list(KINDS), [1.0], 1, 5):
-            exact = sum(cpl_exact(conds[(i, j)], transition_matrix(
+            exact = sum(exact_closed_form(c, row.mechanism, 1.0) for c in conds.values())
+            kernel = sum(cpl_exact(conds[(i, j)], transition_matrix(
                 MechanismSpec(row.mechanism, 1.0, d.alphabet(j).size))).leakage
                 for i, j in ordered_pairs(d.n_attributes))
             star = sum(cpl_bound(c, BudgetParams(1.0, 0.0)).leakage for c in conds.values())
             assert row.report.norm_tcpl == exact / star
+            assert exact == pytest.approx(kernel, rel=0, abs=1e-12)
 
     def test_norm_tcpl_independent_of_seed_and_expansion(self):
         d = noisy_copy(n=5_000, seed=3, k=4)
@@ -305,7 +322,7 @@ def serial_utility(d, kinds, epsilons, r, seed):
     """Oracle: every cell walked serially over the blocks of the built
     expanded dataset, all attributes of a block together, with the public
     column API on the ``derive_rng`` streams; every pair's leakage comes
-    from the single-pair kernels."""
+    from the single-pair bound kernel or the exact closed form."""
     n_attr = d.n_attributes
     sizes = [d.alphabet(j).size for j in range(n_attr)]
     n_rows = d.n_records * r
@@ -334,8 +351,7 @@ def serial_utility(d, kinds, epsilons, r, seed):
             est = debias_counts(spec, counts[j], n_rows)
             freq_err += float(((est - true_freqs[j]) ** 2).sum())
         tcpl_star = sum(cpl_bound(conds[p], BudgetParams(eps, 0.0)).leakage for p in pairs)
-        tcpl_prime = sum(cpl_exact(conds[(i, j)], transition_matrix(specs[j])).leakage
-                         for i, j in pairs)
+        tcpl_prime = sum(exact_closed_form(conds[p], kind, eps) for p in pairs)
         rows.append(UtilityRow(kind, eps, UtilityReport(
             freq_err / freq_denom, mismatches / (n_rows * n_attr),
             tcpl_prime / tcpl_star if tcpl_star > 0 else 0.0)))

@@ -8,7 +8,6 @@ import pytest
 from cpl_kit import (
     BudgetParams,
     ConditionalDistribution,
-    InfeasibleBudgetError,
     InputError,
     JointDistribution,
     MechanismSpec,
@@ -26,7 +25,9 @@ from cpl_kit.fixtures import mixed_five, weak_ten
 from cpl_kit.benchmarks import ordered_pairs, pairwise_conditionals
 from cpl_kit.data_model import empirical_joint
 from cpl_kit.rng import derive_rng
-from conftest import calibrate_by_probe, exact_set_leakage, random_conditional, worst_total
+from conftest import (
+    calibrate_by_probe, exact_closed_form, exact_set_leakage, random_conditional, worst_total,
+)
 
 
 def pair_labels(k):
@@ -212,16 +213,19 @@ class TestLeakageTable:
                 assert cpl_bound(cond, BudgetParams(epsilons[e], 0.0)).leakage == want[e]
 
     def test_exact_grr_table_equals_public_kernel(self):
-        # and the table of every other kind's exact engine
+        # and the table of every other kind's exact engine: bit for bit the
+        # closed form, and within a few ulps the public kernel's matmul
         conds = self.mixed_conditionals()
         for kind in KINDS:
             table = _LeakageTable(conds, f"exact-{kind}")
             for eps in self.EPSILONS:
                 if kind == "she" and eps == 0:
                     continue  # she needs a positive budget
-                want = [cpl_exact(c, transition_matrix(MechanismSpec(kind, eps, c.n_cols))).leakage
-                        for c in conds]
-                assert table([eps])[0].tolist() == want
+                got = table([eps])[0].tolist()
+                assert got == [exact_closed_form(c, kind, eps) for c in conds]
+                kernel = [cpl_exact(c, transition_matrix(MechanismSpec(kind, eps, c.n_cols)))
+                          .leakage for c in conds]
+                assert got == pytest.approx(kernel, rel=0, abs=1e-12)
 
     def test_many_budgets_equal_one_at_a_time(self):
         # more budgets than one block holds, so the call evaluates several blocks
@@ -269,15 +273,19 @@ class TestLeakageTable:
                         if engine == "bound":
                             alone = cpl_bound(cond, BudgetParams(eps)).leakage
                         else:
-                            spec = MechanismSpec(engine[len("exact-"):], eps, k)
-                            alone = cpl_exact(cond, transition_matrix(spec)).leakage
+                            kind = engine[len("exact-"):]
+                            alone = exact_closed_form(cond, kind, eps)
+                            trans = transition_matrix(MechanismSpec(kind, eps, k))
+                            # the closed form reads every row as summing to 1
+                            assert leak == pytest.approx(cpl_exact(cond, trans).leakage,
+                                                         rel=0, abs=1e-12 + 2 * abs(slack))
                     assert math.isfinite(leak) and leak <= eps + 1e-6
                     assert leak == alone
                 with pytest.raises(InputError, match="epsilon"):
                     table([math.nextafter(cap, math.inf)])
 
     def test_unknown_engine(self):
-        for engine in ("exact-nope", "exact", "grr", "exact-grr-exp"):
+        for engine in ("exact-nope", "exact", "grr", "exact-grr-exp", ["exact-grr"], None):
             with pytest.raises(InputError, match="engine"):
                 _LeakageTable(self.mixed_conditionals(), engine)
 
@@ -320,7 +328,9 @@ class TestChunkedWalk:
         return {(i, j): empirical_joint(d, i, j) for i, j in ordered_pairs(n_attributes)}
 
     @pytest.mark.parametrize("engine", ["bound", "exact-grr", "exact-oue", "exact-she"])
-    def test_trace_equals_probe_by_probe_walk(self, engine):
+    def test_trace_equals_probe_by_probe_walk(self, engine, monkeypatch):
+        # Chunks small enough that the walk crosses several of them.
+        monkeypatch.setattr(calibration, "_BLOCK_CELLS", 2 ** 12)
         joints = self.joints(4)
         res = calibrate(joints, 8.0, step=0.005, engine=engine)
         ref = calibrate_by_probe(joints, 8.0, 0.005, engine)

@@ -10,8 +10,12 @@ from cpl_kit import (
     ConditionalDistribution,
     InputError,
     InsufficientDataError,
+    TransitionMatrix,
     cpl_bound,
+    cpl_exact,
 )
+from cpl_kit.data_model import pairwise_conditionals
+from cpl_kit.fixtures import FIXTURES
 from cpl_kit.rng import derive_rng
 from conftest import cpl_bound_bruteforce, cpl_limit, is_max_attainable, random_conditional
 
@@ -313,3 +317,25 @@ class TestExtremes:
                                        valid=np.array([True, False]))
         with pytest.raises(InsufficientDataError):
             cpl_bound(cond, BudgetParams(1.0))
+
+
+class TestTightness:
+    """The bound is attained. Its witness subset S gives the two-output
+    channel P(1 | v) = c e^eps for v in S and c otherwise, with c = e^-eps / 2,
+    which is eps-LDP; its output 1 has likelihood ratio (1 + lam A) /
+    (1 + lam B) = H on the witness pair, and no eps-LDP channel leaks more,
+    so the exact leakage through it equals the bound."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_witness_channel_attains_the_bound(self, name):
+        make, _ = FIXTURES[name]
+        for cond in pairwise_conditionals(make(n=5_000, seed=2)).values():
+            for eps in (0.1, 0.5, 1.0, 3.0, 7.5):
+                res = cpl_bound(cond, BudgetParams(eps))
+                c = math.exp(-eps) / 2
+                one = np.full(cond.n_cols, c)
+                one[list(res.subset)] = c * math.exp(eps)
+                trans = TransitionMatrix(cond.col_labels, ("0", "1"),
+                                         np.column_stack([1.0 - one, one]), eps)
+                exact = cpl_exact(cond, trans).leakage
+                assert exact == pytest.approx(res.leakage, rel=0, abs=1e-12)

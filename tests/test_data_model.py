@@ -8,12 +8,14 @@ import pytest
 
 from cpl_kit import (
     Alphabet,
+    BudgetParams,
     ConditionalDistribution,
     Dataset,
     InputError,
     JointDistribution,
     TransitionMatrix,
     bin_numeric,
+    calibrate,
     conditional_from_joint,
     empirical_joint,
     load_csv,
@@ -28,7 +30,7 @@ from cpl_kit.fixtures import (
 )
 from cpl_kit.data_model import _read_distinct_lines
 from cpl_kit.rng import derive_rng
-from cpl_kit.statistical import _expanded_blocks
+from cpl_kit.statistical import EstimationConfig, _expanded_blocks
 
 
 def write_lines(path, lines):
@@ -447,3 +449,43 @@ class TestConditional:
             j = JointDistribution(("a", "b", "c"), ("w", "x", "y", "z"), mat)
             c = conditional_from_joint(j)
             assert np.abs(c.matrix[c.valid].sum(axis=1) - 1).max() <= 1e-9
+
+
+class TestTypedNumbers:
+    """A public entry point takes a number only as a real number or an
+    integer of the right kind. A bool, a string or a float where an integer
+    is due raises ``InputError``; none is coerced or left to a bare
+    ``TypeError``."""
+
+    @staticmethod
+    def joints():
+        table = JointDistribution(("x", "y"), ("u", "v"), np.full((2, 2), 0.25))
+        return {(0, 1): table, (1, 0): table}
+
+    @pytest.mark.parametrize("call", [
+        lambda path, joints: calibrate(joints, True),
+        lambda path, joints: calibrate(joints, 2.0, step=True),
+        lambda path, joints: calibrate(joints, "2"),
+        lambda path, joints: BudgetParams(1.0, "0.1"),
+        lambda path, joints: BudgetParams(1.0, True),
+        lambda path, joints: EstimationConfig(alpha="0.1"),
+        lambda path, joints: load_csv(path, {"a": True}),
+        lambda path, joints: load_csv(path, {"a": 2.5}),
+        lambda path, joints: load_csv(path, {"b": "xy"}),
+        lambda path, joints: bin_numeric([0.5, 1.5, 2.5], 2.0),
+        lambda path, joints: bin_numeric([0.5, 1.5, 2.5], True),
+    ], ids=["calibrate-budget-bool", "calibrate-step-bool", "calibrate-budget-str",
+            "budget-delta-str", "budget-delta-bool", "estimation-alpha-str",
+            "csv-bins-bool", "csv-bins-float", "csv-labels-str", "bins-float", "bins-bool"])
+    def test_rejected_with_input_error(self, tmp_path, call):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["a,b", "0.5,x", "1.5,y", "2.5,x"])
+        with pytest.raises(InputError):
+            call(path, self.joints())
+
+    def test_numpy_numbers_accepted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["a,b", "0.5,x", "1.5,y", "2.5,x"])
+        assert load_csv(path, {"a": np.int64(2), "b": ("y", "x")}).alphabet(0).size == 2
+        assert BudgetParams(np.float32(1.0), np.float64(0.1)).delta == np.float64(0.1)
+        assert calibrate(self.joints(), np.float64(2.0), step=np.float32(0.5)).iterations >= 0

@@ -82,29 +82,29 @@ GOLDEN = {
         # 10,000 records x 7: one full block and a partial one per column
         ["benchmark", "utility", "--data", "fx/noisy_copy.csv", "--epsilons", "1,3",
          "--r", "7", "--seed", "2"],
-        "e71cf129cb79f224586aeb2b2e8ffeb6d55ff206bfefacdab91b0176a1f1bdc3",
+        "2fcea0b4d09f0ccb4b11f5baf2a988ce37a1522179058fc59f96cf77ab61a096",
         "45fef954edf50c0e20e653c8d00b4ca7b501726a621aa8be89d7e959d81ae40a",
-        "149c15626d89cdbea3056b8377f5d71746b50e3fc2b02c53da3bd5a321a9dea5"),
+        "1b6ca104b142ff89b1483b27ce47f67b7553d4b8e5a6b4725e27b0f333196ed9"),
     # every kind on alphabets 9, 12 and 33, 3000 records x 23: one full block
     # and a partial one per column. At eps 0.5 ss takes its argpartition
     # branch (omega 3, 4 and 12), and olh hashes to g 3 and 8, below k.
     "benchmark-utility-wide": (
         ["benchmark", "utility", "--data", "wide.csv", "--epsilons", "0.5,2", "--r", "23",
          "--seed", "6"],
-        "9edb47708e779d561c21394665b1d4dd0d76ac42ed08998b45abe1dc8d7b55d3",
+        "0ae0384c6eafc522bffcc644cf389256e389571ffee68d140c7b8576a1050928",
         "cf4ab3d45f6e4a7c601d918905d8433ba4eac19809aa13dadadd80bf11e7ef41",
-        "b5e8904621a14a3a2487f61e29981070f77cf1799c3e8543ba0dce9c9150b3b9"),
+        "bb625c56dc55e0bb6d505412b31877207df200e142cec3266310ff1ce6c31c89"),
     "benchmark-analyzers-bound": (
         ["benchmark", "analyzers", "--data", "fx/mixed_five.csv", "--epsilons", "0.5,2"],
-        "f0edaca3f2f2562adf7ee9323329ed1c3ad73b64f7a67d86fec4e42e70e91448",
+        "797b41a289a861ddc24058bdf47b0d675ac07be1651c3a8467e9dd87374712c7",
         "923e19dbe2903180bbb26d42d13cd8976b30d6212c351cc626a27361a11bd323",
-        "5f009f2aa041fabbfa4ecdcf8143094b583012c203d37e01e35e938d12e23ad3"),
+        "24ed1a423a6f387ec4b7028889f4a5a7490e76ddcd6d6a40b6290ca07f764cff"),
     "benchmark-analyzers-exact-oue": (
         ["benchmark", "analyzers", "--data", "fx/mixed_five.csv", "--epsilons", "1",
          "--reference", "exact-oue"],
-        "bf43a28a9e1f480e8c529ddd01e68670b221a24686ab781be9eafcb3d089af26",
+        "2f8eedf7ab1cf3389685d9b75b9f41fb9110aa8e05f69f5327be0e3a29b9a4c0",
         "ff9e877249be12f1dd7b04d7cdeffaf585ad00ea1be26a0a6978ac1ff99078df",
-        "efdec3f2298b0295deca4005d24af0d697b7e34ccb5c63d72f441b89b3edd612"),
+        "d1c6de9ab65a9c9c2aece685f802b1b070526c5c3f7f4ffa650a85d63c95fdf8"),
     "analyze-matrix-bound": (
         # 20 ordered pairs: tcpl_nats is a pairwise (np.sum) total, not a running one
         ["analyze", "matrix", "--data", "fx/mixed_five.csv", "--epsilon", "2", "--delta", "0.1"],
@@ -125,9 +125,9 @@ GOLDEN = {
     "calibrate-exact-grr": (
         ["calibrate", "--data", "fx/mixed_five.csv", "--budget", "5", "--step", "0.1",
          "--engine", "exact-grr"],
-        "43faada6701cf546ecbbbe5565fd662b675e54f81664c3a39f9b612fe178b721",
+        "a39c4e70c76f1f4b4a6fb57b0985855fbcef15830690d0dfc4b7107422f944f7",
         "e395b055e817f5639865df44970e80ba821910c9b770e4d7db632209fdaa616e",
-        "6208b93e039bcdf7db3d949ea5739b20e19e84353655f1ffc0aed4a9d8e95ba2"),
+        "4bda1f3009108b80cfa34755d1f9f216d97dcb8bc9d401ee1c3a887489041129"),
     # 829 probes each: the walk crosses many chunk boundaries
     "calibrate-long-bound": (
         ["calibrate", "--data", "fx/weak_ten.csv", "--budget", "10", "--step", "0.01",
@@ -138,9 +138,9 @@ GOLDEN = {
     "calibrate-long-exact-grr": (
         ["calibrate", "--data", "fx/weak_ten.csv", "--budget", "10", "--step", "0.01",
          "--engine", "exact-grr"],
-        "3d948ea31dd9eb2f3f01d1a28f5c0ea0c0ef81dfd2fe80ca9864f203680a19eb",
+        "a6a4d553ff048e5bd4d1a0326146b4c50f4a0620a06801d07598d24d8aa89dd5",
         "e0cdca43cc609cf29fe04cbba1a7c69ff6b910bca2aef4a463b958c9d0d924f3",
-        "c23ed1b2f004bc230a96995134d997f5f2dbbefaf0e44b6b9a1cf6062cc3c996"),
+        "7c00184d83f8dfc4a294e96ee06a24a8eec1a827db2ced2b53e8f09b3aee30f5"),
     # witness (output 3, x 2, x' 1): not the first output or the first usable rows
     "analyze-exact-olh": (
         ["analyze", "exact", "--cond", "cond.json", "--mechanism", "olh", "--epsilon", "1.5"],
@@ -168,9 +168,9 @@ GOLDEN = {
     "calibrate-exact-olh": (
         ["calibrate", "--data", "fx/mixed_five.csv", "--budget", "5", "--step", "0.1",
          "--engine", "exact-olh"],
-        "8660e24ba0dcec5b677787b4bf9632313fef5d1469da8a4ac92f1786ee19fb81",
+        "02c1b05407d9e50358f920a0c30e2f2fe5d08f3532084315a1733657a61ade67",
         "f69299732ac1ae8995a1270c6a69b79c17cbf277936ec63e32b1a245462ddac9",
-        "0fc3d8f57d4aca1d253bcc4d40295610697cbef0119b36db6e690be88fefbede"),
+        "98d64b1c843530a790351f8b3ebca129a19f83d6e17c362f6b4e294871abb298"),
 }
 
 
@@ -178,24 +178,24 @@ GOLDEN = {
 # so that a change to the draws names the kinds whose rows it moved.
 KIND_DIGESTS = {
     "benchmark-utility": {
-        "grr": "4bb66b78a612f8513d827e7f6f84c1899455c2764296431bfe38a342cb541b27",
-        "exp": "a1af6738f989916567ea8fb172e9e2e714812c6e6d2a696102a50ac73ab73021",
-        "rappor": "25e4645997ed9931176a843ee4774cea86fb94c1469646e5749a28a124919b45",
-        "oue": "7bc5009a07bf47d28551a4191722cf0819ce621408908cb8fc926f000b799025",
-        "blh": "65b329a5330eea1d27cb40f68184a10b7e0f631940486bd948a58e5368435580",
+        "grr": "386fbaaaae809c45303389d47d70e2dd058b52458560a3306be8554595cc8b61",
+        "exp": "7209ded10fbe45c7d85dc3a7db5e5851e09b7dc89296cda575a4defc0f7217fe",
+        "rappor": "361385632ef11953d8cba374ebab4b61f4c816d27be53d19d5a9b62599e12da6",
+        "oue": "c1c98c7f316a624204ae5e0235970262cc2d97738db190df30e43f76640f7f26",
+        "blh": "932dfcd00cc9b68759cf99be98fcd924334e841581c8322d7d766bb587e3d1c5",
         "olh": "0f7751c00d685ab2d62e0a340cae877e841a2fce1788f3702a9124156fe9bd8c",
         "she": "e1b183f87cad4283b78a37a6844ae92cbfc558f4c149945a736065379d3129f9",
-        "ss": "43cc6a0623cb6151f6d27dccad7f1136df87844827a3b3a7f6a3424f59e24e85",
+        "ss": "bb9edad3267bba84675a65a50d220477ebd3c93be6bbc9b231374aa4d13f12ce",
     },
     "benchmark-utility-wide": {
-        "grr": "771a0ab2b5f5fb3a9a27d56ec6942bece1d46f2a1b67e546af62f303e0babae7",
-        "exp": "0cc8a283d1aca983ed0790b2fbf0f80c630d558689b9359758916f093afe1e6c",
-        "rappor": "09b64bf17ee62055dbb2a7fa6ce9da7012340bb8963282eff5d602163c61d8b0",
-        "oue": "751b77931c982aa2f80ba1e6924345f517694b389c852f94fe62810f070f0a23",
-        "blh": "94d3a20d65e47d72ca8d89ea4a2165000fc67aae5ac171a4353c3adfe76ee06e",
-        "olh": "23f6d2304f6563f50abc2c0c4aa757608289588f3f2cb4caa3a809cdceaf4aae",
-        "she": "22ddd16ead5dd78b3f932e8f5ab6e8363bcfa02916e4f3d347a348e27c8621be",
-        "ss": "d7e6f974263eb70e40ce974403074a3261ce524d1eaa9b5ca9e3a109af20e1e2",
+        "grr": "60d975cf423904e171cda13cb421831cdce0c8b0158eb8e298a7fb8cb12ddedf",
+        "exp": "5b895eaf449f8276f996165f0729e53f7bddedcc9d95b24dd89e7dfb5697da99",
+        "rappor": "a806f4729c3df1c259d389765a92cb65759465fb1e53c58a3dce8b472999e5e3",
+        "oue": "e66947a1bbd403418e2a61e672cb40b9dbc5a2e200e6717a714cf69f9649460b",
+        "blh": "fa6af9525a06e003dd23d7b4fcea986901af6d94f8cf3b83af6c504787781c2b",
+        "olh": "5ecd4e682e3b6a64ff301613a59ec22a6faf41d43dc2383e2bac25bbd2e5c476",
+        "she": "2126f1452c46c03cd8689f0d897dcad74c805960f1cc8f386edb395ea7774e5c",
+        "ss": "bfa6a4bf47d11674b453813045acdd1c6122fba20768be8a6f9b17e4e97ae4ae",
     },
 }
 
