@@ -19,6 +19,7 @@ numerical infeasibility.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -365,7 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run one command. Called with no ``argv``, as the program entry, it
+    reads ``sys.argv`` and first freezes every object that start-up left
+    tracked, so that no collection walks them again, at exit included; a
+    call with ``argv`` leaves its caller's collector as it was."""
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
+    argv = list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = ["cpl-kit", *argv]

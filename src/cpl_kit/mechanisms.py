@@ -77,6 +77,11 @@ KINDS = ("grr", "exp", "rappor", "oue", "blh", "olh", "she", "ss")
 # within PROB_TOL of 1 cannot take 1 + A (e^eps - 1) or top / low past it.
 _EPSILON_MAX = math.log(sys.float_info.max / 2)
 
+# Smallest she budget, 2^70 / DBL_MAX: a score is at most 2 / eps times a
+# standard exponential draw, which numpy keeps below 2^6, and a column sums
+# fewer than 2^63 scores, so every score and every sum stays finite.
+_SHE_EPSILON_MIN = 2.0 ** 70 / sys.float_info.max
+
 # Largest olh hash range: reports are int64 symbols below g, and the report
 # sampler draws its alternatives from the int64 range [0, g - 1).
 _OLH_G_MAX = 2 ** 63
@@ -112,6 +117,10 @@ class MechanismSpec:
             raise InputError("domain size k must be positive")
         if self.kind == "she" and self.epsilon <= 0:
             raise InputError("she requires epsilon > 0")
+        if self.kind == "she" and self.epsilon < _SHE_EPSILON_MIN:
+            raise InputError(f"she requires epsilon >= 2^70 / DBL_MAX, about "
+                             f"{_SHE_EPSILON_MIN:.2g}, so that its scores stay finite; "
+                             f"got epsilon {self.epsilon!r}")
         if self.kind == "olh" and self.g > _OLH_G_MAX:
             raise InputError(f"olh hash range g = round(e^eps) + 1 must be at most 2^63, "
                              f"which needs epsilon below about {math.log(_OLH_G_MAX):.3f}; "

@@ -20,7 +20,7 @@ Significance comes from permutation surrogates: shuffling each member
 column of the tuple independently keeps every one-way margin and destroys the
 cross-attribute correlation. That null depends on the margins alone, so each
 surrogate is drawn directly as a count table with the observed table's
-margins.
+margins. The surrogates' tables are scored a stack at a time.
 """
 from __future__ import annotations
 
@@ -155,30 +155,37 @@ def _tuple_cells(sizes: list[int]) -> int:
     return cells
 
 
+def _log_sup_ratios(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The supremum log-ratio of every (m, n_w) float count table in a stack
+    whose rows are all observed, and whether the table has a column observed
+    under two symbols, without which its supremum means nothing. The
+    supremum is the exact engine's column-extremes kernel, which gives an
+    unobserved column and one observed under one symbol only ratio 1, no
+    more than any column observed under two."""
+    two = (np.count_nonzero(counts > 0, axis=-2) >= 2).any(axis=-1)
+    probs = counts / counts.sum(axis=-1, keepdims=True)
+    # np.log, not math.log: the two differ in the last bit on some inputs.
+    return np.log(_output_ratios(probs).max(axis=-1)), two
+
+
 def sup_ratio_leakage(counts: np.ndarray) -> tuple[float, int]:
     """Supremum log-ratio of empirical conditionals P(w | target) from an
     (m, n_w) count table such as :func:`count_table` returns.
 
     Only cells observed under both conditioning symbols enter the supremum;
-    the return also counts the dropped zero cells. The supremum is the exact
-    engine's column-extremes kernel, which gives a column observed under one
-    symbol only ratio 1, no more than any column observed under two.
+    the return also counts the dropped zero cells of the observed rows and
+    columns.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    row_tot = counts.sum(axis=1)
-    rows = row_tot > 0
+    rows = counts.sum(axis=1) > 0
     if rows.sum() < 2:
         raise InsufficientDataError("need at least 2 observed conditioning symbols")
     sub = counts[rows]
-    observed = sub.sum(axis=0) > 0
-    sub = sub[:, observed]
-    positive = sub > 0
-    excluded = int((~positive).sum())
-    if not (positive.sum(axis=0) >= 2).any():
+    excluded = int((~(sub[:, sub.sum(axis=0) > 0] > 0)).sum())
+    leakage, two = _log_sup_ratios(sub)
+    if not two:
         raise InsufficientDataError("no conditional cell observed under two symbols")
-    probs = sub / row_tot[rows, None]
-    # np.log, not math.log: the two differ in the last bit on some inputs.
-    return float(np.log(_output_ratios(probs).max())), excluded
+    return float(leakage), excluded
 
 
 def _surrogate_table(target_counts: np.ndarray, neighbor_counts: list[np.ndarray],
@@ -198,6 +205,26 @@ def _surrogate_table(target_counts: np.ndarray, neighbor_counts: list[np.ndarray
     return table.reshape(target_counts.size, -1)
 
 
+def _surrogate_leakages(x_counts: np.ndarray, w_counts: list[np.ndarray],
+                        cfg: EstimationConfig) -> np.ndarray:
+    """The leakage of each of ``cfg.surrogates`` permutation surrogates with
+    margins ``x_counts`` and ``w_counts``, -inf for one without a column
+    observed under two symbols. Surrogate s draws its table from
+    ``derive_rng(cfg.seed, STAGE_SURROGATE, s)``, and the tables are scored
+    a stack of at most about ``BLOCK_ROWS`` cells at a time. Every surrogate
+    keeps the target margin, so every table's observed rows are the same."""
+    rows = x_counts > 0
+    chunk = max(1, BLOCK_ROWS // (x_counts.size * math.prod(c.size for c in w_counts)))
+    leakages = []
+    for start in range(0, cfg.surrogates, chunk):
+        tables = np.stack([_surrogate_table(x_counts, w_counts,
+                                            derive_rng(cfg.seed, STAGE_SURROGATE, s))
+                           for s in range(start, min(start + chunk, cfg.surrogates))])
+        leakage, two = _log_sup_ratios(tables[:, rows].astype(np.float64))
+        leakages.append(np.where(two, leakage, -np.inf))
+    return np.concatenate(leakages)
+
+
 def _observed_and_null(table: np.ndarray, sizes: list[int],
                        cfg: EstimationConfig) -> StatisticalCplResult:
     """Leakage of an observed (m, n_w) count table, whose columns index the
@@ -206,17 +233,9 @@ def _observed_and_null(table: np.ndarray, sizes: list[int],
     neighbor."""
     leakage, excluded = sup_ratio_leakage(table)
     cube = table.reshape(-1, *sizes)
-    x_counts = table.sum(axis=1)
     w_counts = [cube.sum(axis=tuple(a for a in range(cube.ndim) if a != z))
                 for z in range(1, cube.ndim)]
-    hits = 0
-    for s in range(cfg.surrogates):
-        null_table = _surrogate_table(x_counts, w_counts, derive_rng(cfg.seed, STAGE_SURROGATE, s))
-        try:
-            surrogate, _ = sup_ratio_leakage(null_table)
-        except InsufficientDataError:
-            continue
-        hits += surrogate >= leakage
+    hits = int(np.count_nonzero(_surrogate_leakages(table.sum(axis=1), w_counts, cfg) >= leakage))
     p_value = (1 + hits) / (1 + cfg.surrogates)
     return StatisticalCplResult(leakage, p_value, p_value < cfg.alpha, excluded)
 

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -453,6 +455,37 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error == {"type": "InputError", "message": "she requires epsilon > 0"}
 
+    SHE_AT = {
+        "benchmark-utility": ["benchmark", "utility", "--data", "fx/perfect_copy.csv",
+                              "--mechanisms", "she", "--r", "1", "--epsilons"],
+        "estimate": ["estimate", "--data", "fx/perfect_copy.csv", "--mechanism", "she",
+                     "--target", "0", "--neighbors", "1", "--r", "1", "--surrogates", "9",
+                     "--epsilon"],
+        "analyze-exact": ["analyze", "exact", "--cond", "cond.json", "--mechanism", "she",
+                          "--epsilon"],
+    }
+
+    @pytest.mark.parametrize("epsilon", ["5e-324", "1e-307", "1e-290"])
+    @pytest.mark.parametrize("command", sorted(SHE_AT))
+    def test_she_below_its_smallest_budget_exits_two(self, capsys, workdir, command, epsilon):
+        # 2 / eps times an exponential draw would overflow, or its column sums would
+        argv = [str(workdir / a) if a.startswith(("fx/", "cond.")) else a
+                for a in self.SHE_AT[command]]
+        code, out, err = run(capsys, [*argv, epsilon])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and "she requires epsilon >=" in error["message"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_she_at_a_tiny_budget_writes_finite_json(self, capsys, workdir):
+        code, out, err = run(capsys, ["benchmark", "utility", "--data",
+                                      str(workdir / "fx" / "perfect_copy.csv"),
+                                      "--mechanisms", "she", "--epsilons", "1e-287",
+                                      "--r", "20"])
+        assert code == 0 and err == ""
+        (row,) = json.loads(out, parse_constant=reject_constant)["result"]["rows"]
+        assert math.isfinite(row["freq_nmse"])
+
     def test_one_attribute_dataset(self, capsys, tmp_path):
         # no attribute pairs: the analyzer benchmark refuses, the others report none
         path = tmp_path / "one.csv"
@@ -727,3 +760,56 @@ print(json.dumps([envelope["result"], envelope["manifest"]["config_digest"]], so
         one, two = (fresh_interpreter(self.RESULT, *argv, env={"OPENBLAS_NUM_THREADS": n})
                     for n in ("1", "2"))
         assert one == two
+
+
+def mask_wall_time(text: str) -> str:
+    return re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0', text)
+
+
+class TestProgramEntry:
+    """Run as a program, cpl-kit freezes what start-up left tracked out of
+    the cyclic collector; called in process with an argv, it leaves the
+    caller's collector alone, and both ways write the same bytes."""
+
+    ENTRY = """
+import contextlib, gc, io, runpy, sys
+sys.argv = ["cpl-kit", *sys.argv[1:]]
+before = gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        {entry}
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(before, gc.get_freeze_count() > 0, gc.isenabled())
+"""
+
+    def test_in_process_call_leaves_the_collector_alone(self, capsys, workdir):
+        before = (gc.get_freeze_count(), gc.isenabled())
+        code, _, _ = run(capsys, ["analyze", "bound", "--cond", str(workdir / "cond.json"),
+                                  "--epsilon", "1"])
+        assert code == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    @pytest.mark.parametrize("entry", [
+        'runpy.run_module("cpl_kit.cli", run_name="__main__")',
+        "from cpl_kit.cli import main; sys.exit(main())",
+    ], ids=["module", "console-script"])
+    def test_program_entry_freezes_start_up_objects(self, workdir, entry):
+        script = self.ENTRY.format(entry=entry)
+        argv = ["analyze", "bound", "--cond", str(workdir / "cond.json"), "--epsilon", "1"]
+        assert fresh_interpreter(script, *argv) == "0 True True\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--data", "weak_ten.csv", "--budget", "10", "--step", "0.5"],
+        ["estimate", "--data", "maxleak_pair.csv", "--mechanism", "oue", "--epsilon", "1",
+         "--target", "0", "--neighbors", "1", "--r", "2", "--surrogates", "30", "--seed", "4"],
+    ], ids=["calibrate", "estimate"])
+    def test_program_writes_the_in_process_bytes(self, capsys, workdir, argv):
+        argv = [str(workdir / "fx" / a) if a.endswith(".csv") else a for a in argv]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(cpl_kit.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-B", "-m", "cpl_kit.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert mask_wall_time(proc.stdout) == mask_wall_time(out)

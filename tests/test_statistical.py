@@ -22,9 +22,10 @@ from cpl_kit.data_model import Alphabet, conditional_from_joint, empirical_joint
 from cpl_kit.mechanisms import KINDS
 from cpl_kit.fixtures import independent_pair, latent_five, maxleak_pair, mixed_five, perfect_copy
 from cpl_kit.rng import STAGE_SURROGATE, derive_rng
+from cpl_kit import statistical
 from cpl_kit.statistical import (
-    BLOCK_ROWS, _decoded_column, _expanded_blocks, _surrogate_table, count_table,
-    sup_ratio_leakage,
+    BLOCK_ROWS, _decoded_column, _expanded_blocks, _surrogate_leakages, _surrogate_table,
+    count_table, sup_ratio_leakage,
 )
 from conftest import decode_rows, exact_set_leakage, row_leakage, sup_ratio_reference
 
@@ -278,6 +279,36 @@ class TestSurrogateTables:
                 others = tuple(a for a in range(len(shape)) if a != axis)
                 assert (cube.sum(axis=others) == counts).all()
         assert len({t.tobytes() for t in tables}) > 1
+
+    @pytest.mark.parametrize("block_rows", [1, 40, BLOCK_ROWS])
+    def test_stacked_scores_equal_each_table_alone(self, monkeypatch, block_rows):
+        # Small stacks cross chunk edges mid-run; sparse margins give
+        # surrogates with no column observed under two symbols, which
+        # sup_ratio_leakage refuses.
+        monkeypatch.setattr(statistical, "BLOCK_ROWS", block_rows)
+        rng = derive_rng(31, 0)
+        outcomes = set()
+        for case in range(60):
+            m = int(rng.integers(2, 5))
+            x_counts = rng.integers(0, 3, m)
+            x_counts[:2] += 1
+            w_counts = [rng.multinomial(x_counts.sum(), np.ones(k) / k)
+                        for k in rng.integers(1, 5, size=int(rng.integers(1, 3)))]
+            cfg = EstimationConfig(expansion=1, surrogates=23, seed=case)
+            leakages = _surrogate_leakages(x_counts, w_counts, cfg)
+            assert leakages.shape == (23,)
+            for s in range(cfg.surrogates):
+                table = _surrogate_table(x_counts, w_counts,
+                                         derive_rng(cfg.seed, STAGE_SURROGATE, s))
+                try:
+                    want = sup_ratio_leakage(table)[0]
+                except InsufficientDataError:
+                    want = -math.inf  # never a hit
+                    outcomes.add("skipped")
+                else:
+                    outcomes.add("scored")
+                assert float(leakages[s]).hex() == want.hex()
+        assert outcomes == {"skipped", "scored"}
 
     def test_null_matches_row_shuffle(self):
         # two-neighbor tuple; the leakage of sampled tables and of shuffled
