@@ -255,3 +255,8 @@ def sup_ratio_reference(counts: np.ndarray) -> tuple[float, int]:
     col_max = np.nanmax(masked, axis=0)
     col_min = np.nanmin(masked, axis=0)
     return float(np.log((col_max / col_min).max())), excluded
+
+
+def reject_constant(name):
+    """``json.loads`` ``parse_constant`` hook: strict JSON has no NaN or Infinity."""
+    raise ValueError(f"non-strict JSON constant {name}")

@@ -14,7 +14,7 @@ from cpl_kit import EstimationConfig, MechanismSpec, conditional_from_joint, loa
 from cpl_kit.cli import main
 from cpl_kit.fixtures import MAXLEAK_JOINT
 from cpl_kit.mechanisms import KINDS
-from conftest import decode_rows, row_leakage
+from conftest import decode_rows, reject_constant, row_leakage
 
 
 @pytest.fixture(scope="module")
@@ -336,10 +336,6 @@ class TestDeterminism:
                   "--mechanism", "grr", "--epsilon", "1", "--target", "0", "--neighbors", "1"])
         assert exc.value.code == 2
         assert "invalid int value: 'abc'" in capsys.readouterr().err
-
-
-def reject_constant(name):
-    raise ValueError(f"non-strict JSON constant {name}")
 
 
 class TestStrictJson:

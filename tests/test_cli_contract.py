@@ -19,6 +19,7 @@ from cpl_kit.cpl_exact import EXACT_ENGINES
 from cpl_kit.fixtures import FIXTURES, MAXLEAK_JOINT
 from cpl_kit.data_model import JointDistribution, conditional_from_joint
 from cpl_kit.mechanisms import KINDS
+from conftest import reject_constant
 
 ODD = ["nan", "inf", "-0", "0", "1e-320", "1e-307", "1e-290", "709.08", "709.09", "709.1",
        "40", "44", "700"]
@@ -99,10 +100,6 @@ def parses(parse, value) -> bool:
     except ValueError:
         return False
     return True
-
-
-def reject_constant(name):
-    raise ValueError(f"non-strict JSON constant {name}")
 
 
 def breach(capsys, parse, value, argv) -> str | None:
