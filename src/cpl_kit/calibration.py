@@ -13,9 +13,9 @@ ceiling, so every grid budget up to it keeps the ceiling; it is the largest
 such budget only if the worst total rises with the budget, as the bound's
 does, and olh's decoded weight falls whenever its hash range steps up. Both
 engines are one closed-form kernel over points built once per calibration
-(``_LeakageTable``), which the analyzer and utility benchmarks share; the
-probes are evaluated in chunks and walked in order, and each value is the
-one a probe alone gives.
+(``_LeakageTable``), which the analyzer and utility benchmarks and
+``analyze matrix --mechanism`` share; the probes are evaluated in chunks
+and walked in order, and each value is the one a probe alone gives.
 """
 from __future__ import annotations
 
@@ -78,12 +78,16 @@ class _LeakageTable:
     """Leakage of every conditional as a function of the shared budget: for
     both engines, ln max over (a, b) in P of (1 + lam a) / (1 + lam b), with
     the points P of each conditional built here, once. For the bound, P holds
-    the greedy's prefix masses of the row pairs that are not disjoint,
-    lam = e^eps - 1, and a disjoint pair raises the value to eps. Every
+    the prefix masses that ``cpl_bound`` scores, of the row pairs that are
+    not disjoint, lam = e^eps - 1, and a disjoint pair raises the value to
+    eps, so each value is ``cpl_bound``'s leakage bit for bit. Every
     decoded channel is symmetric, so for ``exact-<kind>`` P(y | x) is
     proportional to 1 + lam G[x, y], lam = w - 1 with w the diagonal to
     off-diagonal ratio: P holds each column's extremes over the usable rows,
-    the bound's H restricted to single symbols. Only P's Pareto frontier is
+    the bound's H restricted to single symbols, and each value is the exact
+    leakage that ``analyze matrix --mechanism`` reports. ``cpl_exact``'s
+    product with the channel matrix rounds otherwise and can differ from it
+    in the last few bits. Only P's Pareto frontier is
     kept, and a (0, 0) point pads every row, so no leakage reads below 0
     where rounding leaves w a hair below 1. A call maps E budgets to an
     (E, C) array, ``block`` budgets at a time, which keeps the temporaries

@@ -7,12 +7,14 @@ conditional rows (g, g'), to choosing the index subset S that maximizes
     H(S) = (1 + A*(e^eps - 1)) / (1 + B*(e^eps - 1)),   A = sum_S g_i,
                                                         B = sum_S g'_i.
 
-A greedy pass over indices in descending ratio order g_i/g'_i admits index i
-exactly when g_i/g'_i >= current H; an exchange argument shows this is
-optimal, and the tests check it against a brute-force subset enumeration.
-The admission order and its prefix sums do not depend on the budget, so they
-are computed once for all row pairs of a set of conditionals and reused for
-every budget (``_BoundTable``).
+Adding index i to S moves H toward g_i/g'_i, so the maximum is attained by
+a prefix of the indices in descending ratio order, one that holds no ratio
+below 1, since H is never below its empty-subset value 1 (a greedy pass
+stops at it; Dinkelbach 1967 for linear-fractional programs). Every such
+prefix is scored, and the tests check the result against a brute-force
+subset enumeration. The admission order and its prefix sums do not depend
+on the budget, so they are computed once for all row pairs of a set of
+conditionals and reused for every budget (``_BoundTable``).
 For delta > 0 the same leakage expression holds and the slack rides alongside
 as a relaxation component delta*A, so results are reported as the pair
 (leakage, relaxation).
@@ -70,25 +72,24 @@ def _iter_pairs(cond: ConditionalDistribution) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class _BoundTable:
-    """The greedy's budget-independent data for every ordered usable row pair
-    of a list of conditionals, stacked in list order and ``_iter_pairs``
-    order within each conditional.
+    """The budget-independent data of every ordered usable row pair of a list
+    of conditionals, stacked in list order and ``_iter_pairs`` order within
+    each conditional.
 
     For pair p (rows g, g'), ``order[p]`` is the admission order: indices
     with g' = 0 < g (infinite ratio) ascending, then those with g' > 0 by
     descending ratio g/g', ties by ascending index (the optimum depends on
     the subset only through its masses, so tie order cannot change it), then
-    the skipped g = g' = 0 indices. ``q[p, k]`` is the ratio of the k-th index (``inf``
-    for infinite, ``-inf`` from the first skipped index on, with one extra
-    ``-inf`` column), and ``a[p, k]``/``b[p, k]`` are the masses of the
-    first k indices under g and g'. ``slices`` maps each conditional to its
+    the skipped g = g' = 0 indices. ``a[p, k]``/``b[p, k]`` are the masses
+    of the first k indices under g and g', and ``prefixes[p, k]`` says that
+    none of them has a ratio below 1. ``slices`` maps each conditional to its
     pairs.
     """
 
     pairs: tuple[tuple[int, int], ...]
     slices: tuple[slice, ...]
     order: np.ndarray  # (P, t)
-    q: np.ndarray  # (P, t + 1)
+    prefixes: np.ndarray  # (P, t + 1) bool
     a: np.ndarray  # (P, t + 1)
     b: np.ndarray  # (P, t + 1)
     disjoint: np.ndarray  # (P,) bool
@@ -114,40 +115,20 @@ class _BoundTable:
         # A stable sort keeps ascending index order among equal ratios.
         order = np.argsort(-ratio, axis=1, kind="stable")
         sorted_at = (np.arange(len(pairs))[:, None], order)
-        q = np.full((len(pairs), t + 1), -np.inf)
-        q[:, :t] = ratio[sorted_at]
-        # cumsum adds in sequence, exactly as the greedy accumulates its masses.
+        prefixes = np.ones((len(pairs), t + 1), bool)
+        prefixes[:, 1:] = ratio[sorted_at] >= 1.0
+        # cumsum adds in sequence, so each prefix's masses are summed in its order.
         a = np.zeros((len(pairs), t + 1))
         b = np.zeros((len(pairs), t + 1))
         np.cumsum(g[sorted_at], axis=1, out=a[:, 1:])
         np.cumsum(gp[sorted_at], axis=1, out=b[:, 1:])
         disjoint = ~(positive & positive_p).any(axis=1)
-        return cls(tuple(pairs), tuple(slices), order, q, a, b, disjoint)
-
-    def evaluate(self, epsilons) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy stop and leakage of every pair at each of E budgets, as (E, P)
-        arrays. The greedy admits index k exactly when q[k] >= H of the first k
-        indices; since q descends, the first rejection ends the admitted
-        prefix, and H never falls below its empty-prefix value 1. Each
-        e^eps - 1 is a Python float, so a value does not depend on the budgets
-        beside it. Disjoint pairs attain H = e^eps analytically, so they
-        report the exact budget rather than round-tripping through exp/log.
-        """
-        for eps in epsilons:
-            _check_epsilon(eps)
-        lam = np.array([math.expm1(eps) for eps in epsilons])[:, None, None]
-        h = (1.0 + self.a * lam) / (1.0 + self.b * lam)
-        stop = np.argmin(self.q >= h, axis=-1)
-        h_stop = np.take_along_axis(h, stop[..., None], axis=-1)[..., 0]
-        eps_col = np.array(epsilons, dtype=np.float64)[:, None]
-        return stop, np.where(self.disjoint, eps_col, _log_each(h_stop))
+        return cls(tuple(pairs), tuple(slices), order, prefixes, a, b, disjoint)
 
     def stops(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Masses (a, b) of each conditional's prefixes that can be a greedy
-        stop: those of its pairs that are not disjoint, up to the first index
-        of ratio below 1, which the greedy rejects, as H never falls below 1."""
-        last = np.argmax(self.q < 1.0, axis=1)
-        keep = (np.arange(self.q.shape[1]) <= last[:, None]) & ~self.disjoint[:, None]
+        """Masses (a, b) of each conditional's ``prefixes`` of the pairs that
+        are not disjoint."""
+        keep = self.prefixes & ~self.disjoint[:, None]
         return [(self.a[sl][keep[sl]], self.b[sl][keep[sl]]) for sl in self.slices]
 
 
@@ -161,14 +142,21 @@ def cpl_bound(cond: ConditionalDistribution, budget: BudgetParams) -> BoundedCpl
     """Upper bound on the leakage of the conditional's row attribute caused by
     any (epsilon, delta)-LDP release of the column attribute.
 
-    The witness is the first row pair with the largest leakage.
+    Each row pair's H is largest at one of its ``prefixes``, so all of them
+    are scored, by the expression and the one log per value that
+    calibration's leakage table takes, and the two agree bit for bit. A
+    disjoint pair reports the budget itself. The witness is the first row
+    pair with the largest leakage, and its subset the last of that pair's
+    prefixes with the largest H: the greedy admits an index whose ratio ties
+    H.
     """
     table = _BoundTable.build([cond])
-    stop, leaks = table.evaluate([budget.epsilon])
-    leaks = leaks[0].tolist()
-    p = max(range(len(leaks)), key=leaks.__getitem__)
-    k = int(stop[0, p])
+    lam = math.expm1(budget.epsilon)
+    h = np.where(table.prefixes, (1.0 + table.a * lam) / (1.0 + table.b * lam), 0.0)
+    top = h.max(axis=1)
+    leaks = np.where(table.disjoint, budget.epsilon, _log_each(top)).tolist()
+    p = leaks.index(max(leaks))
+    k = int(np.flatnonzero(h[p] == top[p])[-1])
     a, b = float(table.a[p, k]), float(table.b[p, k])
     subset = tuple(table.order[p, :k].tolist())
     return BoundedCplResult(leaks[p], budget.delta * a, subset, a, b, table.pairs[p])
-

@@ -32,24 +32,23 @@ EXACT_ENGINES = {f"exact-{kind}": kind for kind in KINDS}
 class ExactCplResult:
     """Leakage in nats plus the (output, row pair) witness achieving it.
 
-    ``infinite_witness`` is set when some output has zero probability under
-    one conditioning symbol and positive probability under another; such
-    pairs make the supremum infinite and are surfaced separately instead of
-    being folded into the finite ``leakage``.
+    The leakage is infinite when some output has positive probability under
+    one usable row and zero under another; the witness then names the first
+    such output, its first row with the largest probability and its first
+    row with none.
     """
 
     leakage: float
     witness: tuple[int, int, int]  # (output index, row x, row x')
-    infinite_witness: tuple[int, int, int] | None = None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.infinite_witness is not None
 
 
 def cpl_exact(cond: ConditionalDistribution, trans: TransitionMatrix) -> ExactCplResult:
     """Exact leakage of the conditional's row attribute caused by releasing
-    the column attribute through ``trans``."""
+    the column attribute through ``trans``, any channel. Through a kind's
+    decoded channel, which is symmetric and strictly positive, calibration's
+    leakage table gives the same leakage in closed form, and the commands
+    that read many pairs (``analyze matrix``, ``calibrate`` and the
+    benchmarks) read it there."""
     if cond.n_cols != trans.n_inputs:
         raise DimensionMismatchError(
             f"conditional has {cond.n_cols} columns but transition matrix has "
@@ -58,27 +57,14 @@ def cpl_exact(cond: ConditionalDistribution, trans: TransitionMatrix) -> ExactCp
     rows = cond.usable_rows()
 
     # chan[x, y] = P(output y | target x) for every usable conditioning row.
+    # An output that is zero under every row has ratio 1, and one that is
+    # zero under some rows only, inf; x is the first row with the output's
+    # largest entry, x' the first with its smallest.
     chan = cond.matrix[rows] @ trans.matrix
-    ratio = _output_ratios(chan)
+    top, low = chan.max(axis=0), chan.min(axis=0)
+    ratio = np.divide(top, low, out=np.where(top > 0, np.inf, 1.0), where=low > 0)
     y = int(np.argmax(ratio))
-    best, witness = 1.0, (0, int(rows[0]), int(rows[1]))
-    if ratio[y] > 1.0:
-        # x: the first row with the output's largest entry; x': its smallest positive one.
-        col = chan[:, y]
-        x, xp = np.argmax(col), np.argmin(np.where(col > 0, col, np.inf))
-        best, witness = ratio[y], (y, int(rows[x]), int(rows[xp]))
-    positive = chan > 0
-    partial = positive.any(axis=0) & ~positive.all(axis=0)
-    infinite = None
-    if partial.any():
-        y = int(np.argmax(partial))
-        infinite = (y, int(rows[np.argmax(chan[:, y])]), int(rows[np.argmax(~positive[:, y])]))
-    return ExactCplResult(math.log(best), witness, infinite)
-
-
-def _output_ratios(chan: np.ndarray) -> np.ndarray:
-    """Largest over smallest positive entry of every output column y of a
-    channel ``chan[x, y]``; an output that is zero under every row has ratio 1."""
-    top = np.max(chan, axis=-2)
-    low = np.min(np.where(chan > 0, chan, np.inf), axis=-2)
-    return np.divide(top, low, out=np.ones_like(top), where=top > 0)
+    if ratio[y] <= 1.0:
+        return ExactCplResult(0.0, (0, int(rows[0]), int(rows[1])))
+    x, xp = rows[np.argmax(chan[:, y])], rows[np.argmin(chan[:, y])]
+    return ExactCplResult(math.log(ratio[y]), (y, int(x), int(xp)))

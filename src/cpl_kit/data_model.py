@@ -184,10 +184,10 @@ class ConditionalDistribution:
 
     def __post_init__(self):
         mat = _probability_table(self.matrix, self.row_labels, self.col_labels, "conditional")
-        valid = self.valid
-        if valid is None:
-            valid = np.ones(mat.shape[0], dtype=bool)
-        valid = np.asarray(valid, dtype=bool)
+        valid = np.ones(mat.shape[0], dtype=bool) if self.valid is None else np.asarray(self.valid)
+        if valid.dtype != bool:
+            # a cast would read "false", 0.5 or null as a usable row
+            raise InputError("every valid mask entry must be true or false")
         if valid.shape != (mat.shape[0],):
             raise DimensionMismatchError("valid mask length does not match row count")
         rows = mat[valid]
@@ -226,12 +226,11 @@ class ConditionalDistribution:
     def from_json(cls, obj: dict) -> "ConditionalDistribution":
         if not isinstance(obj, dict):
             raise InputError(f"top level must be a JSON object, got {type(obj).__name__}")
-        valid = obj.get("valid")
         return cls(
             tuple(obj["row_labels"]),
             tuple(obj["col_labels"]),
             np.asarray(obj["matrix"], dtype=np.float64),
-            None if valid is None else np.asarray(valid, dtype=bool),
+            obj.get("valid"),
         )
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpl_exact import _output_ratios
 from .data_model import Dataset, _integer, _real, count_table
 from .errors import InputError, InsufficientDataError
 from .mechanisms import MechanismSpec, decode_column, perturb_column, support_counts
@@ -155,11 +154,20 @@ def _tuple_cells(sizes: list[int]) -> int:
     return cells
 
 
+def _output_ratios(probs: np.ndarray) -> np.ndarray:
+    """Largest over smallest positive entry of every column w of a stack of
+    conditionals ``probs[..., x, w]``; a column that is zero under every row
+    has ratio 1."""
+    top = np.max(probs, axis=-2)
+    low = np.min(np.where(probs > 0, probs, np.inf), axis=-2)
+    return np.divide(top, low, out=np.ones_like(top), where=top > 0)
+
+
 def _log_sup_ratios(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The supremum log-ratio of every (m, n_w) float count table in a stack
     whose rows are all observed, and whether the table has a column observed
     under two symbols, without which its supremum means nothing. The
-    supremum is the exact engine's column-extremes kernel, which gives an
+    supremum is the largest of ``_output_ratios``, which gives an
     unobserved column and one observed under one symbol only ratio 1, no
     more than any column observed under two."""
     two = (np.count_nonzero(counts > 0, axis=-2) >= 2).any(axis=-1)

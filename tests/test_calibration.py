@@ -185,32 +185,48 @@ class TestLeakageTable:
     @pytest.mark.parametrize("case", ["weak_ten_walk", "mixed_dense"])
     def test_one_log_per_conditional_equals_public_kernel_densely(self, case):
         # The table takes one log per conditional, of its largest H, and
-        # cpl_bound one per row pair; log is monotone, so the two agree bit
-        # for bit. cpl_bound's per-pair leakages are evaluated for every
-        # budget in one call, which gives each budget's values alone, and
-        # cpl_bound itself is called at every 25th budget.
+        # cpl_bound one per row pair, of the pair's largest H; log is
+        # monotone, so the two agree bit for bit. The table is evaluated at
+        # every budget in one call, and cpl_bound, at tens of microseconds a
+        # call, at every 6th probe of the walk and at every 20th budget of
+        # the dense grid, and at the last of each.
         if case == "weak_ten_walk":
             joints = pairwise_conditionals(weak_ten(n=30_000, seed=1))
             epsilons = [eps for eps, _ in calibrate(joints, 10.0, step=0.01).trace]
             assert len(epsilons) == 886
-            conds = list(joints.values())
+            conds, stride = list(joints.values()), 6
         else:
             # with a table whose every row pair is disjoint
             conds = self.mixed_conditionals() + [ConditionalDistribution(
                 pair_labels(3), pair_labels(3), np.eye(3))]
-            epsilons = (np.arange(5001) / 100).tolist()
+            epsilons, stride = (np.arange(5001) / 100).tolist(), 20
             pairs = _BoundTable.build(conds)
             disjoint = [pairs.disjoint[sl] for sl in pairs.slices]
             assert any(d.any() and not d.all() for d in disjoint)
             assert any(d.all() for d in disjoint)
             assert any(not cond.valid.all() for cond in conds)
         got = _LeakageTable(conds, "bound")(epsilons)
-        for c, cond in enumerate(conds):
-            per_pair = _BoundTable.build([cond]).evaluate(epsilons)[1].tolist()
-            want = [max(leaks) for leaks in per_pair]
-            assert got[:, c].tolist() == want
-            for e in range(0, len(epsilons), 25):
-                assert cpl_bound(cond, BudgetParams(epsilons[e], 0.0)).leakage == want[e]
+        for e in [*range(0, len(epsilons), stride), len(epsilons) - 1]:
+            want = [cpl_bound(cond, BudgetParams(epsilons[e], 0.0)).leakage for cond in conds]
+            assert got[e].tolist() == want
+
+    def test_tie_heavy_tables_equal_public_kernel(self):
+        # Rows of small counts tie many ratios and prefix masses. At a large
+        # budget, where 1 + lam a rounds, a greedy stop test can reject an
+        # index that still raises H by an ulp; cpl_bound scores every
+        # prefix, as the table does, so the two agree there too.
+        rng = np.random.default_rng(5)
+        conds = []
+        for _ in range(3000):
+            m, t = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+            counts = rng.integers(0, 4, (m, t)).astype(float)
+            counts[counts.sum(axis=1) == 0, 0] = 1.0
+            conds.append(ConditionalDistribution(pair_labels(m), pair_labels(t),
+                                                 counts / counts.sum(axis=1, keepdims=True)))
+        epsilons = [0.5, 2.0, 10.0, 41.5, 47.5, 56.0]
+        got = _LeakageTable(conds, "bound")(epsilons).T.tolist()
+        for cond, row in zip(conds, got):
+            assert row == [cpl_bound(cond, BudgetParams(eps)).leakage for eps in epsilons]
 
     def test_exact_grr_table_equals_public_kernel(self):
         # and the table of every other kind's exact engine: bit for bit the

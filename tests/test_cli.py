@@ -11,8 +11,10 @@ import pytest
 
 import cpl_kit
 from cpl_kit import EstimationConfig, MechanismSpec, conditional_from_joint, load_csv
+from cpl_kit.benchmarks import reference_leakages
 from cpl_kit.cli import main
-from cpl_kit.fixtures import MAXLEAK_JOINT
+from cpl_kit.cpl_exact import EXACT_ENGINES
+from cpl_kit.fixtures import FIXTURES, MAXLEAK_JOINT
 from cpl_kit.mechanisms import KINDS
 from conftest import decode_rows, reject_constant, row_leakage
 
@@ -101,6 +103,18 @@ class TestAnalyze:
         assert leaks[(1, 0)] == pytest.approx(0.6203, abs=0.02)
         assert res["tcpl_nats"] == pytest.approx(sum(leaks.values()))
         assert res["metrics"][0]["nmi"] == pytest.approx(0.164, abs=0.01)
+
+    @pytest.mark.parametrize("engine", ["bound", *EXACT_ENGINES])
+    def test_matrix_entries_equal_reference_leakages(self, capsys, workdir, engine):
+        # one leakage per pair, whichever command reads it
+        flags = [] if engine == "bound" else ["--mechanism", EXACT_ENGINES[engine]]
+        for name in sorted(FIXTURES):
+            path = workdir / "fx" / f"{name}.csv"
+            code, out, _ = run(capsys, ["analyze", "matrix", "--data", str(path),
+                                        "--epsilon", "1.5", *flags])
+            assert code == 0
+            leaks = [e["leakage_nats"] for e in payload(out)["result"]["entries"]]
+            assert leaks == reference_leakages(load_csv(path), 1.5, engine), name
 
     def test_matrix_zero_budget_all_zero(self, capsys, workdir):
         _, out, _ = run(capsys, ["analyze", "matrix", "--data",
@@ -558,7 +572,10 @@ class TestErrors:
         b'{"row_labels": ["a", "b"], "col_labels": ["u", "v"], "matrix": [[0.5], [0.5, 0.5]]}',
         b'{"row_labels": ["a", "b"], "col_labels": ["u", "v"], "matrix": [[1, 0], [0, 1]]}\xff',
         b"[1, 2]", b'"table"', b"3", b"null",
-    ], ids=["ragged-matrix", "not-utf8", "list", "string", "number", "null"])
+        # a cast to bool would read "false" as true and make row a usable
+        b'{"row_labels": ["a", "b", "c"], "col_labels": ["u", "v"], '
+        b'"matrix": [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]], "valid": ["false", "true", "true"]}',
+    ], ids=["ragged-matrix", "not-utf8", "list", "string", "number", "null", "string-mask"])
     @pytest.mark.parametrize("command", [["bound"], ["exact", "--mechanism", "grr"]])
     def test_malformed_conditional_exits_two(self, capsys, tmp_path, content, command):
         path = tmp_path / "cond.json"
@@ -568,6 +585,20 @@ class TestErrors:
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "InputError" and "not a valid conditional table" in error["message"]
+
+    def test_constant_column_matrix_exits_two_on_its_conditional(self, capsys, tmp_path):
+        # a constant column leaves each conditional given it one usable row;
+        # every engine that reads many pairs raises that before any spec
+        path = tmp_path / "const.csv"
+        path.write_text("a,b\nx,u\ny,u\nz,u\nx,u\n", encoding="utf-8")
+        for argv in (["analyze", "matrix", "--epsilon", "1", "--mechanism", "grr"],
+                     ["calibrate", "--budget", "2", "--engine", "exact-grr"],
+                     ["benchmark", "analyzers", "--reference", "exact-grr"]):
+            code, out, err = run(capsys, [*argv, "--data", str(path)])
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == {
+                "type": "InsufficientDataError",
+                "message": "need at least 2 usable conditioning symbols"}
 
     def test_stdout_closed_early_exits_two_without_traceback(self, workdir):
         # about 0.8 MB of envelope, more than a pipe holds, so the writer

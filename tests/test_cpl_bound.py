@@ -186,6 +186,9 @@ class TestGreedyEqualsBruteForce:
         assert min(seen.values()) >= 10
 
     def test_bit_identical_to_loop_greedy(self):
+        # The largest prefix is the greedy's stop wherever no two prefixes
+        # tie within rounding, as on these tables: scoring every prefix
+        # keeps each field of the greedy's result.
         rng = derive_rng(211, 0)
         for n in range(120):
             m, t = int(rng.integers(2, 5)), int(rng.integers(1, 9))

@@ -20,11 +20,12 @@ from cpl_kit.rng import derive_rng
 from conftest import cpl_limit, evaluate_witness, random_conditional
 
 
-def brute_force_exact(cond: ConditionalDistribution, trans: TransitionMatrix):
-    """Independent oracle: explicit loops over outputs and ordered row pairs."""
+def brute_force_exact(cond: ConditionalDistribution, trans: TransitionMatrix) -> float:
+    """Independent oracle: explicit loops over outputs and ordered row pairs;
+    infinite when an output has positive probability under one row and none
+    under another."""
     rows = cond.valid_rows()
     best = 1.0
-    infinite = False
     for y in range(trans.n_outputs):
         c = trans.matrix[:, y]
         for x in rows:
@@ -35,10 +36,10 @@ def brute_force_exact(cond: ConditionalDistribution, trans: TransitionMatrix):
                 den = math.fsum(c[u] * cond.matrix[xp, u] for u in range(cond.n_cols))
                 if den == 0.0:
                     if num > 0.0:
-                        infinite = True
+                        return math.inf
                     continue
                 best = max(best, num / den)
-    return math.log(best), infinite
+    return math.log(best)
 
 
 def two_row_cond(g, gp):
@@ -53,8 +54,7 @@ class TestWorkedValues:
         cond = two_row_cond([0.8, 0.2], [0.2, 0.8])
         trans = transition_matrix(MechanismSpec("grr", math.log(3), 2))
         res = cpl_exact(cond, trans)
-        oracle, _ = brute_force_exact(cond, trans)
-        assert res.leakage == pytest.approx(oracle, abs=1e-12)
+        assert res.leakage == pytest.approx(brute_force_exact(cond, trans), abs=1e-12)
         assert res.leakage == pytest.approx(math.log(0.65 / 0.35), abs=1e-12)
 
     def test_identical_rows_zero(self):
@@ -76,20 +76,19 @@ class TestAgainstOracle:
             cond = random_conditional(rng)
             trans = transition_matrix(MechanismSpec(kind, epsilon, cond.n_cols))
             res = cpl_exact(cond, trans)
-            oracle, infinite = brute_force_exact(cond, trans)
-            assert res.leakage == pytest.approx(oracle, abs=1e-10)
-            assert res.is_infinite == infinite
+            assert math.isfinite(res.leakage)  # a decoded channel is strictly positive
+            assert res.leakage == pytest.approx(brute_force_exact(cond, trans), abs=1e-10)
 
     def test_custom_transition_with_zero_column_entry(self):
-        # output 0 impossible under input 1: infinite witness for rows
-        # concentrated there, finite part still reported
+        # output 0 impossible under input 1: the leakage is infinite, and its
+        # witness is the output and the rows that certify it
         cond = two_row_cond([1.0, 0.0], [0.0, 1.0])
         trans = TransitionMatrix(("a", "b"), ("u", "v"),
                                  np.array([[1.0, 0.0], [0.0, 1.0]]), math.inf)
         res = cpl_exact(cond, trans)
-        assert res.is_infinite
-        assert res.leakage == 0.0
-        assert evaluate_witness(cond, trans, res.infinite_witness) == math.inf
+        assert res.leakage == math.inf == brute_force_exact(cond, trans)
+        assert res.witness == (0, 0, 1)
+        assert evaluate_witness(cond, trans, res.witness) == math.inf
 
 
 class TestInvariants:
@@ -161,26 +160,24 @@ class TestInvariants:
 
 
 def per_output_exact(cond: ConditionalDistribution, trans: TransitionMatrix):
-    """Reference scan of the outputs in order: the largest max/min-positive
-    ratio with the first output and first rows attaining it, and the first
-    output positive under some row and zero under another."""
+    """Reference scan of the outputs in order: the first output positive
+    under some row and zero under another, with its first largest and first
+    zero rows, makes the leakage infinite; otherwise the largest max/min
+    ratio with the first output and first rows attaining it."""
     rows = cond.valid_rows()
     chan = cond.matrix[rows] @ trans.matrix
-    best, witness, infinite = 1.0, (0, int(rows[0]), int(rows[1])), None
+    best, witness = 1.0, (0, int(rows[0]), int(rows[1]))
     for y in range(chan.shape[1]):
         col = [float(v) for v in chan[:, y]]
-        top = max(col)
+        top, low = max(col), min(col)
         if top <= 0:
             continue
-        imax = col.index(top)
-        if infinite is None and min(col) <= 0:
-            infinite = (y, int(rows[imax]), int(rows[next(i for i, v in enumerate(col) if v <= 0)]))
-        positive = [v for v in col if v > 0]
-        low = min(positive)
-        imin = col.index(low)
-        if len(positive) >= 2 and imin != imax and top / low > best:
-            best, witness = top / low, (y, int(rows[imax]), int(rows[imin]))
-    return math.log(best), witness, infinite
+        pair = (y, int(rows[col.index(top)]), int(rows[col.index(low)]))
+        if low <= 0:
+            return math.inf, pair
+        if top / low > best:
+            best, witness = top / low, pair
+    return math.log(best), witness
 
 
 def custom_trans(matrix):
@@ -199,20 +196,16 @@ class TestWitnesses:
         # chan = trans; output 0 is impossible under row 2, output 2 under row 0
         trans = custom_trans([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]])
         res = cpl_exact(identity_cond(3), trans)
-        assert res.leakage == math.log(2.0)
-        assert res.witness == (0, 0, 1)  # output 1 ties the ratio 2 later
-        assert res.infinite_witness == (0, 0, 2)
-        assert (res.leakage, res.witness, res.infinite_witness) == per_output_exact(
-            identity_cond(3), trans)
+        assert res.leakage == math.inf
+        assert res.witness == (0, 0, 2)
+        assert (res.leakage, res.witness) == per_output_exact(identity_cond(3), trans)
 
     def test_all_zero_output_is_skipped(self):
         trans = custom_trans([[0.6, 0.0, 0.4], [0.3, 0.0, 0.7], [0.5, 0.0, 0.5]])
         res = cpl_exact(identity_cond(3), trans)
-        assert not res.is_infinite
         assert res.witness == (0, 0, 1)
         assert res.leakage == math.log(0.6 / 0.3)
-        assert (res.leakage, res.witness, res.infinite_witness) == per_output_exact(
-            identity_cond(3), trans)
+        assert (res.leakage, res.witness) == per_output_exact(identity_cond(3), trans)
 
     def test_tied_maxima_take_the_first_row_and_output(self):
         # rows 0 and 2 tie at the top of every output, rows 1 and 3 at the bottom
@@ -224,8 +217,7 @@ class TestWitnesses:
         res = cpl_exact(cond, trans)
         assert res.leakage == math.log(4.0)
         assert res.witness == (0, 0, 1)  # output 1 attains the same ratio 4
-        assert res.infinite_witness is None
-        assert (res.leakage, res.witness, res.infinite_witness) == per_output_exact(cond, trans)
+        assert (res.leakage, res.witness) == per_output_exact(cond, trans)
 
     def test_no_informative_output_keeps_default_witness(self):
         cond = ConditionalDistribution(("a", "b", "c"), ("u", "v"),
@@ -235,11 +227,11 @@ class TestWitnesses:
                                              np.array([[0.0, 0.0], [0.4, 0.6], [0.4, 0.6]]),
                                              valid=cond.valid)
         res = cpl_exact(cond_equal, transition_matrix(MechanismSpec("grr", 1.0, 2)))
-        assert (res.leakage, res.witness, res.infinite_witness) == (0.0, (0, 1, 2), None)
+        assert (res.leakage, res.witness) == (0.0, (0, 1, 2))
         res = cpl_exact(cond, custom_trans([[1.0, 0.0], [0.0, 1.0]]))
-        # output 0 is positive under row 1 only: infinite, but no finite ratio
-        assert res.infinite_witness == (0, 1, 2)
-        assert res.witness == (1, 2, 1) and res.leakage == math.log(1.0 / 0.6)
+        # output 0 is positive under row 1 only: infinite, though output 1's
+        # ratio is finite
+        assert (res.leakage, res.witness) == (math.inf, (0, 1, 2))
 
     def test_random_and_quantized_against_reference_scan(self):
         rng = derive_rng(106, 0)
@@ -259,8 +251,7 @@ class TestWitnesses:
             for trans in (transition_matrix(MechanismSpec("grr", 1.0, t)),
                           custom_trans(sparse / sparse.sum(axis=1, keepdims=True))):
                 res = cpl_exact(cond, trans)
-                assert (res.leakage, res.witness, res.infinite_witness) == per_output_exact(
-                    cond, trans)
+                assert (res.leakage, res.witness) == per_output_exact(cond, trans)
 
 
 @pytest.fixture(scope="module")

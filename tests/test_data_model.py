@@ -441,6 +441,20 @@ class TestConditional:
         with pytest.raises(InputError, match="sum to 1"):
             ConditionalDistribution(("a", "b"), (), np.zeros((2, 0)))
 
+    @pytest.mark.parametrize("mask", [["false", "true", "true"], [0.5, True, True], [2, 1, 1],
+                                      [None, True, True], [1, 0, 1]])
+    def test_valid_mask_takes_booleans_only(self, mask):
+        # a cast to bool would read "false", 0.5, 2 and null as a usable row
+        table = {"row_labels": ["a", "b", "c"], "col_labels": ["u", "v"],
+                 "matrix": [[0.0, 0.0], [0.2, 0.8], [0.5, 0.5]], "valid": mask}
+        with pytest.raises(InputError, match="every valid mask entry must be true or false"):
+            ConditionalDistribution.from_json(table)
+        with pytest.raises(InputError, match="every valid mask entry must be true or false"):
+            ConditionalDistribution(("a", "b", "c"), ("u", "v"), np.array(table["matrix"]),
+                                    np.array(mask, dtype=object))
+        table["valid"] = [False, True, True]
+        assert ConditionalDistribution.from_json(table).valid_rows().tolist() == [1, 2]
+
     def test_rows_sum_to_one(self):
         rng = derive_rng(7, 3)
         for _ in range(20):

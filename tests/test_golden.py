@@ -111,12 +111,13 @@ GOLDEN = {
         "232762e62c2a71cf4ff92dd254ecd3d985ece897aa9fcd37dda08400cb4f21ed",
         "e9b434cb8cc320fcf6efc5895e183b4f86f906f9e756bd7003ab9215ce934760",
         "e46191b54c099102c0723ca04a1d5c1b8ea8df66aa36d6abda157ca4140188cc"),
+    # the closed form of calibrate's leakage table, pair for pair
     "analyze-matrix-exact-oue": (
         ["analyze", "matrix", "--data", "fx/mixed_five.csv", "--epsilon", "1",
          "--mechanism", "oue"],
-        "506f24fb78ec2146c8ff92c4721ec65b384a4db89662769c63556e961f257484",
+        "1e37a54000a866c9ce510a9fbca99018e0326e5f865a795e35fc923a53530536",
         "3c492de1e176a0b57c59f146a3ecc898b2f170e8319f9537b53775e7edbbc5a9",
-        "2c6034c1887f3d05e82204daed74c475f57cd20f307e1d4aa038873c9fc50cf3"),
+        "b379bed54024be8661c738975e6cc8c0b1333f1c7e7c10e24b5f4992ef4453b6"),
     "calibrate-bound": (
         ["calibrate", "--data", "fx/mixed_five.csv", "--budget", "5", "--step", "0.1"],
         "d47cde9fd820be686cb3a3bbfe0ea65dc7290258895e005e6ef6e598ef937244",
@@ -144,15 +145,15 @@ GOLDEN = {
     # witness (output 3, x 2, x' 1): not the first output or the first usable rows
     "analyze-exact-olh": (
         ["analyze", "exact", "--cond", "cond.json", "--mechanism", "olh", "--epsilon", "1.5"],
-        "9b44e9a30a3e3d7629f8131b2d56b64eb568a668b0e04ea2c41e8e7153925935",
+        "dc8b2ce091586aa4e33f5d588ce5d450420f077e3cc9619cb49fad9583e1b6fc",
         "30457f26abc4c5aa9ac49aaa63f430f18991c1c1a887729f52cbe1d78b212543",
-        "dc627db24057c604a52b83707e2428df785a43e7680907ed227f0788a5ed1521"),
+        "1985638ab226cda28fe3e63df81e9b4fbd5ea1b8b6c1989de9b2b1e17c497875"),
     # every ratio is 1: the fallback witness (0, first usable row, second)
     "analyze-exact-zero-budget": (
         ["analyze", "exact", "--cond", "cond.json", "--mechanism", "grr", "--epsilon", "0"],
-        "f3d8634ba6b58f1e5dc17e7aeb09fcaf9441de7f98ee29ad938984c2ac37ff96",
+        "5a07308d73747838da42abf33b4d10661bfcece3b376e45c3f17500ffee44554",
         "ee7b73b51b0d0c67fffb024eaf0465a4c43c14f1cc466f8e03339be32bc6b477",
-        "1ec6aa62945a12ae2e5c32a75edb798fda2c8f5942a07344b4fb71f8b38f8674"),
+        "edac57b511364a2aba6ed713b811cc8edabc33fe405b51924bd5606bdccadc1c"),
     "analyze-bound": (
         ["analyze", "bound", "--cond", "cond.json", "--epsilon", "2", "--delta", "0.1"],
         "89ed01d134f61eeb05166b2f62361b5529784e7646a85bbbe753f896aa5952f9",

@@ -160,6 +160,23 @@ class TestTransitionMatrix:
         assert np.isfinite(t.matrix).all()
         assert (t.matrix.diagonal() >= t.matrix[0, -1]).all()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_decoded_channel_is_strictly_positive(self, kind):
+        # Every output has positive probability under every input, so no
+        # command that reads a decoded channel can report an infinite leakage.
+        epsilons = [0.0, mechanisms._SHE_EPSILON_MIN, 1e-300, 1e-9, 0.5, 1.0, 3.0, 10.0, 40.0,
+                    math.log(2 ** 63), 100.0, 500.0, 700.0, mechanisms._EPSILON_MAX]
+        checked = 0
+        for k in (1, 2, 3, 42):
+            for eps in epsilons:
+                try:
+                    spec = MechanismSpec(kind, eps, k)
+                except InputError:
+                    continue  # no such spec: k 1 of grr/exp/ss, she's smallest ε, olh's g
+                assert (transition_matrix(spec).matrix > 0).all(), (k, eps)
+                checked += 1
+        assert checked >= 40  # ten budgets at four sizes, or all fourteen at three
+
 
 class TestChannelClosedForms:
     """The decoded channel's diagonal a against independent evaluations."""
