@@ -59,7 +59,6 @@ from .errors import (
     InfeasibleBudgetError,
     InputError,
     InsufficientDataError,
-    UnsupportedMechanismError,
 )
 from .mechanisms import (
     MechanismSpec,
@@ -90,7 +89,7 @@ __all__ = [
     "conditional_from_joint", "count_table", "empirical_joint", "load_csv", "ordered_pairs",
     "pairwise_conditionals", "write_csv",
     "CplKitError", "DimensionMismatchError", "InfeasibleBudgetError", "InputError",
-    "InsufficientDataError", "UnsupportedMechanismError",
+    "InsufficientDataError",
     "MechanismSpec", "PerturbedColumn", "TransitionMatrix", "decode_column",
     "estimate_frequencies", "perturb_column", "transition_matrix",
     *_LAZY,

@@ -32,7 +32,7 @@ from .data_model import (
     ConditionalDistribution, JointDistribution, _real, conditional_from_joint, ordered_pairs,
 )
 from .errors import CplKitError, InfeasibleBudgetError, InputError
-from .mechanisms import _EPSILON_MAX, MechanismSpec, _channel_weight, _check_epsilon
+from .mechanisms import _EPSILON_MAX, MechanismSpec, _check_epsilon
 
 _FEAS_TOL = 1e-9
 _MAX_PROBES = 10 ** 6
@@ -128,7 +128,7 @@ class _LeakageTable:
                 _check_epsilon(eps)
             lam = np.array([[math.expm1(eps)] for eps in epsilons])
         else:
-            lam = np.array([[_channel_weight(MechanismSpec(self._kind, eps, k)) - 1.0
+            lam = np.array([[MechanismSpec(self._kind, eps, k).weight - 1.0
                              for k in self._sizes] for eps in epsilons])[:, self._size_of]
         ratio = (1.0 + self._a * lam[..., None]) / (1.0 + self._b * lam[..., None])
         logs = _log_each(ratio.max(axis=-1))

@@ -91,10 +91,17 @@ def _lock(a: np.ndarray) -> np.ndarray:
 
 
 def _probability_table(matrix, row_labels, col_labels, what: str) -> np.ndarray:
-    """``matrix`` as float64, checked to be finite, nonnegative and labelled."""
+    """``matrix`` as float64, checked to be finite, nonnegative and labelled,
+    one distinct label a row and a column."""
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.shape != (len(row_labels), len(col_labels)):
         raise DimensionMismatchError(f"{what} matrix shape does not match labels")
+    try:
+        distinct = all(len(set(labels)) == len(labels) for labels in (row_labels, col_labels))
+    except TypeError:  # a label that is not hashable
+        distinct = False
+    if not distinct:
+        raise InputError(f"{what} labels must be distinct and hashable")
     # Every comparison with NaN is false, so the checks below cannot see it.
     if not np.isfinite(mat).all():
         raise InputError(f"{what} probabilities must be finite")
@@ -226,6 +233,9 @@ class ConditionalDistribution:
     def from_json(cls, obj: dict) -> "ConditionalDistribution":
         if not isinstance(obj, dict):
             raise InputError(f"top level must be a JSON object, got {type(obj).__name__}")
+        for name in ("row_labels", "col_labels"):
+            if not (isinstance(obj[name], list) and all(isinstance(s, str) for s in obj[name])):
+                raise InputError(f"{name} must be a list of strings")
         return cls(
             tuple(obj["row_labels"]),
             tuple(obj["col_labels"]),

@@ -13,12 +13,6 @@ class DimensionMismatchError(InputError):
     """Shapes of two tables that must align do not."""
 
 
-class UnsupportedMechanismError(CplKitError):
-    """Requested a parameter or rate a mechanism does not have (e.g. the hash
-    range of a mechanism that does not hash, or support rates for ``she``,
-    whose reports support no symbol set)."""
-
-
 class InsufficientDataError(CplKitError):
     """Too few usable conditional cells to evaluate a leakage supremum."""
 

@@ -26,22 +26,23 @@ reports one of the other k - 1 symbols uniformly, which is grr at budget
 ln(a (k - 1) / (1 - a)) (Kairouz, Oh and Viswanath, NeurIPS 2014).
 ``transition_matrix`` returns that channel for every kind, so exact leakage
 analysis covers all eight. a has a closed form per kind, with (p, q) the
-support rates below: a = p / omega for ss; for the unary and hash kinds
+support rates: a = p / omega for ss; for the unary and hash kinds
 a = p E[1/(1+B)] + (1-p) (1-q)^(k-1) / k with B ~ Bin(k-1, q), taking an
 ideal hash (q = 1/g); for she, decoded without a prior, a sums the ties of
 the clipped Laplace scores at 0 and 1 and a 1-d integral over the scores in
-between, evaluated by Gauss-Legendre quadrature.
+between, evaluated by Gauss-Legendre quadrature. ``MechanismSpec`` derives
+each kind's constants, w and (p, q) among them, once, when it is built.
 
 Every report except ``she`` is a symbol or *supports* a set of input
 symbols (the set bits for rappor/oue/ss, the hash preimage for blh/olh).
 Decoding draws uniformly from that set, by one uniform u per report: member
 floor(u m) of its m members, or symbol floor(u k) when the set is empty. An
 ss report at omega = 1 holds one member, and decodes to it with no draw.
-Frequency estimation debiases the per-symbol support counts with the rates
-from ``_support_rates``. The support set is held symbol-major, as a (k, N)
-mask, so every per-report reduction runs as k vector passes over the N
-reports instead of N short rows; it is computed once per column and shared
-by decode and estimate.
+Frequency estimation debiases the per-symbol support counts with the
+spec's ``rates``. The support set is held symbol-major, as a (k, N) mask,
+so every per-report reduction runs as k vector passes over the N reports
+instead of N short rows; it is computed once per column and shared by
+decode and estimate.
 blh/olh hash every symbol under every report's seed once per column, in
 perturbation: the report is drawn from its own symbol's hash, and the
 support set is the hashes equal to the report.
@@ -51,9 +52,9 @@ random sign, one random byte per 8 scores. It decodes to its posterior
 argmax and breaks ties with the same uniform draw over a (k, N) mask of
 the top-scoring symbols.
 
-A column checks its payload once per spec, and a column that
-``perturb_column`` built needs no check, so decoding and counting a fresh
-column make no pass over it beyond their own.
+A column is read only under the spec it was made with, and checks its
+payload once; a column that ``perturb_column`` built needs no check, so
+decoding and counting a fresh column make no pass over it beyond their own.
 
 Perturbation and decoding take an explicit generator so callers own
 determinism; everything here is pure given the stream.
@@ -69,7 +70,7 @@ from functools import cached_property
 import numpy as np
 
 from .data_model import PROB_TOL, _integer, _locked, _probability_table, _real
-from .errors import InputError, UnsupportedMechanismError
+from .errors import InputError
 
 KINDS = ("grr", "exp", "rappor", "oue", "blh", "olh", "she", "ss")
 
@@ -100,11 +101,23 @@ class MechanismSpec:
 
     All eight mechanisms are pure epsilon-LDP, so a spec has no delta; the
     (epsilon, delta) budget of the leakage bound is ``cpl_bound.BudgetParams``.
+
+    Its constants are derived once, when it is built, and read ``None``
+    where its kind has none: the hash range ``g`` of blh/olh, the report
+    size ``subset_size`` = omega of ss, the ``rates`` (p, q) at which a
+    report supports its true symbol and a given other one, for every kind
+    but she (p is also the keep or inclusion probability that perturbation
+    draws with), and the ``weight`` w, the ratio of the decoded channel's
+    diagonal entry to each entry off it.
     """
 
     kind: str
     epsilon: float
     k: int
+    g: int | None = field(init=False, compare=False, repr=False)
+    subset_size: int | None = field(init=False, compare=False, repr=False)
+    rates: tuple[float, float] | None = field(init=False, compare=False, repr=False)
+    weight: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -121,33 +134,57 @@ class MechanismSpec:
             raise InputError(f"she requires epsilon >= 2^70 / DBL_MAX, about "
                              f"{_SHE_EPSILON_MIN:.2g}, so that its scores stay finite; "
                              f"got epsilon {self.epsilon!r}")
-        if self.kind == "olh" and self.g > _OLH_G_MAX:
-            raise InputError(f"olh hash range g = round(e^eps) + 1 must be at most 2^63, "
-                             f"which needs epsilon below about {math.log(_OLH_G_MAX):.3f}; "
-                             f"got epsilon {self.epsilon!r}")
-
-    @property
-    def g(self) -> int:
-        """Hash range for the local-hashing mechanisms."""
-        if self.kind == "blh":
-            return 2
-        if self.kind == "olh":
-            return int(round(math.exp(self.epsilon))) + 1
-        raise UnsupportedMechanismError(f"{self.kind} has no hash range")
-
-    @property
-    def subset_size(self) -> int:
-        """Report size omega = max(1, floor(k / (e^eps + 1))) for ``ss``."""
-        if self.kind != "ss":
-            raise UnsupportedMechanismError(f"{self.kind} has no subset size")
-        return max(1, int(math.floor(self.k / (math.exp(self.epsilon) + 1))))
+        kind, k = self.kind, self.k
+        e_eps = math.exp(self.epsilon)
+        g = omega = rates = a = None  # a: the decoded channel's diagonal
+        if kind in ("grr", "exp"):
+            # exp has 0/1 utility and sensitivity 1: it scores exp(eps * u / 2).
+            w = e_eps if kind == "grr" else math.exp(self.epsilon / 2.0)
+        elif kind == "she":
+            a = _she_keep(self.epsilon, k)
+        elif kind == "ss":
+            omega = max(1, math.floor(k / (e_eps + 1)))
+            p = omega * e_eps / (omega * e_eps + k - omega)
+            rates = p, (p * (omega - 1) + (1 - p) * omega) / (k - 1)
+            a = p / omega
+        else:
+            if kind == "oue":
+                rates = 0.5, 1.0 / (e_eps + 1.0)
+            elif kind == "rappor":
+                # Symmetric unary encoding: each bit kept w.p. e^(eps/2)/(1+e^(eps/2)),
+                # so a report's likelihood ratio is (p/q)(1-q)/(1-p) = e^eps.
+                half = math.exp(self.epsilon / 2.0)
+                rates = half / (half + 1.0), 1.0 / (half + 1.0)
+            else:
+                g = 2 if kind == "blh" else int(round(e_eps)) + 1
+                if g > _OLH_G_MAX:
+                    raise InputError(f"olh hash range g = round(e^eps) + 1 must be at most "
+                                     f"2^63, which needs epsilon below about "
+                                     f"{math.log(_OLH_G_MAX):.3f}; got epsilon {self.epsilon!r}")
+                rates = e_eps / (e_eps + g - 1), 1.0 / g
+            # The support set holds the true symbol w.p. p and each other
+            # symbol w.p. q, independently; the draw is uniform over the set,
+            # or over all k symbols when it is empty.
+            p, q = rates
+            a = p * _mean_share(q, k) + (1.0 - p) * (1.0 - q) ** (k - 1) / k
+        if a is not None:
+            # Decoding post-processes an eps-LDP report, so w <= e^eps: the
+            # clamp loses nothing, and keeps rounding near a = 1 within the
+            # budget. With k = 1 there is no off-diagonal entry, and any w
+            # gives [[1.0]].
+            w = e_eps if k == 1 or a >= 1.0 else min(e_eps, a * (k - 1) / (1.0 - a))
+        object.__setattr__(self, "weight", w)
+        if kind in ("grr", "exp"):
+            p = self.keep_probability()
+            rates = p, (1.0 - p) / (k - 1)
+        for name, value in (("g", g), ("subset_size", omega), ("rates", rates)):
+            object.__setattr__(self, name, value)
 
     def keep_probability(self) -> float:
         """Diagonal a of the decoded channel: the probability that a report,
         decoded without a prior, is the true symbol."""
-        w = _channel_weight(self)
         # With k = 1, w + k - 1 can round below w.
-        return min(1.0, w / (w + self.k - 1))
+        return min(1.0, self.weight / (self.weight + self.k - 1))
 
 
 @dataclass(frozen=True)
@@ -188,40 +225,9 @@ class TransitionMatrix:
 def transition_matrix(spec: MechanismSpec) -> TransitionMatrix:
     """The decoded channel P(decoded symbol | true symbol) of ``spec``."""
     labels = tuple(str(i) for i in range(spec.k))
-    mat = np.full((spec.k, spec.k), 1.0 / (_channel_weight(spec) + spec.k - 1))
+    mat = np.full((spec.k, spec.k), 1.0 / (spec.weight + spec.k - 1))
     np.fill_diagonal(mat, spec.keep_probability())
     return TransitionMatrix(labels, labels, mat, spec.epsilon)
-
-
-def _channel_weight(spec: MechanismSpec) -> float:
-    """Ratio w of the decoded channel's diagonal entry to each entry off it."""
-    kind, k = spec.kind, spec.k
-    e_eps = math.exp(spec.epsilon)
-    if kind == "grr":
-        return e_eps
-    if kind == "exp":
-        # 0/1 utility, sensitivity 1: score exp(eps * u / 2).
-        return math.exp(spec.epsilon / 2.0)
-    a = _decoded_keep(spec)
-    # Decoding post-processes an eps-LDP report, so w <= e^eps: the clamp
-    # loses nothing, and keeps rounding near a = 1 within the budget. With
-    # k = 1 there is no off-diagonal entry, and any w gives [[1.0]].
-    if k == 1 or a >= 1.0:
-        return e_eps
-    return min(e_eps, a * (k - 1) / (1.0 - a))
-
-
-def _decoded_keep(spec: MechanismSpec) -> float:
-    """Closed-form probability a that decoding returns the true symbol."""
-    if spec.kind == "she":
-        return _she_keep(spec.epsilon, spec.k)
-    p, q = _support_rates(spec)
-    if spec.kind == "ss":
-        return p / spec.subset_size
-    # rappor/oue/blh/olh: the support set holds the true symbol w.p. p and
-    # each other symbol w.p. q, independently; the draw is uniform over the
-    # set, or over all k symbols when it is empty.
-    return p * _mean_share(q, spec.k) + (1.0 - p) * (1.0 - q) ** (spec.k - 1) / spec.k
 
 
 def _mean_share(q: float, k: int) -> float:
@@ -270,15 +276,14 @@ class PerturbedColumn:
     (N, k) bit matrix; blh/olh -> (seeds, reports) arrays; she -> (N, k)
     reals; ss -> (N, k) subset membership mask, omega members a row. Treat
     the payload as read-only: the first decode or estimate caches the
-    support set built from it, and a check records the spec that the
-    payload passed.
+    support set built from it, and a check records that the payload passed.
     """
 
     spec: MechanismSpec
     payload: object
-    #: The spec whose payload checks this column passed; a column from
+    #: Whether the payload passed its checks; a column from
     #: ``perturb_column`` is valid by construction.
-    _checked: MechanismSpec | None = field(default=None, init=False, repr=False, compare=False)
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         if self.spec.kind in ("blh", "olh"):
@@ -292,12 +297,12 @@ class PerturbedColumn:
 
 
 def _check_column(spec: MechanismSpec, column) -> None:
-    """Check ``column`` against ``spec``; its payload once per spec."""
+    """Check ``column`` against ``spec``; its payload once per column."""
     if not isinstance(column, PerturbedColumn):
         raise InputError("expected a PerturbedColumn")
-    if column.spec.kind != spec.kind or column.spec.k != spec.k:
+    if column.spec != spec:
         raise InputError("column was produced by a different mechanism spec")
-    if column._checked == spec:
+    if column._checked:
         return
     kind = spec.kind
     if kind in ("rappor", "oue", "she", "ss") and np.shape(column.payload)[1:] != (spec.k,):
@@ -313,7 +318,7 @@ def _check_column(spec: MechanismSpec, column) -> None:
         if np.shape(seeds) != np.shape(reports):
             raise InputError(f"{kind} seeds and reports must have equal length")
         _check_symbols(reports, spec.g, f"{kind} reports")
-    object.__setattr__(column, "_checked", spec)
+    object.__setattr__(column, "_checked", True)
 
 
 def _check_symbols(values, size: int, what: str) -> np.ndarray:
@@ -398,33 +403,6 @@ def _support_set(column: PerturbedColumn, buckets: np.ndarray | None = None) -> 
     return np.asarray(column.payload).T.astype(bool, order="C")
 
 
-def _support_rates(spec: MechanismSpec) -> tuple[float, float]:
-    """Probabilities that a report supports its true symbol and that it
-    supports a given other symbol. The first is also the keep/inclusion
-    probability that perturbation draws with, for every kind but she."""
-    kind, k = spec.kind, spec.k
-    e_eps = math.exp(spec.epsilon)
-    if kind in ("grr", "exp"):
-        p = spec.keep_probability()
-        return p, (1.0 - p) / (k - 1)
-    if kind == "oue":
-        return 0.5, 1.0 / (e_eps + 1.0)
-    if kind == "rappor":
-        # Symmetric unary encoding: each bit kept w.p. e^(eps/2)/(1+e^(eps/2)),
-        # so a report's likelihood ratio is (p/q)(1-q)/(1-p) = e^eps.
-        half = math.exp(spec.epsilon / 2.0)
-        return half / (half + 1.0), 1.0 / (half + 1.0)
-    if kind in ("blh", "olh"):
-        g = spec.g
-        return e_eps / (e_eps + g - 1), 1.0 / g
-    if kind == "ss":
-        omega = spec.subset_size
-        p_in = omega * e_eps / (omega * e_eps + k - omega)
-        q_in = (p_in * (omega - 1) + (1 - p_in) * omega) / (k - 1)
-        return p_in, q_in
-    raise UnsupportedMechanismError(f"{kind} has no support-count estimator")
-
-
 # --------------------------------------------------------------------------
 # Perturbation
 # --------------------------------------------------------------------------
@@ -470,7 +448,7 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
         y.ravel()[_row_major(values, k)] += 1.0
         return _reported(spec, y)
 
-    p, q = _support_rates(spec)
+    p, q = spec.rates
 
     if kind in ("grr", "exp"):
         return _reported(spec, _grr_sample(values, p, k, rng))
@@ -522,7 +500,7 @@ def perturb_column(spec: MechanismSpec, values, rng: np.random.Generator) -> Per
 def _reported(spec: MechanismSpec, payload) -> PerturbedColumn:
     """A column of ``perturb_column``'s, whose payload needs no check."""
     column = PerturbedColumn(spec, payload)
-    object.__setattr__(column, "_checked", spec)
+    object.__setattr__(column, "_checked", True)
     return column
 
 
@@ -647,8 +625,10 @@ def debias_counts(spec: MechanismSpec, counts, n: int) -> np.ndarray:
     if spec.kind == "she":
         est = counts / n
     else:
-        p, q = _support_rates(spec)
-        if p == q:
+        p, q = spec.rates
+        # At e^eps = 1 a report carries no information, while p and q can
+        # still differ by a rounding.
+        if p == q or math.exp(spec.epsilon) == 1.0:
             est = np.full(k, 1.0 / k)
         else:
             est = (counts / n - q) / (p - q)

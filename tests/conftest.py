@@ -16,7 +16,7 @@ from cpl_kit.cpl_bound import _ZERO, BoundedCplResult, BudgetParams, _iter_pairs
 from cpl_kit.cpl_exact import EXACT_ENGINES, ExactCplResult, cpl_exact
 from cpl_kit.errors import InputError, InsufficientDataError
 from cpl_kit.fixtures import MAXLEAK_JOINT
-from cpl_kit.mechanisms import MechanismSpec, TransitionMatrix, _channel_weight, transition_matrix
+from cpl_kit.mechanisms import MechanismSpec, TransitionMatrix, transition_matrix
 from cpl_kit.statistical import (
     StatisticalCplResult, _decoded_column, _observed_and_null, count_table,
 )
@@ -188,7 +188,7 @@ def exact_closed_form(cond: ConditionalDistribution, kind: str, eps: float) -> f
     with top_y and low_y the extremes of column y over the usable rows. The
     largest ratio starts at 1, so rounding that leaves w a hair below 1
     cannot make a leakage negative."""
-    lam = _channel_weight(MechanismSpec(kind, eps, cond.n_cols)) - 1.0
+    lam = MechanismSpec(kind, eps, cond.n_cols).weight - 1.0
     rows = cond.matrix[cond.usable_rows()].tolist()
     best = 1.0
     for column in zip(*rows):

@@ -119,6 +119,10 @@ class TestBaselines:
         with pytest.raises(InputError):
             baseline_grf(np.zeros((2, 2)), 0.0, 1.0)
 
+    def test_grf_pcc_must_be_square(self):
+        with pytest.raises(DimensionMismatchError, match=r"^PCC matrix must be square$"):
+            baseline_grf(np.zeros((2, 3)), 0.5, 1.0)
+
 
 class TestAnalyzerBenchmark:
     def test_region_signatures_on_mixed_data(self):
@@ -202,6 +206,10 @@ class TestNmseCpl:
     def test_all_zero_reference_rejected(self):
         with pytest.raises(InputError):
             nmse_cpl([0.1], [0.0])
+
+    def test_lists_of_unequal_length_rejected(self):
+        with pytest.raises(DimensionMismatchError, match=r"^leakage lists must have equal length$"):
+            nmse_cpl([0.1, 0.2], [0.1])
 
 
 class TestUtilityBenchmark:

@@ -156,6 +156,9 @@ class TestContracts:
             calibrate(independent_joints(2), 1.0, step=-0.1)
         with pytest.raises(InputError):
             calibrate({}, 1.0)
+        with pytest.raises(InputError,
+                           match=r"^pairwise tables must be joint or conditional distributions$"):
+            calibrate({(0, 1): [[0.5, 0.5]], (1, 0): [[0.5, 0.5]]}, 1.0)
 
 
 class TestLeakageTable:

@@ -575,7 +575,16 @@ class TestErrors:
         # a cast to bool would read "false" as true and make row a usable
         b'{"row_labels": ["a", "b", "c"], "col_labels": ["u", "v"], '
         b'"matrix": [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]], "valid": ["false", "true", "true"]}',
-    ], ids=["ragged-matrix", "not-utf8", "list", "string", "number", "null", "string-mask"])
+        # a string was split into one label a character, numbers were taken
+        # as labels, and a repeated label made a witness row ambiguous
+        b'{"row_labels": "abc", "col_labels": ["u", "v"], '
+        b'"matrix": [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]}',
+        b'{"row_labels": ["a", "b", "c"], "col_labels": [1, 2], '
+        b'"matrix": [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]}',
+        b'{"row_labels": ["a", "a", "b"], "col_labels": ["u", "v"], '
+        b'"matrix": [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]}',
+    ], ids=["ragged-matrix", "not-utf8", "list", "string", "number", "null", "string-mask",
+            "string-labels", "number-labels", "repeated-labels"])
     @pytest.mark.parametrize("command", [["bound"], ["exact", "--mechanism", "grr"]])
     def test_malformed_conditional_exits_two(self, capsys, tmp_path, content, command):
         path = tmp_path / "cond.json"

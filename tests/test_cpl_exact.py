@@ -6,6 +6,7 @@ import pytest
 from cpl_kit import (
     BudgetParams,
     ConditionalDistribution,
+    DimensionMismatchError,
     InsufficientDataError,
     MechanismSpec,
     TransitionMatrix,
@@ -157,6 +158,12 @@ class TestInvariants:
         cond = ConditionalDistribution(("x",), ("a", "b"), np.array([[0.5, 0.5]]))
         with pytest.raises(InsufficientDataError):
             cpl_exact(cond, transition_matrix(MechanismSpec("grr", 1.0, 2)))
+
+    def test_channel_inputs_must_match_columns(self):
+        cond = ConditionalDistribution(("x", "y"), ("a", "b"), np.full((2, 2), 0.5))
+        with pytest.raises(DimensionMismatchError, match=r"^conditional has 2 columns but "
+                                                         r"transition matrix has 3 input rows$"):
+            cpl_exact(cond, transition_matrix(MechanismSpec("grr", 1.0, 3)))
 
 
 def per_output_exact(cond: ConditionalDistribution, trans: TransitionMatrix):

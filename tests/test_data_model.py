@@ -11,6 +11,7 @@ from cpl_kit import (
     BudgetParams,
     ConditionalDistribution,
     Dataset,
+    DimensionMismatchError,
     InputError,
     JointDistribution,
     TransitionMatrix,
@@ -19,6 +20,7 @@ from cpl_kit import (
     conditional_from_joint,
     empirical_joint,
     load_csv,
+    pairwise_conditionals,
     write_csv,
 )
 from cpl_kit.fixtures import (
@@ -270,9 +272,12 @@ class TestUnreadableCsv:
 
     def test_oversized_field_named_with_line(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_lines(path, ["a,b", "x,y", "x" * 131_073 + ",z"])
-        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: field larger than field limit"):
-            load_csv(path)
+        # by distinct lines, and record by record in a file with a quote
+        for header in ("a,b", '"a",b'):
+            write_lines(path, [header, "x,y", "x" * 131_073 + ",z"])
+            with pytest.raises(InputError,
+                               match=rf"^{re.escape(str(path))}:3: field larger than field limit"):
+                load_csv(path)
 
     def test_repeated_header_name_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -463,6 +468,78 @@ class TestConditional:
             j = JointDistribution(("a", "b", "c"), ("w", "x", "y", "z"), mat)
             c = conditional_from_joint(j)
             assert np.abs(c.matrix[c.valid].sum(axis=1) - 1).max() <= 1e-9
+
+
+TWO = Alphabet(("x", "y"))
+PAIR = (("a", TWO), ("b", TWO))
+QUARTER = JointDistribution(("x", "y"), ("u", "v"), np.full((2, 2), 0.25))
+EMPTY = Dataset(PAIR, np.zeros((0, 2), dtype=np.int64))
+
+
+class TestInputChecks:
+    """Each typed-input check of the data model, by its error type and message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Alphabet(()), InputError, "alphabet must contain at least one symbol"),
+        (lambda: Alphabet(("x", "y", "x")), InputError, "alphabet contains duplicate symbols"),
+        (lambda: JointDistribution(("x", "y"), ("u",), np.full((2, 2), 0.25)),
+         DimensionMismatchError, "joint matrix shape does not match labels"),
+        (lambda: JointDistribution(("x", "y"), ("u", "v"), [[0.5, -0.25], [0.5, 0.25]]),
+         InputError, "joint probabilities must be nonnegative"),
+        (lambda: JointDistribution(("x", "y"), ("u", "v"), np.full((2, 2), 0.125)),
+         InputError, "joint probabilities sum to 0.5, expected 1"),
+        (lambda: JointDistribution(("x", "x"), ("u", "v"), np.full((2, 2), 0.25)),
+         InputError, "joint labels must be distinct and hashable"),
+        (lambda: JointDistribution(("x", "y"), (["u"], "v"), np.full((2, 2), 0.25)),
+         InputError, "joint labels must be distinct and hashable"),
+        (lambda: ConditionalDistribution(("x", "y"), ("u", "u"), np.full((2, 2), 0.5)),
+         InputError, "conditional labels must be distinct and hashable"),
+        (lambda: TransitionMatrix(("0", "0"), ("0", "1"), np.full((2, 2), 0.5), 1.0),
+         InputError, "transition labels must be distinct and hashable"),
+        (lambda: ConditionalDistribution(("x", "y"), ("u", "v"), np.full((2, 2), 0.5),
+                                         np.array([True, True, False])),
+         DimensionMismatchError, "valid mask length does not match row count"),
+        (lambda: Dataset(PAIR, np.zeros(4, dtype=np.int64)),
+         InputError, "records must be a 2-d array of symbol indices"),
+        (lambda: Dataset(PAIR, np.zeros((4, 3), dtype=np.int64)),
+         DimensionMismatchError, "records have 3 columns, schema has 2"),
+        (lambda: Dataset(PAIR, [[0, 1], [2, 0]]),
+         InputError, "column 'a' has indices outside its alphabet"),
+        (lambda: Dataset(PAIR, [[0, -1], [1, 0]]),
+         InputError, "column 'b' has indices outside its alphabet"),
+        (lambda: bin_numeric([0.5, 1.5], 0), InputError, "bin count must be >= 1, got 0"),
+        (lambda: bin_numeric([0.5, np.nan], 2),
+         InputError, "binning requires at least one value and all values finite"),
+        (lambda: bin_numeric([], 2),
+         InputError, "binning requires at least one value and all values finite"),
+        (lambda: empirical_joint(Dataset(PAIR, [[0, 1]]), 1, 1),
+         InputError, "joint distribution requires two distinct attributes"),
+        (lambda: empirical_joint(EMPTY, 0, 1), InputError, "empty dataset"),
+        (lambda: pairwise_conditionals(EMPTY), InputError, "empty dataset"),
+        (lambda: conditional_from_joint(QUARTER, given="both"),
+         InputError, "given must be 'rows' or 'cols', got 'both'"),
+        (lambda: calibrate({(0, 1): QUARTER, (1, 0): QUARTER}, 10 ** 400),
+         InputError, "total budget must be a real number in float range, got 1" + "0" * 400),
+    ], ids=["alphabet-empty", "alphabet-repeat", "table-shape", "table-negative", "joint-sum",
+            "joint-repeat", "joint-unhashable", "conditional-repeat", "transition-repeat", "mask-length",
+            "records-1d", "records-width", "records-above", "records-negative", "bins-zero",
+            "bins-nan", "bins-empty", "joint-same-attribute", "joint-empty",
+            "conditionals-empty", "given", "real-past-float"])
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+
+    @pytest.mark.parametrize("name, labels", [
+        ("row_labels", "abc"), ("row_labels", ["a", 2, "c"]), ("col_labels", [1, 2]),
+        ("col_labels", None), ("row_labels", {"a": 0, "b": 1, "c": 2}),
+    ])
+    def test_conditional_json_labels_are_a_list_of_strings(self, name, labels):
+        # a string was split into one label a character, and numbers taken
+        table = {"row_labels": ["a", "b", "c"], "col_labels": ["u", "v"],
+                 "matrix": [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]], name: labels}
+        with pytest.raises(InputError, match=rf"^{name} must be a list of strings$"):
+            ConditionalDistribution.from_json(table)
 
 
 class TestTypedNumbers:

@@ -18,7 +18,6 @@ from cpl_kit import mechanisms
 from cpl_kit.mechanisms import (
     KINDS,
     _random_seeds,
-    _support_rates,
     debias_counts,
     support_counts,
 )
@@ -49,6 +48,21 @@ class TestSpec:
             MechanismSpec("grr", 1.0, 1)
         with pytest.raises(InputError):
             MechanismSpec("nope", 1.0, 4)
+        for kind in ("oue", "she"):
+            with pytest.raises(InputError, match=r"^domain size k must be positive$"):
+                MechanismSpec(kind, 1.0, 0)
+        with pytest.raises(InputError, match=r"^epsilon must be a real number in float range"):
+            MechanismSpec("grr", 10 ** 400, 4)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_constants_of_other_kinds_read_none(self, kind):
+        spec = MechanismSpec(kind, 1.0, 4)
+        assert (spec.g is None) == (kind not in ("blh", "olh"))
+        assert (spec.subset_size is None) == (kind != "ss")
+        assert (spec.rates is None) == (kind == "she")
+        assert spec.weight > 1.0
+        # derived, so neither compared nor shown
+        assert spec == MechanismSpec(kind, 1, 4) and "weight" not in repr(spec)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 709.8, 800.0])
     def test_epsilon_must_be_finite_and_exponentiable(self, epsilon):
@@ -81,6 +95,7 @@ TYPED = {
     "k": lambda value: MechanismSpec("oue", 1.0, value),
     "epsilon": lambda value: MechanismSpec("grr", value, 3),
     "stream key": lambda value: derive_rng(1, value),
+    "seed": lambda value: derive_rng(value, 1),
 }
 
 
@@ -93,12 +108,13 @@ TYPED = {
     ("epsilon", "1", False), ("epsilon", None, False), ("epsilon", 1j, False),
     ("stream key", 1, True), ("stream key", np.int64(1), True), ("stream key", 1.5, False),
     ("stream key", 1.0, False), ("stream key", True, False), ("stream key", -1, False),
+    ("seed", -1, False), ("seed", 2.0, False),
 ])
 def test_integer_and_number_rule(where, value, accepted):
-    """k and every stream key are Python or numpy integers, used as ints;
-    a budget is a real number, numpy ones included, but not a bool. Any
-    other value is an ``InputError``, never a bare ``TypeError`` or a
-    silent coercion."""
+    """k, the seed and every stream key are Python or numpy integers, used
+    as ints, and the seed and keys are nonnegative; a budget is a real
+    number, numpy ones included, but not a bool. Any other value is an
+    ``InputError``, never a bare ``TypeError`` or a silent coercion."""
     if not accepted:
         with pytest.raises(InputError, match=where):
             TYPED[where](value)
@@ -131,6 +147,19 @@ class TestTransitionMatrix:
         cmax = t.matrix.max(axis=0)
         cmin = t.matrix.min(axis=0)
         assert (cmax <= cmin * math.exp(epsilon) * (1 + 1e-9)).all()
+
+    @pytest.mark.parametrize("matrix, epsilon, match", [
+        ([[1.5, 0.0], [0.0, 1.0]], math.inf, r"^transition probabilities must lie in \[0, 1\]$"),
+        ([[0.5, 0.4], [0.5, 0.5]], math.inf, r"^every transition row must sum to 1$"),
+        ([[1.0, 0.0], [0.0, 1.0]], 1.0,
+         r"^transition matrix violates the pure-LDP ratio bound at its epsilon$"),
+        ([[0.75, 0.25], [0.25, 0.75]], 1.0,
+         r"^transition matrix violates the pure-LDP ratio bound at its epsilon$"),
+    ], ids=["entry-above-one", "row-sum", "zero-entry", "ratio-3-at-e"])
+    def test_constructor_checks(self, matrix, epsilon, match):
+        labels = ("0", "1")
+        with pytest.raises(InputError, match=match):
+            TransitionMatrix(labels, labels, np.array(matrix), epsilon)
 
     def test_budget_must_not_be_nan(self):
         labels = ("0", "1")
@@ -178,6 +207,15 @@ class TestTransitionMatrix:
         assert checked >= 40  # ten budgets at four sizes, or all fourteen at three
 
 
+def binomial_keep(spec):
+    """a of a unary or hash kind as an explicit sum over B ~ Bin(k-1, q), the
+    number of other symbols that a report supports."""
+    (p, q), k = spec.rates, spec.k
+    mean = math.fsum(math.comb(k - 1, j) * q ** j * (1 - q) ** (k - 1 - j) / (1 + j)
+                     for j in range(k))
+    return p * mean + (1 - p) * (1 - q) ** (k - 1) / k
+
+
 class TestChannelClosedForms:
     """The decoded channel's diagonal a against independent evaluations."""
 
@@ -186,16 +224,12 @@ class TestChannelClosedForms:
     @pytest.mark.parametrize("k", [2, 5, 12])
     def test_support_kinds_match_binomial_sum(self, kind, epsilon, k):
         spec = MechanismSpec(kind, epsilon, k)
-        p, q = _support_rates(spec)
-        mean = math.fsum(math.comb(k - 1, j) * q ** j * (1 - q) ** (k - 1 - j) / (1 + j)
-                         for j in range(k))
-        a = p * mean + (1 - p) * (1 - q) ** (k - 1) / k
-        assert spec.keep_probability() == pytest.approx(a, rel=1e-12)
+        assert spec.keep_probability() == pytest.approx(binomial_keep(spec), rel=1e-12)
 
     def test_ss_is_inclusion_over_subset_size(self):
         spec = MechanismSpec("ss", 0.5, 10)
         assert spec.keep_probability() == pytest.approx(
-            _support_rates(spec)[0] / spec.subset_size, rel=1e-12)
+            spec.rates[0] / spec.subset_size, rel=1e-12)
 
     @pytest.mark.parametrize("epsilon", [0.1, 1.0, 5.0, 20.0])
     @pytest.mark.parametrize("k", [2, 7, 30])
@@ -214,7 +248,13 @@ class TestChannelClosedForms:
         # Decoding is post-processing: a (k-1) / (1-a) <= e^eps before any clamp.
         for epsilon in (0.1, 0.5, 1.0, 3.0, 8.0):
             for k in (2, 3, 7, 20):
-                a = mechanisms._decoded_keep(MechanismSpec(kind, epsilon, k))
+                spec = MechanismSpec(kind, epsilon, k)
+                if kind == "she":
+                    a = mechanisms._she_keep(epsilon, k)
+                elif kind == "ss":
+                    a = spec.rates[0] / spec.subset_size
+                else:
+                    a = binomial_keep(spec)
                 assert 1.0 / k - 1e-12 <= a < 1.0
                 assert a * (k - 1) / (1 - a) <= math.exp(epsilon) * (1 + 1e-9)
 
@@ -254,7 +294,7 @@ class TestPerturbLaw:
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5, 1.0, 3.0, 5.0])
     def test_rappor_report_ratio_is_its_budget(self, epsilon):
-        p, q = _support_rates(MechanismSpec("rappor", epsilon, 4))
+        p, q = MechanismSpec("rappor", epsilon, 4).rates
         assert math.log(p * (1 - q) / (q * (1 - p))) == pytest.approx(epsilon, abs=1e-12)
 
     def test_rappor_payload_depends_on_budget(self):
@@ -435,6 +475,20 @@ class TestFrequencyEstimation:
         assert est.sum() == pytest.approx(1.0)
         assert (est >= 0).all()
 
+    @pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "she"])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-17])
+    def test_no_information_budget_gives_the_uniform_estimate(self, kind, epsilon):
+        # At e^eps = 1 every report is drawn alike under every symbol. p and q
+        # can still differ by a rounding (grr at k 3, ss at k 6), which a
+        # test of p == q alone divided by and clipped: uniform data read
+        # [0, 1, 0] under grr at k 3.
+        for k in range(1 if kind in ("rappor", "oue", "blh", "olh") else 2, 60):
+            spec = MechanismSpec(kind, epsilon, k)
+            assert math.exp(spec.epsilon) == 1.0
+            counts = derive_rng(31, k).integers(0, 50, k)
+            np.testing.assert_allclose(debias_counts(spec, counts, 50), np.full(k, 1.0 / k),
+                                       rtol=1e-13, err_msg=f"k = {k}")
+
     @pytest.mark.parametrize("kind", ["grr", "oue", "ss"])
     def test_error_halves_when_samples_quadruple(self, kind):
         spec = spec_for(kind, epsilon=1.0, k=4)
@@ -495,7 +549,10 @@ class TestColumnSpecCheck:
         col = perturb_column(spec, np.arange(4), derive_rng(17, 0))
         other_kind = spec_for("oue" if kind == "grr" else "grr", epsilon=1.0, k=4)
         other_k = spec_for(kind, epsilon=1.0, k=5)
-        for wrong in (other_kind, other_k):
+        # read at another budget, a column would be debiased with that
+        # budget's rates
+        other_epsilon = spec_for(kind, epsilon=3.0, k=4)
+        for wrong in (other_kind, other_k, other_epsilon):
             with pytest.raises(InputError, match="different mechanism spec"):
                 decode_column(wrong, col, derive_rng(17, 1))
             with pytest.raises(InputError, match="different mechanism spec"):
@@ -628,7 +685,7 @@ def ref_perturb(spec, values, rng):
         y = np.where(negative, -size, size)
         y[np.arange(n), values] += 1.0
         return y
-    p, q = _support_rates(spec)
+    p, q = spec.rates
     if kind in ("grr", "exp"):
         return ref_grr_sample(values, p, k, rng)
     if kind in ("rappor", "oue"):
@@ -689,8 +746,11 @@ def ref_estimate(spec, payload):
         else:
             support = ref_support_set(spec, payload).sum(axis=0)
         n = len(payload[0]) if spec.kind in ("blh", "olh") else len(payload)
-        p, q = _support_rates(spec)
-        est = np.full(k, 1.0 / k) if p == q else (support / n - q) / (p - q)
+        p, q = spec.rates
+        # a report carries no information at e^eps = 1, even where the
+        # rates differ by a rounding
+        uniform = p == q or math.exp(spec.epsilon) == 1.0
+        est = np.full(k, 1.0 / k) if uniform else (support / n - q) / (p - q)
     est = np.clip(est, 0.0, 1.0)
     total = est.sum()
     return np.full(k, 1.0 / k) if total <= 0 else est / total
