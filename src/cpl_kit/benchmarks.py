@@ -14,8 +14,10 @@ so it depends on the data and the budget alone, not on the seed or the
 expansion factor. Here and in the analyzer benchmark every per-pair leakage,
 bound or exact, is the closed form of the table that ``calibrate`` probes
 (``calibration._LeakageTable``). The errors come from columns, one attribute
-of one cell each, which draw from their own streams, so they run on a thread
-pool and are summed in grid order: the rows do not depend on the threads.
+of one cell each, which build their own spec and draw from their own
+streams, so they run on a thread pool and are read and summed in grid
+order: the rows do not depend on the threads, and the first failing column
+raises, as in a serial run.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .data_model import (
     Dataset, _integer, empirical_joint, ordered_pairs, pairwise_conditionals,
 )
 from .errors import DimensionMismatchError, InputError
-from .mechanisms import MechanismSpec, debias_counts
+from .mechanisms import MechanismSpec, debias_counts, support_counts
 from .statistical import _decoded_column
 
 _TOL = 1e-9
@@ -134,19 +136,12 @@ def pairwise_abs_pcc(d: Dataset) -> np.ndarray:
     return out
 
 
-def reference_leakages(d: Dataset, epsilon: float, method: str = "bound") -> list[float]:
-    """Per-pair reference leakage: the budget-only bound (``bound``), or the
-    exact value through the decoded channel of a mechanism (``exact-<kind>``
-    for any kind, see ``EXACT_ENGINES``), from calibration's leakage table."""
-    return _LeakageTable(list(pairwise_conditionals(d).values()), method)([epsilon])[0].tolist()
-
-
 def analyzer_benchmark(d: Dataset, epsilons, thresholds=(0.2, 0.4),
                        reference="bound") -> list[dict[str, BenchmarkPoint]]:
     """Score the built-in analyzers on one dataset at each budget.
 
-    ``reference`` is a method name accepted by :func:`reference_leakages` or
-    a precomputed per-pair list (e.g. statistical estimates) used at every
+    ``reference`` is a leakage engine, ``bound`` or ``exact-<kind>``, or a
+    precomputed per-pair list (e.g. statistical estimates) used at every
     budget. The conditionals, the |PCC| matrix and the leakage tables do
     not depend on the budget and are built once.
     """
@@ -195,19 +190,30 @@ def _workers(n_columns: int) -> int:
     return max(1, min(cpus, n_columns))
 
 
-def _column_stats(d: Dataset, kind: str, eps: float, j: int, r: int, seed: int,
-                  cell: int) -> tuple[np.ndarray, int]:
-    """Support counts and decoding mismatches of attribute ``j`` under the
-    ``cell``-th (kind, eps), summed over the expanded rows block by block."""
+def _total(values) -> float:
+    """Left-to-right float sum: from Python 3.12 the built-in ``sum``
+    compensates its rounding, which changes the last bits."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _column_error(d: Dataset, kind: str, eps: float, j: int, r: int, seed: int, cell: int,
+                  true_freq: np.ndarray) -> tuple[float, int]:
+    """Squared frequency-estimation error and decoding mismatches of
+    attribute ``j`` under the ``cell``-th (kind, eps), its support counted
+    over the expanded rows block by block."""
     spec = MechanismSpec(kind, eps, d.alphabet(j).size)
     counts, mismatches = 0, 0
-    for values, block_counts, symbols in _decoded_column(spec, d.column(j), r, seed, (cell,), j):
-        counts += block_counts
+    for values, column, symbols in _decoded_column(spec, d.column(j), r, seed, (cell,), j):
+        counts += support_counts(spec, column)
         mismatches += int(np.count_nonzero(symbols != values))
         # Unbound now: the loop variables would otherwise keep this block
         # alive while the walker draws the next one, two blocks at a time.
-        del values, block_counts, symbols
-    return counts, mismatches
+        del values, column, symbols
+    est = debias_counts(spec, counts, d.n_records * r)
+    return float(((est - true_freq) ** 2).sum()), mismatches
 
 
 def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
@@ -217,11 +223,11 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
     total pairwise leakage.
 
     Each column, one attribute of one cell, walks the expanded dataset in
-    blocks on a thread pool and keeps only its support counts and decoding
-    mismatches. The cells are then finished in grid order, so the first
-    failing cell raises, as in a serial run. The leakage of each pair is
-    exact, through the neighbor's decoded channel, and its budget-only
-    bound, both summed over calibration's leakage table."""
+    blocks on a thread pool and keeps only its frequency error and decoding
+    mismatches. The columns are read in grid order, so the first failing
+    one raises, as in a serial run. The leakage of each pair is exact,
+    through the neighbor's decoded channel, and its budget-only bound, both
+    summed over calibration's leakage table."""
     # Imported here: concurrent.futures loads logging, which every other
     # command would pay for in start-up time and memory.
     from concurrent.futures import ThreadPoolExecutor
@@ -230,39 +236,31 @@ def utility_benchmark(d: Dataset, kinds: list[str], epsilons: list[float],
     if r < 1:
         raise InputError("expansion factor must be >= 1")
     n_attr = d.n_attributes
-    sizes = [d.alphabet(j).size for j in range(n_attr)]
     n_rows = d.n_records * r
     conds = list(pairwise_conditionals(d).values())
-    true_freqs = [np.bincount(d.column(j), minlength=sizes[j]) / d.n_records
+    true_freqs = [np.bincount(d.column(j), minlength=d.alphabet(j).size) / d.n_records
                   for j in range(n_attr)]
-    freq_denom = sum(float((f ** 2).sum()) for f in true_freqs)
+    freq_denom = _total(float((f ** 2).sum()) for f in true_freqs)
     grid = [(k, e) for k in kinds for e in epsilons]
     tables: dict[str, _LeakageTable] = {}  # by engine, each built at its first cell
 
     pool = ThreadPoolExecutor(_workers(len(grid) * n_attr))
     try:
-        columns = [[pool.submit(_column_stats, d, kind, eps, j, r, seed, cell)
+        columns = [[pool.submit(_column_error, d, kind, eps, j, r, seed, cell, true_freqs[j])
                     for j in range(n_attr)] for cell, (kind, eps) in enumerate(grid)]
         rows: list[UtilityRow] = []
         for (kind, eps), futures in zip(grid, columns):
-            # Built before the results are read, so that a bad spec raises
-            # ahead of any column error of its cell, as in a serial run.
-            specs = [MechanismSpec(kind, eps, size) for size in sizes]
-            counts, mismatches = zip(*(future.result() for future in futures))
-            freq_err = 0.0
-            for j, spec in enumerate(specs):
-                est = debias_counts(spec, counts[j], n_rows)
-                freq_err += float(((est - true_freqs[j]) ** 2).sum())
-            freq_nmse = freq_err / freq_denom
+            errors, mismatches = zip(*(future.result() for future in futures))
+            freq_nmse = _total(errors) / freq_denom
             zero_one = sum(mismatches) / (n_rows * n_attr)
 
-            # Built after the cell's specs: a constant column fails on its
-            # spec first, as in a serial run, not on its table.
+            # Built after the cell's columns are read: a constant column
+            # fails on its spec first, as in a serial run, not on its table.
             for engine in ("bound", f"exact-{kind}"):
                 if engine not in tables:
                     tables[engine] = _LeakageTable(conds, engine)
-            tcpl_star = sum(tables["bound"]([eps])[0].tolist())
-            tcpl_prime = sum(tables[f"exact-{kind}"]([eps])[0].tolist())
+            tcpl_star = _total(tables["bound"]([eps])[0].tolist())
+            tcpl_prime = _total(tables[f"exact-{kind}"]([eps])[0].tolist())
             norm_tcpl = tcpl_prime / tcpl_star if tcpl_star > 0 else 0.0
             rows.append(UtilityRow(kind, eps, UtilityReport(freq_nmse, zero_one, norm_tcpl)))
     finally:

@@ -15,7 +15,9 @@ does, and olh's decoded weight falls whenever its hash range steps up. Both
 engines are one closed-form kernel over points built once per calibration
 (``_LeakageTable``), which the analyzer and utility benchmarks and
 ``analyze matrix --mechanism`` share; the probes are evaluated in chunks
-and walked in order, and each value is the one a probe alone gives.
+and walked in order, and each value is the one a probe alone gives. The
+grid stops at the engine's largest budget, so no probe after the first can
+be refused.
 """
 from __future__ import annotations
 
@@ -31,8 +33,8 @@ from .cpl_exact import EXACT_ENGINES
 from .data_model import (
     ConditionalDistribution, JointDistribution, _real, conditional_from_joint, ordered_pairs,
 )
-from .errors import CplKitError, InfeasibleBudgetError, InputError
-from .mechanisms import _EPSILON_MAX, MechanismSpec, _check_epsilon
+from .errors import InfeasibleBudgetError, InputError
+from .mechanisms import MechanismSpec, _check_epsilon, _largest_epsilon
 
 _FEAS_TOL = 1e-9
 _MAX_PROBES = 10 ** 6
@@ -114,6 +116,9 @@ class _LeakageTable:
         for c, (a, b) in enumerate(points):
             self._a[c, :a.size], self._b[c, :b.size] = a, b
         self.block = max(1, _BLOCK_CELLS // max(self._a.size, 1))
+        #: The largest budget the engine takes; every other check on a
+        #: budget is a lower bound.
+        self.largest = _largest_epsilon(self._kind)
 
     def __call__(self, epsilons) -> np.ndarray:
         parts = [self._evaluate(epsilons[lo:lo + self.block])
@@ -145,7 +150,7 @@ def _frontier(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[keep], b[keep]
 
 
-def _worst(leaks: np.ndarray, n: int, epsilons) -> tuple[np.ndarray, np.ndarray]:
+def _worst(leaks: np.ndarray, n: int, epsilons) -> tuple[list[float], list[int]]:
     """Largest total of own budget plus the n - 1 neighbor leakages of an
     attribute at each budget, with the first attribute attaining it.
 
@@ -156,38 +161,25 @@ def _worst(leaks: np.ndarray, n: int, epsilons) -> tuple[np.ndarray, np.ndarray]
     total = np.repeat(np.array(epsilons, dtype=np.float64)[:, None], n, axis=1)
     for k in range(n - 1):
         total += per[:, :, k]
-    return total.max(axis=1), total.argmax(axis=1)
+    return total.max(axis=1).tolist(), total.argmax(axis=1).tolist()
 
 
 def _ordered(conds: dict, n: int) -> list[ConditionalDistribution]:
     return [conds[pair] for pair in ordered_pairs(n)]
 
 
-def _candidates(start: float, step: float, limit: float):
+def _candidates(start: float, step: float, limit: float, largest: float):
     """The budgets the walk probes, in order: ``start``, then ``start + i *
-    step`` for i >= 1 up to the first past ``limit``, and none past the
-    largest budget a probe can take."""
+    step`` for i >= 1 up to the first past ``limit``, and none past
+    ``largest``, the largest budget a probe can take."""
     yield start
     for i in itertools.count(1):
         candidate = start + i * step
-        if candidate > _EPSILON_MAX:
+        if candidate > largest:
             return
         yield candidate
         if candidate > limit:
             return
-
-
-def _probed(table: _LeakageTable, n: int, chunk: list[float]):
-    """(budget, worst total, worst attribute) of each budget of a chunk."""
-    try:
-        worst, idx = _worst(table(chunk), n, chunk)
-    except (CplKitError, ArithmeticError, ValueError):
-        if len(chunk) == 1:
-            raise
-        # Some budget of the chunk cannot be probed. Probe one at a time, so
-        # that its error is raised only if the walk reaches it.
-        return itertools.chain.from_iterable(_probed(table, n, [eps]) for eps in chunk)
-    return zip(chunk, worst.tolist(), idx.tolist())
 
 
 def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
@@ -202,8 +194,8 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
     each other given the attribute can exceed. The equal split is feasible
     by construction (each neighbor leaks at most the shared budget); a
     numerical violation of that is an error. The probes are evaluated a
-    chunk at a time and walked in order; the walk never passes the first
-    budget above the ceiling, so no chunk reaches past it.
+    chunk at a time and walked in order; no chunk reaches past the first
+    budget above the ceiling or past the engine's largest budget.
     """
     epsilon_bar, step = _real(epsilon_bar, "total budget"), _real(step, "step")
     if not 0 < epsilon_bar < math.inf:
@@ -219,9 +211,9 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
         raise InputError(f"step {step} is too small: over {_MAX_PROBES} probes to the ceiling")
     table = _LeakageTable(_ordered(conds, n), engine)
     trace = []
-    probes = _candidates(start, step, limit)
+    probes = _candidates(start, step, limit, table.largest)
     while chunk := list(itertools.islice(probes, table.block)):
-        for candidate, worst, idx in _probed(table, n, chunk):
+        for candidate, worst, idx in zip(chunk, *_worst(table(chunk), n, chunk)):
             trace.append((candidate, worst))
             if worst > limit:
                 if len(trace) == 1:
@@ -229,5 +221,5 @@ def calibrate(joints: dict, epsilon_bar: float, step: float = 0.01,
                                                 f"worst TPL {worst} > {epsilon_bar}")
                 return CalibrationResult(*best, len(trace) - 2, tuple(trace))
             best = (candidate, idx, worst)
-    raise InputError(f"the walk reached the largest budget a probe can take ({_EPSILON_MAX:.2f}) "
+    raise InputError(f"the walk reached the largest budget a probe can take ({table.largest:.2f}) "
                      f"with every worst total leakage still within the ceiling {epsilon_bar}")

@@ -33,7 +33,11 @@ class Alphabet:
     def __post_init__(self):
         if len(self.symbols) < 1:
             raise InputError("alphabet must contain at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        try:
+            distinct = len(set(self.symbols)) == len(self.symbols)
+        except TypeError:  # a symbol that is not hashable
+            raise InputError("alphabet symbols must be hashable") from None
+        if not distinct:
             raise InputError("alphabet contains duplicate symbols")
 
     @property
@@ -118,7 +122,11 @@ class Dataset:
     records: np.ndarray  # shape (N, n_attributes), integer indices
 
     def __post_init__(self):
-        rec = np.asarray(self.records, dtype=np.int64)
+        rec = np.asarray(self.records)
+        # a cast would read 1.7 as symbol 1, and "1" or True as symbols too
+        if not np.issubdtype(rec.dtype, np.integer):
+            raise InputError(f"records must be integer symbol indices, got dtype {rec.dtype}")
+        rec = rec.astype(np.int64, copy=False)
         if rec.ndim != 2:
             raise InputError("records must be a 2-d array of symbol indices")
         if rec.shape[1] != len(self.schema):
@@ -236,10 +244,16 @@ class ConditionalDistribution:
         for name in ("row_labels", "col_labels"):
             if not (isinstance(obj[name], list) and all(isinstance(s, str) for s in obj[name])):
                 raise InputError(f"{name} must be a list of strings")
+        # a cast would parse "0.5" and read true as 1
+        matrix = obj["matrix"]
+        if not (isinstance(matrix, list) and all(
+                isinstance(row, list) and all(type(v) in (int, float) for v in row)
+                for row in matrix)):
+            raise InputError("matrix must be a list of rows of numbers")
         return cls(
             tuple(obj["row_labels"]),
             tuple(obj["col_labels"]),
-            np.asarray(obj["matrix"], dtype=np.float64),
+            np.asarray(matrix, dtype=np.float64),
             obj.get("valid"),
         )
 

@@ -83,9 +83,15 @@ _EPSILON_MAX = math.log(sys.float_info.max / 2)
 # fewer than 2^63 scores, so every score and every sum stays finite.
 _SHE_EPSILON_MIN = 2.0 ** 70 / sys.float_info.max
 
-# Largest olh hash range: reports are int64 symbols below g, and the report
-# sampler draws its alternatives from the int64 range [0, g - 1).
-_OLH_G_MAX = 2 ** 63
+# Largest olh budget: reports are int64 symbols below g = round(e^eps) + 1,
+# and the report sampler draws its alternatives from the int64 range
+# [0, g - 1), so g is at most 2^63; up to this double, and past none, it is.
+_OLH_EPSILON_MAX = math.log(2 ** 63)
+
+
+def _largest_epsilon(kind: str | None) -> float:
+    """The largest budget a spec of ``kind`` takes; ``None`` for a budget alone."""
+    return _OLH_EPSILON_MAX if kind == "olh" else _EPSILON_MAX
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -156,11 +162,11 @@ class MechanismSpec:
                 half = math.exp(self.epsilon / 2.0)
                 rates = half / (half + 1.0), 1.0 / (half + 1.0)
             else:
-                g = 2 if kind == "blh" else int(round(e_eps)) + 1
-                if g > _OLH_G_MAX:
+                if kind == "olh" and self.epsilon > _OLH_EPSILON_MAX:
                     raise InputError(f"olh hash range g = round(e^eps) + 1 must be at most "
                                      f"2^63, which needs epsilon below about "
-                                     f"{math.log(_OLH_G_MAX):.3f}; got epsilon {self.epsilon!r}")
+                                     f"{_OLH_EPSILON_MAX:.3f}; got epsilon {self.epsilon!r}")
+                g = 2 if kind == "blh" else int(round(e_eps)) + 1
                 rates = e_eps / (e_eps + g - 1), 1.0 / g
             # The support set holds the true symbol w.p. p and each other
             # symbol w.p. q, independently; the draw is uniform over the set,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data_model import Dataset, _integer, _real, count_table
 from .errors import InputError, InsufficientDataError
-from .mechanisms import MechanismSpec, decode_column, perturb_column, support_counts
+from .mechanisms import MechanismSpec, decode_column, perturb_column
 from .rng import STAGE_DECODE, STAGE_PERTURB, STAGE_SURROGATE, derive_rng
 
 #: Refuse joint neighbor alphabets larger than this many cells.
@@ -115,18 +115,18 @@ def _expanded_blocks(records: np.ndarray, r: int):
 
 def _decoded_column(spec: MechanismSpec, values: np.ndarray, r: int, seed: int,
                     key: tuple[int, ...], j: int):
-    """The ``(block, support counts, decoded symbols)`` of every block of
+    """The ``(block, perturbed column, decoded symbols)`` of every block of
     ``values``, attribute j's column, expanded by ``r``. The column draws
     from ``derive_rng(seed, STAGE_PERTURB | STAGE_DECODE, *key, j)``, each
     stream continued from block to block, so a column walked alone and one
-    walked in step with others give the same symbols. Only the support
-    counts and decoded symbols are kept, so no report outlives its block."""
+    walked in step with others give the same symbols. A block's reports are
+    made when it is reached, so none need outlive it."""
     perturb_rng = derive_rng(seed, STAGE_PERTURB, *key, j)
     decode_rng = derive_rng(seed, STAGE_DECODE, *key, j)
 
     def stats(block):
         col = perturb_column(spec, block, perturb_rng)
-        return block, support_counts(spec, col), decode_column(spec, col, decode_rng)
+        return block, col, decode_column(spec, col, decode_rng)
 
     return map(stats, _expanded_blocks(values, r))
 
@@ -268,4 +268,6 @@ def estimate_cpl(d: Dataset, specs, target: int, neighbors: list[int],
     for block, *reports in zip(_expanded_blocks(d.column(target), cfg.expansion), *walkers):
         w_codes = np.ravel_multi_index(tuple(symbols for _, _, symbols in reports), dims=tuple(sizes))
         table += count_table(block, w_codes, m, n_w)
+        # Unbound now, so that no block's reports live while the next is drawn.
+        del block, reports
     return _observed_and_null(table, sizes, cfg)

@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from cpl_kit import ConditionalDistribution, JointDistribution, conditional_from_joint
-from cpl_kit.calibration import _as_conditionals
+from cpl_kit import (
+    ConditionalDistribution, JointDistribution, conditional_from_joint, pairwise_conditionals,
+)
+from cpl_kit.calibration import _as_conditionals, _LeakageTable
 from cpl_kit.cpl_bound import _ZERO, BoundedCplResult, BudgetParams, _iter_pairs, cpl_bound
 from cpl_kit.cpl_exact import EXACT_ENGINES, ExactCplResult, cpl_exact
 from cpl_kit.errors import InputError, InsufficientDataError
@@ -230,6 +232,14 @@ def calibrate_by_probe(joints, epsilon_bar, step, engine) -> list[tuple[float, f
         if trace[-1][1] > epsilon_bar + 1e-9:
             return trace
         i += 1
+
+
+def reference_leakages(d, epsilon: float, method: str = "bound") -> list[float]:
+    """Per-pair reference leakage of every ordered attribute pair of ``d``:
+    the budget-only bound (``bound``), or the exact value through the
+    decoded channel of a mechanism (``exact-<kind>`` for any kind), from
+    calibration's leakage table."""
+    return _LeakageTable(list(pairwise_conditionals(d).values()), method)([epsilon])[0].tolist()
 
 
 def sup_ratio_reference(counts: np.ndarray) -> tuple[float, int]:

@@ -1,7 +1,9 @@
 # utility_benchmark imports this lazily; importing it here keeps that import
 # out of the tracemalloc windows below.
 import concurrent.futures  # noqa: F401
+import functools
 import math
+import operator
 import os
 import sys
 import tracemalloc
@@ -35,7 +37,6 @@ from cpl_kit.benchmarks import (
     ordered_pairs,
     pairwise_abs_pcc,
     pairwise_conditionals,
-    reference_leakages,
     utility_benchmark,
 )
 from cpl_kit.fixtures import (
@@ -52,7 +53,7 @@ from cpl_kit.calibration import _LeakageTable
 from cpl_kit.mechanisms import KINDS, debias_counts, decode_column, perturb_column, support_counts
 from cpl_kit.rng import STAGE_DECODE, STAGE_PERTURB, derive_rng
 from cpl_kit.statistical import BLOCK_ROWS
-from conftest import cpl_limit, exact_closed_form
+from conftest import cpl_limit, exact_closed_form, reference_leakages
 
 
 class TestUndershootOvershoot:
@@ -301,6 +302,21 @@ class TestUtilityBenchmark:
         utility_benchmark(mixed_five(n=2_000, seed=1), ["grr", "oue", "grr"], [1.0, 3.0], 1, 5)
         assert built == ["bound", "exact-grr", "exact-oue"]
 
+    def test_one_spec_per_column(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return MechanismSpec(*args)
+
+        monkeypatch.setattr(benchmarks, "MechanismSpec", counted)
+        d = mixed_five(n=2_000, seed=1)
+        utility_benchmark(d, ["grr", "oue", "she"], [1.0, 3.0], 1, 5)
+        sizes = [d.alphabet(j).size for j in range(d.n_attributes)]
+        assert sorted(built) == sorted((kind, eps, size) for kind in ("grr", "oue", "she")
+                                       for eps in (1.0, 3.0) for size in sizes)
+        assert len(built) == 30
+
     @pytest.mark.parametrize("kinds, error, match", [
         (["grr", "rappor"], InputError, "grr requires domain size k >= 2"),
         (["rappor", "grr"], InsufficientDataError, "at least 2 usable conditioning symbols"),
@@ -326,6 +342,12 @@ class TestUtilityBenchmark:
             utility_benchmark(d, ["grr"], [1.0], 0, 9)
 
 
+def left_to_right(values) -> float:
+    """Sum floats one after another, as the built-in ``sum`` does before
+    Python 3.12 and no longer does from it on."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def serial_utility(d, kinds, epsilons, r, seed):
     """Oracle: every cell walked serially over the blocks of the built
     expanded dataset, all attributes of a block together, with the public
@@ -339,7 +361,7 @@ def serial_utility(d, kinds, epsilons, r, seed):
     conds = pairwise_conditionals(d)
     true_freqs = [np.bincount(d.column(j), minlength=sizes[j]) / d.n_records
                   for j in range(n_attr)]
-    freq_denom = sum(float((f ** 2).sum()) for f in true_freqs)
+    freq_denom = left_to_right(float((f ** 2).sum()) for f in true_freqs)
     rows = []
     for cell, (kind, eps) in enumerate((k, e) for k in kinds for e in epsilons):
         specs = [MechanismSpec(kind, eps, size) for size in sizes]
@@ -358,8 +380,9 @@ def serial_utility(d, kinds, epsilons, r, seed):
         for j, spec in enumerate(specs):
             est = debias_counts(spec, counts[j], n_rows)
             freq_err += float(((est - true_freqs[j]) ** 2).sum())
-        tcpl_star = sum(cpl_bound(conds[p], BudgetParams(eps, 0.0)).leakage for p in pairs)
-        tcpl_prime = sum(exact_closed_form(conds[p], kind, eps) for p in pairs)
+        tcpl_star = left_to_right(cpl_bound(conds[p], BudgetParams(eps, 0.0)).leakage
+                                  for p in pairs)
+        tcpl_prime = left_to_right(exact_closed_form(conds[p], kind, eps) for p in pairs)
         rows.append(UtilityRow(kind, eps, UtilityReport(
             freq_err / freq_denom, mismatches / (n_rows * n_attr),
             tcpl_prime / tcpl_star if tcpl_star > 0 else 0.0)))

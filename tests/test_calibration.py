@@ -18,9 +18,10 @@ from cpl_kit import (
     transition_matrix,
 )
 from cpl_kit import calibration
-from cpl_kit.calibration import _as_conditionals, _LeakageTable, _ordered
+from cpl_kit.calibration import _as_conditionals, _candidates, _LeakageTable, _ordered
 from cpl_kit.cpl_bound import _BoundTable
-from cpl_kit.mechanisms import KINDS
+from cpl_kit.cpl_exact import EXACT_ENGINES
+from cpl_kit.mechanisms import _EPSILON_MAX, KINDS
 from cpl_kit.fixtures import mixed_five, weak_ten
 from cpl_kit.benchmarks import ordered_pairs, pairwise_conditionals
 from cpl_kit.data_model import empirical_joint
@@ -376,14 +377,26 @@ class TestChunkedWalk:
         assert {0, block - 1} <= ends
 
     def test_budget_no_probe_reaches_cannot_fail_the_walk(self):
-        # olh takes budgets below about 43.668 only. The walk from 22 stops at
-        # 43, but the chunk runs on to 44, one step past the ceiling.
+        # olh takes budgets up to ln 2^63, about 43.668, only. The walk from
+        # 22 stops at 43, and the grid ends there, one step before 44.
         joints = copy_joints(2)
         res = calibrate(joints, 44.0, step=1.0, engine="exact-olh")
         assert trace_hex(res.trace) == trace_hex(calibrate_by_probe(joints, 44.0, 1.0, "exact-olh"))
         assert res.epsilon_star == 42.0
-        with pytest.raises(InputError, match="olh hash range"):
+        # From 22.25 every probe up to 43.25 keeps the ceiling 44.5, and 44.25
+        # is past the grid: the walk ends in its own error, not olh's.
+        with pytest.raises(InputError, match=r"largest budget a probe can take \(43\.67\)"):
             calibrate(joints, 44.5, step=1.0, engine="exact-olh")
+
+    @pytest.mark.parametrize("engine", ["bound", *EXACT_ENGINES])
+    def test_candidates_end_at_the_largest_budget(self, engine):
+        n, conds = _as_conditionals(self.joints(3))
+        table = _LeakageTable(_ordered(conds, n), engine)
+        assert table.largest == (math.log(2 ** 63) if engine == "exact-olh" else _EPSILON_MAX)
+        for start, step in ((1.0, 0.5), (table.largest - 2.5, 1.0), (table.largest, 0.01)):
+            budgets = list(_candidates(start, step, math.inf, table.largest))
+            assert max(budgets) <= table.largest < budgets[-1] + step
+            table(budgets)  # every one of them can be probed
 
 
 class TestWalkContract:

@@ -11,12 +11,11 @@ import pytest
 
 import cpl_kit
 from cpl_kit import EstimationConfig, MechanismSpec, conditional_from_joint, load_csv
-from cpl_kit.benchmarks import reference_leakages
 from cpl_kit.cli import main
 from cpl_kit.cpl_exact import EXACT_ENGINES
 from cpl_kit.fixtures import FIXTURES, MAXLEAK_JOINT
 from cpl_kit.mechanisms import KINDS
-from conftest import decode_rows, reject_constant, row_leakage
+from conftest import decode_rows, reference_leakages, reject_constant, row_leakage
 
 
 @pytest.fixture(scope="module")
@@ -583,8 +582,11 @@ class TestErrors:
         b'"matrix": [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]}',
         b'{"row_labels": ["a", "a", "b"], "col_labels": ["u", "v"], '
         b'"matrix": [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]}',
+        # a cast parsed "0.5" and read true as 1
+        b'{"row_labels": ["a", "b"], "col_labels": ["u", "v"], "matrix": [["0.5", "0.5"], [1, 0]]}',
+        b'{"row_labels": ["a", "b"], "col_labels": ["u", "v"], "matrix": [[0.5, 0.5], [true, false]]}',
     ], ids=["ragged-matrix", "not-utf8", "list", "string", "number", "null", "string-mask",
-            "string-labels", "number-labels", "repeated-labels"])
+            "string-labels", "number-labels", "repeated-labels", "string-matrix", "boolean-matrix"])
     @pytest.mark.parametrize("command", [["bound"], ["exact", "--mechanism", "grr"]])
     def test_malformed_conditional_exits_two(self, capsys, tmp_path, content, command):
         path = tmp_path / "cond.json"

@@ -482,6 +482,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("call, error, message", [
         (lambda: Alphabet(()), InputError, "alphabet must contain at least one symbol"),
         (lambda: Alphabet(("x", "y", "x")), InputError, "alphabet contains duplicate symbols"),
+        (lambda: Alphabet((["a"],)), InputError, "alphabet symbols must be hashable"),
         (lambda: JointDistribution(("x", "y"), ("u",), np.full((2, 2), 0.25)),
          DimensionMismatchError, "joint matrix shape does not match labels"),
         (lambda: JointDistribution(("x", "y"), ("u", "v"), [[0.5, -0.25], [0.5, 0.25]]),
@@ -503,6 +504,12 @@ class TestInputChecks:
          InputError, "records must be a 2-d array of symbol indices"),
         (lambda: Dataset(PAIR, np.zeros((4, 3), dtype=np.int64)),
          DimensionMismatchError, "records have 3 columns, schema has 2"),
+        (lambda: Dataset(PAIR, np.array([[0.0, 1.0], [1.7, 0.0]])),
+         InputError, "records must be integer symbol indices, got dtype float64"),
+        (lambda: Dataset(PAIR, [["0", "1"], ["1", "0"]]),
+         InputError, "records must be integer symbol indices, got dtype <U1"),
+        (lambda: Dataset(PAIR, [[True, False], [False, True]]),
+         InputError, "records must be integer symbol indices, got dtype bool"),
         (lambda: Dataset(PAIR, [[0, 1], [2, 0]]),
          InputError, "column 'a' has indices outside its alphabet"),
         (lambda: Dataset(PAIR, [[0, -1], [1, 0]]),
@@ -520,9 +527,10 @@ class TestInputChecks:
          InputError, "given must be 'rows' or 'cols', got 'both'"),
         (lambda: calibrate({(0, 1): QUARTER, (1, 0): QUARTER}, 10 ** 400),
          InputError, "total budget must be a real number in float range, got 1" + "0" * 400),
-    ], ids=["alphabet-empty", "alphabet-repeat", "table-shape", "table-negative", "joint-sum",
-            "joint-repeat", "joint-unhashable", "conditional-repeat", "transition-repeat", "mask-length",
-            "records-1d", "records-width", "records-above", "records-negative", "bins-zero",
+    ], ids=["alphabet-empty", "alphabet-repeat", "alphabet-unhashable", "table-shape",
+            "table-negative", "joint-sum", "joint-repeat", "joint-unhashable", "conditional-repeat",
+            "transition-repeat", "mask-length", "records-1d", "records-width", "records-float",
+            "records-string", "records-bool", "records-above", "records-negative", "bins-zero",
             "bins-nan", "bins-empty", "joint-same-attribute", "joint-empty",
             "conditionals-empty", "given", "real-past-float"])
     def test_rejected(self, call, error, message):

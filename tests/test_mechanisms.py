@@ -81,6 +81,33 @@ class TestSpec:
         with pytest.raises(InputError, match="olh hash range"):
             MechanismSpec("olh", epsilon, 4)
 
+    @staticmethod
+    def hash_range_fits(epsilon):
+        return int(round(math.exp(epsilon))) + 1 <= 2 ** 63
+
+    def test_olh_cap_is_the_hash_range_rule_near_it(self):
+        # every double within 5,000 ulps of ln 2^63: a spec exists exactly
+        # where g = round(e^eps) + 1 fits, and the cap is the last such double
+        cap = mechanisms._OLH_EPSILON_MAX
+        bits = np.float64(cap).view(np.int64) + np.arange(-5_000, 5_001)
+        for eps in bits.view(np.float64).tolist():
+            fits = self.hash_range_fits(eps)
+            assert fits == (eps <= cap), eps
+            try:
+                MechanismSpec("olh", eps, 4)
+            except InputError as exc:
+                assert not fits and "olh hash range" in str(exc), eps
+            else:
+                assert fits, eps
+        assert self.hash_range_fits(cap) and not self.hash_range_fits(math.nextafter(cap, 800))
+
+    def test_olh_cap_is_the_hash_range_rule_on_a_grid(self):
+        for eps in np.linspace(0.0, 709.78, 200_001).tolist():
+            assert self.hash_range_fits(eps) == (eps <= mechanisms._OLH_EPSILON_MAX), eps
+        assert mechanisms._largest_epsilon("olh") == mechanisms._OLH_EPSILON_MAX
+        assert {mechanisms._largest_epsilon(kind) for kind in (None, *KINDS) if kind != "olh"} \
+            == {mechanisms._EPSILON_MAX}
+
     def test_largest_olh_budget_runs(self):
         s = MechanismSpec("olh", math.log(2 ** 63), 4)
         assert s.g <= 2 ** 63
